@@ -330,10 +330,11 @@ impl ConcurrentAig {
     pub fn find_and_excluding(&self, f0: Lit, f1: Lit, exclude: NodeId) -> Option<NodeId> {
         let (a, b) = if f0 <= f1 { (f0, f1) } else { (f1, f0) };
         // Scan whichever fanin has the shorter fanout list (high-fanout
-        // nodes would otherwise dominate the decentralized lookup cost).
-        let scan = if self.fanouts[a.node().index()].read().len()
-            <= self.fanouts[b.node().index()].read().len()
-        {
+        // nodes would otherwise dominate the decentralized lookup cost). A
+        // list holds one entry per fanin edge, so its length is the atomic
+        // `refs - po_refs` (an invariant `check` verifies) and only the
+        // scanned list is locked.
+        let scan = if self.fanout_count(a.node()) <= self.fanout_count(b.node()) {
             a.node()
         } else {
             b.node()
@@ -350,6 +351,15 @@ impl ConcurrentAig {
             }
         }
         None
+    }
+
+    /// Number of AND fanouts of `n` (the length of its fanout list): its
+    /// references minus those from primary outputs.
+    fn fanout_count(&self, n: NodeId) -> u32 {
+        let node = &self.nodes[n.index()];
+        node.refs
+            .load(ORD_LOAD)
+            .wrapping_sub(node.po_refs.load(ORD_LOAD))
     }
 
     /// Creates (or finds) the AND of `a` and `b`.
@@ -628,13 +638,18 @@ impl ConcurrentAig {
 
     /// Verifies the structural invariants via conversion: the compact
     /// serial copy must pass [`Aig::check`], and the bookkeeping counters
-    /// must be internally consistent.
+    /// must be internally consistent — every live node's reference count
+    /// matches its fanin and output uses, its output count matches its
+    /// occurrences among the outputs, and its fanout list holds exactly
+    /// `refs - po_refs` entries (the length [`AigRead::find_and`] reads to
+    /// pick the list it scans).
     ///
     /// # Errors
     ///
     /// Returns [`AigError::InvariantViolation`] on the first mismatch.
     pub fn check(&self) -> Result<(), AigError> {
         let mut refs = vec![0u32; self.capacity()];
+        let mut po_refs = vec![0u32; self.capacity()];
         for i in 0..self.capacity() {
             let n = NodeId::new(i as u32);
             if self.kind(n) != NodeKind::And {
@@ -651,13 +666,30 @@ impl ConcurrentAig {
         }
         for po in self.output_lits() {
             refs[po.node().index()] += 1;
+            po_refs[po.node().index()] += 1;
         }
-        for (i, &want) in refs.iter().enumerate() {
+        for (i, (&want, &want_po)) in refs.iter().zip(&po_refs).enumerate() {
             let n = NodeId::new(i as u32);
-            if self.is_alive(n) && self.refs(n) != want {
+            if !self.is_alive(n) {
+                continue;
+            }
+            if self.refs(n) != want {
                 return Err(AigError::InvariantViolation(format!(
                     "{n:?}: stored refs {} recomputed {want}",
                     self.refs(n),
+                )));
+            }
+            let stored_po = self.nodes[i].po_refs.load(ORD_LOAD);
+            if stored_po != want_po {
+                return Err(AigError::InvariantViolation(format!(
+                    "{n:?}: stored po_refs {stored_po} but {want_po} output uses"
+                )));
+            }
+            let listed = self.fanouts[i].read().len();
+            if listed != (want - want_po) as usize {
+                return Err(AigError::InvariantViolation(format!(
+                    "{n:?}: fanout list holds {listed} entries for {} fanin uses",
+                    want - want_po
                 )));
             }
         }
@@ -751,6 +783,55 @@ mod tests {
         assert_eq!(back.num_ands(), aig.num_ands());
         assert_eq!(back.num_inputs(), aig.num_inputs());
         assert_eq!(back.num_outputs(), aig.num_outputs());
+    }
+
+    #[test]
+    fn check_catches_fanout_list_and_output_count_drift() {
+        let (aig, ..) = sample();
+        let shared = ConcurrentAig::from_aig(&aig, 1.5).unwrap();
+        let input = shared.input_ids()[0];
+        // A fanout entry without a matching reference.
+        shared.fanouts[input.index()].write().push(input);
+        let err = shared.check().unwrap_err();
+        assert!(format!("{err}").contains("fanout list"), "{err}");
+        shared.fanouts[input.index()].write().pop();
+        shared.check().unwrap();
+        // An output count that disagrees with the outputs.
+        shared.nodes[input.index()]
+            .po_refs
+            .fetch_add(1, Ordering::Relaxed);
+        let err = shared.check().unwrap_err();
+        assert!(format!("{err}").contains("po_refs"), "{err}");
+    }
+
+    #[test]
+    fn lookup_scans_the_shorter_list_by_reference_count() {
+        // `a` feeds four gates and an output, `b` one gate: the counts the
+        // lookup compares equal the list lengths, and the lookup succeeds
+        // from either operand order.
+        let mut aig = Aig::new();
+        let a = aig.add_input();
+        let b = aig.add_input();
+        let c = aig.add_input();
+        let d = aig.add_input();
+        let ab = aig.add_and(a, b);
+        for x in [c, d, !c] {
+            let g = aig.add_and(a, x);
+            aig.add_output(g);
+        }
+        aig.add_output(ab);
+        aig.add_output(a);
+        let shared = ConcurrentAig::from_aig(&aig, 1.5).unwrap();
+        let ins = shared.input_ids();
+        let (sa, sb) = (ins[0], ins[1]);
+        assert_eq!(shared.fanout_count(sa), 4);
+        assert_eq!(shared.fanout_count(sb), 1);
+        let sab = shared
+            .find_and(sa.lit(), sb.lit())
+            .expect("AND(a, b) exists");
+        assert_eq!(shared.find_and(sb.lit(), sa.lit()), Some(sab));
+        assert_eq!(shared.find_and(sa.lit(), !sb.lit()), None);
+        shared.check().unwrap();
     }
 
     #[test]

@@ -4,10 +4,8 @@
 //! root is replaced, *without mutating the shared graph* (the paper's
 //! lock-free parallel evaluation creates thread-local copies of the MFFC
 //! bookkeeping; see §4.3). [`simulate_deref`] runs the classic
-//! deref/recursive-count on a thread-local scratch map of reference counts,
+//! deref/recursive-count on a local scratch list of reference counts,
 //! leaving the graph untouched and therefore safe to call concurrently.
-
-use std::collections::HashMap;
 
 use crate::{AigRead, NodeId, NodeKind};
 
@@ -37,7 +35,9 @@ impl ConeDeref {
 /// nodes). Returns the set of nodes that would become dangling.
 ///
 /// The underlying graph is not modified; reference counts are copied into a
-/// scratch map on first touch.
+/// scratch list on first touch. The list is scanned linearly: a cone touches
+/// its MFFC plus the MFFC's boundary, a handful of nodes under a 4-input
+/// cut, where a scan is cheaper than hashing.
 ///
 /// # Example
 ///
@@ -61,7 +61,7 @@ where
     F: Fn(NodeId) -> bool,
 {
     debug_assert_eq!(view.kind(root), NodeKind::And);
-    let mut local: HashMap<NodeId, u32> = HashMap::new();
+    let mut local: Vec<(NodeId, u32)> = Vec::new();
     let mut freed = vec![root];
     let mut stack = vec![root];
     while let Some(n) = stack.pop() {
@@ -70,7 +70,11 @@ where
             if view.kind(v) != NodeKind::And || is_leaf(v) {
                 continue;
             }
-            let r = local.entry(v).or_insert_with(|| view.refs(v));
+            let i = local.iter().position(|&(x, _)| x == v).unwrap_or_else(|| {
+                local.push((v, view.refs(v)));
+                local.len() - 1
+            });
+            let r = &mut local[i].1;
             debug_assert!(*r > 0, "cone node with zero refs");
             *r -= 1;
             if *r == 0 {

@@ -30,7 +30,6 @@ use dacpara_galois::{
     MAX_SCHED_RETRIES,
 };
 use dacpara_npn::canon;
-use parking_lot::Mutex;
 
 use crate::eval::{build_replacement, evaluate_node, reevaluate_structure, Candidate, EvalContext};
 use crate::lockstep::{backoff, RetryPolicy};
@@ -108,7 +107,6 @@ pub(crate) fn session_pass(sess: &mut RewriteSession) -> Result<RewriteStats, Ai
     let spec = SpecStats::new();
     let lock_base = sess.locks.stats().snapshot();
     let counters = Counters::default();
-    let stage_ns = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
     let pool = match sess.cfg.scheduler {
         SchedulerKind::Steal => Some(StealPool::new(sess.cfg.threads)),
         SchedulerKind::Barrier => None,
@@ -158,17 +156,17 @@ pub(crate) fn session_pass(sess: &mut RewriteSession) -> Result<RewriteStats, Ai
 
         let queue = WorkQueue::new(0);
         let error = FirstError::new();
-        let stage_start: Mutex<Instant> = Mutex::new(Instant::now());
 
         {
-            let (queue, error, spec, counters, stage_ns) =
-                (&queue, &error, &spec, &counters, &stage_ns);
+            let (queue, error, spec, counters) = (&queue, &error, &spec, &counters);
             let pool = pool.as_ref();
             let worklists = &worklists;
-            let stage_start = &stage_start;
             run_spmd(cfg.threads, |w| {
                 let owner = w.id as u32 + 1;
                 let bail = || error.is_set();
+                // Each stage opens with a barrier pair: the first waits for
+                // the whole team to leave the previous stage (which orders
+                // the stages), the second publishes the armed round.
                 let begin_stage = |list_len: usize| {
                     if w.barrier() {
                         // A poisoned pass distributes nothing, but still
@@ -178,14 +176,6 @@ pub(crate) fn session_pass(sess: &mut RewriteSession) -> Result<RewriteStats, Ai
                             Some(pool) => pool.begin(len),
                             None => queue.reset(len),
                         }
-                        *stage_start.lock() = Instant::now();
-                    }
-                    w.barrier();
-                };
-                let end_stage = |stage: usize| {
-                    if w.barrier() {
-                        let ns = stage_start.lock().elapsed().as_nanos() as u64;
-                        stage_ns[stage].fetch_add(ns, Ordering::Relaxed);
                     }
                     w.barrier();
                 };
@@ -226,7 +216,6 @@ pub(crate) fn session_pass(sess: &mut RewriteSession) -> Result<RewriteStats, Ai
                             }
                         }
                     }
-                    end_stage(0);
 
                     // -------- Stage 2: parallel, lock-free evaluation.
                     begin_stage(list.len());
@@ -259,7 +248,6 @@ pub(crate) fn session_pass(sess: &mut RewriteSession) -> Result<RewriteStats, Ai
                             }
                         }
                     }
-                    end_stage(1);
 
                     // -------- Stage 3: parallel validated replacement.
                     begin_stage(list.len());
@@ -380,7 +368,6 @@ pub(crate) fn session_pass(sess: &mut RewriteSession) -> Result<RewriteStats, Ai
                             }
                         }
                     }
-                    end_stage(2);
 
                     // Leader restores strash canonicity between lists,
                     // tracing the merges into the dirty set.
@@ -419,9 +406,6 @@ pub(crate) fn session_pass(sess: &mut RewriteSession) -> Result<RewriteStats, Ai
     stats.spec = spec.snapshot();
     if let Some(pool) = &pool {
         stats.sched = pool.stats().snapshot();
-    }
-    for (i, ns) in stage_ns.iter().enumerate() {
-        stats.stage_times[i] = std::time::Duration::from_nanos(ns.load(Ordering::Relaxed));
     }
     stats.time = start.elapsed();
     if dacpara_obs::is_enabled() {
@@ -763,12 +747,5 @@ mod tests {
         aig.check().unwrap();
         let _ = stats;
         assert_equiv(&golden, &aig);
-    }
-
-    #[test]
-    fn stage_times_are_recorded() {
-        let mut aig = arith::multiplier(6);
-        let stats = rewrite_dacpara(&mut aig, &cfg(2)).unwrap();
-        assert!(stats.stage_times[1] > std::time::Duration::ZERO);
     }
 }

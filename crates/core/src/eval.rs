@@ -1,12 +1,13 @@
 //! The evaluation stage: pick the best replacement structure for a node.
 //!
-//! Evaluation is the paper's hot stage (>90% of rewriting runtime, §4.3)
-//! and — crucially — it must not mutate the graph, so DACPara can run it
-//! with *no locks at all*. All bookkeeping that ABC does by temporarily
-//! dereferencing the graph is done here on thread-local scratch
-//! ([`dacpara_aig::mffc::simulate_deref`]).
+//! Evaluation is the paper's hot stage (>90% of rewriting runtime, §4.3;
+//! about half of stage time here, see EXPERIMENTS.md) and — crucially — it
+//! must not mutate the graph, so DACPara can run it with *no locks at all*.
+//! All bookkeeping that ABC does by temporarily dereferencing the graph is
+//! done here on local scratch ([`dacpara_aig::mffc::simulate_deref`]).
+//! Structures are mapped only as far as they can still win (see
+//! ARCHITECTURE.md §14).
 
-use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
 use dacpara_aig::concurrent::ConcurrentAig;
@@ -14,7 +15,7 @@ use dacpara_aig::mffc::mffc_with_cut;
 use dacpara_aig::{Aig, AigError, AigRead, Lit, NodeId};
 use dacpara_cut::Cut;
 use dacpara_npn::{canon, ClassId, ClassRegistry, NpnTransform, Tt4};
-use dacpara_nst::{NpnLibrary, StructIn, Structure};
+use dacpara_nst::{NpnLibrary, StructIn, Structure, MAX_STRUCTURE_GATES};
 use dacpara_obs::LogHistogram;
 
 use crate::RewriteConfig;
@@ -112,9 +113,6 @@ struct Mapping {
     /// `Some` when the whole structure resolves to an existing literal.
     root: Option<Lit>,
     level: u32,
-    /// Existing nodes the structure would share (the parallel engines must
-    /// lock these before building).
-    shared: Vec<NodeId>,
 }
 
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -129,6 +127,55 @@ impl MVal {
         match self {
             MVal::Real(l) => MVal::Real(l.xor(c)),
             MVal::Virt(i, neg) => MVal::Virt(i, neg ^ c),
+        }
+    }
+}
+
+/// Structural-hash lookups between two leaf literals of one cut, shared by
+/// every structure mapped onto that cut. A leaf literal is indexed
+/// `2 * leaf + complement`; an entry holds [`LeafPairMemo::UNKNOWN`],
+/// [`LeafPairMemo::ABSENT`] or the raw id [`AigRead::find_and`] returned.
+///
+/// Caching is exact because no leaf's fanout list changes while one cut
+/// is evaluated: DACPara's evaluation stage has no writers, and the
+/// ICCAD'18 operator holds every leaf's lock (ARCHITECTURE.md §14).
+struct LeafPairMemo([[u32; 8]; 8]);
+
+impl LeafPairMemo {
+    const UNKNOWN: u32 = u32::MAX;
+    const ABSENT: u32 = u32::MAX - 1;
+
+    fn new() -> LeafPairMemo {
+        LeafPairMemo([[Self::UNKNOWN; 8]; 8])
+    }
+
+    /// `view.find_and(x, y)` for `x <= y`, answered from the memo when both
+    /// literals sit on cut leaves.
+    fn find_and<V: AigRead + ?Sized>(
+        &mut self,
+        view: &V,
+        leaves: &[NodeId],
+        x: Lit,
+        y: Lit,
+    ) -> Option<NodeId> {
+        let slot = |l: Lit| {
+            leaves
+                .iter()
+                .position(|&n| n == l.node())
+                .map(|i| 2 * i + usize::from(l.is_complement()))
+        };
+        let (Some(i), Some(j)) = (slot(x), slot(y)) else {
+            return view.find_and(x, y);
+        };
+        let entry = &mut self.0[i][j];
+        match *entry {
+            Self::UNKNOWN => {
+                let found = view.find_and(x, y);
+                *entry = found.map_or(Self::ABSENT, NodeId::raw);
+                found
+            }
+            Self::ABSENT => None,
+            raw => Some(NodeId::new(raw)),
         }
     }
 }
@@ -159,7 +206,13 @@ pub fn evaluate_node<V: AigRead + ?Sized>(
     best
 }
 
-/// Evaluates a single cut of `n`.
+/// Evaluates a single cut of `n`: the best structure of the cut's class by
+/// (gain, fewest added nodes, lowest level, first in library order) among
+/// those passing the gain and level thresholds.
+///
+/// A structure is mapped only until it has added more nodes than the gain
+/// threshold allows — `added` never shrinks, so such a structure could not
+/// be chosen (see ARCHITECTURE.md §14).
 pub fn evaluate_cut<V: AigRead + ?Sized>(
     view: &V,
     n: NodeId,
@@ -177,8 +230,10 @@ pub fn evaluate_cut<V: AigRead + ?Sized>(
     if dacpara_obs::is_enabled() {
         eval_obs().mffc_size.record(freed.freed.len() as u64);
     }
-    let saved = freed.saved() as i32;
-    let unavailable: HashSet<NodeId> = freed.freed.iter().copied().collect();
+    let saved = freed.saved() as u32;
+    // The most nodes a structure may add and still pass the gain threshold
+    // (`saved >= 1`: the root itself is always freed).
+    let max_added = if ctx.use_zeros { saved } else { saved - 1 };
     let (rep, transform) = canon(tt);
     debug_assert_eq!(rep, ctx.registry.representative(class));
 
@@ -190,15 +245,28 @@ pub fn evaluate_cut<V: AigRead + ?Sized>(
     };
 
     let root_level = view.level(n);
+    let mut memo = LeafPairMemo::new();
     let mut best: Option<(i32, u32, u32, usize)> = None; // gain, added, level, idx
     for (si, s) in structures.iter().take(budget).enumerate() {
-        let m = map_structure(view, s, &transform, leaves, &unavailable, ctx.count_sharing);
+        let Some(m) = map_structure(
+            view,
+            s,
+            &transform,
+            leaves,
+            &freed.freed,
+            ctx.count_sharing,
+            max_added,
+            &mut memo,
+            None,
+        ) else {
+            continue;
+        };
         if let Some(r) = m.root {
             if r.node() == n {
                 continue; // identity replacement
             }
         }
-        let gain = saved - m.added as i32;
+        let gain = saved as i32 - m.added as i32;
         let gain_ok = gain > 0 || (ctx.use_zeros && gain >= 0);
         let level_ok = !ctx.preserve_level || m.level <= root_level;
         if !(gain_ok && level_ok) {
@@ -228,16 +296,24 @@ pub fn evaluate_cut<V: AigRead + ?Sized>(
 
 /// Simulates building `structure` on the current graph: how many new nodes
 /// would be needed given structural sharing, and what the new root's level
-/// would be. Nodes in `unavailable` (the would-be-deleted MFFC) are not
-/// counted as shareable.
+/// would be. Nodes in `freed` (the would-be-deleted MFFC) are not counted
+/// as shareable.
+///
+/// Returns `None` as soon as more than `max_added` nodes would be added.
+/// When `shared` is given, it collects the existing nodes the structure
+/// would share (the parallel engines must lock these before building).
+#[allow(clippy::too_many_arguments)]
 fn map_structure<V: AigRead + ?Sized>(
     view: &V,
     structure: &Structure,
     transform: &NpnTransform,
     leaves: &[NodeId],
-    unavailable: &HashSet<NodeId>,
+    freed: &[NodeId],
     count_sharing: bool,
-) -> Mapping {
+    max_added: u32,
+    memo: &mut LeafPairMemo,
+    mut shared: Option<&mut Vec<NodeId>>,
+) -> Option<Mapping> {
     let (wiring, out_neg) = transform.wire();
     let leaf_val = |var: usize| -> (MVal, u32) {
         let (idx, neg) = wiring[var];
@@ -246,8 +322,7 @@ fn map_structure<V: AigRead + ?Sized>(
     };
 
     let mut added = 0u32;
-    let mut shared: Vec<NodeId> = Vec::new();
-    let mut vals: Vec<(MVal, u32)> = Vec::with_capacity(structure.size());
+    let mut vals = [(MVal::Real(Lit::FALSE), 0u32); MAX_STRUCTURE_GATES];
     let resolve = |input: StructIn, vals: &[(MVal, u32)]| -> (MVal, u32) {
         match input {
             StructIn::Const(b) => (MVal::Real(Lit::FALSE.xor(b)), 0),
@@ -262,7 +337,7 @@ fn map_structure<V: AigRead + ?Sized>(
         }
     };
 
-    for gate in structure.gates() {
+    for (gi, gate) in structure.gates().iter().enumerate() {
         let (va, la) = resolve(gate[0], &vals);
         let (vb, lb) = resolve(gate[1], &vals);
         let value = match (va, vb) {
@@ -276,20 +351,25 @@ fn map_structure<V: AigRead + ?Sized>(
                 let (x, y) = if x <= y { (x, y) } else { (y, x) };
                 if let Some(f) = Aig::fold_and(x, y) {
                     (MVal::Real(f), view.level(f.node()))
-                } else if count_sharing {
-                    match view.find_and(x, y) {
-                        Some(g) if view.is_and(g) && !unavailable.contains(&g) => {
-                            shared.push(g);
+                } else {
+                    let existing = if count_sharing {
+                        memo.find_and(view, leaves, x, y)
+                            .filter(|&g| view.is_and(g) && !freed.contains(&g))
+                    } else {
+                        None
+                    };
+                    match existing {
+                        Some(g) => {
+                            if let Some(shared) = shared.as_deref_mut() {
+                                shared.push(g);
+                            }
                             (MVal::Real(g.lit()), view.level(g))
                         }
-                        _ => {
+                        None => {
                             added += 1;
                             (MVal::Virt(added as u16, false), 1 + la.max(lb))
                         }
                     }
-                } else {
-                    added += 1;
-                    (MVal::Virt(added as u16, false), 1 + la.max(lb))
                 }
             }
             (MVal::Virt(i, ni), MVal::Virt(j, nj)) if i == j => {
@@ -304,7 +384,10 @@ fn map_structure<V: AigRead + ?Sized>(
                 (MVal::Virt(added as u16, false), 1 + la.max(lb))
             }
         };
-        vals.push(value);
+        if added > max_added {
+            return None;
+        }
+        vals[gi] = value;
     }
 
     let (root, level) = resolve(structure.root(), &vals);
@@ -312,12 +395,7 @@ fn map_structure<V: AigRead + ?Sized>(
         MVal::Real(l) => Some(l),
         MVal::Virt(..) => None,
     };
-    Mapping {
-        added,
-        root,
-        level,
-        shared,
-    }
+    Some(Mapping { added, root, level })
 }
 
 /// Re-evaluation of a *specific* stored structure on the latest graph —
@@ -338,7 +416,8 @@ pub struct Reevaluation {
     pub level: u32,
 }
 
-/// Re-evaluates `cand`'s stored structure against the current graph.
+/// Re-evaluates `cand`'s stored structure against the current graph,
+/// mapping it to completion (the commit needs every shared node).
 /// The caller is responsible for `cand.tt`/`cand.transform` being valid for
 /// the current graph (see `validity::verify_cut`).
 pub fn reevaluate_structure<V: AigRead + ?Sized>(
@@ -349,16 +428,20 @@ pub fn reevaluate_structure<V: AigRead + ?Sized>(
 ) -> Reevaluation {
     let freed = mffc_with_cut(view, n, &cand.leaves);
     let saved = freed.saved() as i32;
-    let unavailable: HashSet<NodeId> = freed.freed.iter().copied().collect();
     let structure = &ctx.lib.structures(cand.class)[cand.struct_idx];
+    let mut shared_nodes = Vec::new();
     let m = map_structure(
         view,
         structure,
         &cand.transform,
         &cand.leaves,
-        &unavailable,
+        &freed.freed,
         ctx.count_sharing,
-    );
+        u32::MAX,
+        &mut LeafPairMemo::new(),
+        Some(&mut shared_nodes),
+    )
+    .expect("an unbounded mapping always completes");
     let identity = m.root.is_some_and(|r| r.node() == n);
     let gain = if identity {
         i32::MIN
@@ -368,7 +451,7 @@ pub fn reevaluate_structure<V: AigRead + ?Sized>(
     Reevaluation {
         gain,
         freed: freed.freed,
-        shared_nodes: m.shared,
+        shared_nodes,
         root: m.root,
         level: m.level,
     }

@@ -68,7 +68,6 @@ pub fn rewrite_static(
 
     for _ in 0..cfg.runs.max(1) {
         // ---- Phase A: parallel enumeration + evaluation on the static AIG.
-        let t_eval = Instant::now();
         let order = dacpara_aig::topo_ands(aig);
         if order.is_empty() {
             // A gateless netlist (constants/wires only) has nothing to
@@ -100,10 +99,8 @@ pub fn rewrite_static(
                 }
             });
         }
-        stats.stage_times[1] += t_eval.elapsed();
 
         // ---- Phase B: serial (conditional) replacement using static gains.
-        let t_rep = Instant::now();
         let _obs = dacpara_obs::span("replace");
         for n in order {
             let Some(cand) = prep[n.index()].lock().take() else {
@@ -142,7 +139,6 @@ pub fn rewrite_static(
             }
         }
         aig.cleanup();
-        stats.stage_times[2] += t_rep.elapsed();
     }
 
     aig.recompute_levels();

@@ -42,8 +42,6 @@ pub struct RewriteStats {
     pub sched: SchedSnapshot,
     /// Number of level worklists processed (DACPara only).
     pub worklists: usize,
-    /// Wall-clock per stage: enumeration, evaluation, replacement.
-    pub stage_times: [Duration; 3],
     /// In-pass fault recoveries: how many times the pass salvaged committed
     /// work and resumed instead of returning `Err` (arena exhaustion and
     /// contained worker panics combined).

@@ -106,6 +106,13 @@ impl Cut {
         self.tt
     }
 
+    /// Replaces the truth table (enumeration fills it in once a merge has
+    /// survived the dominance filter).
+    #[inline]
+    pub(crate) fn set_tt(&mut self, tt: Tt4) {
+        self.tt = tt;
+    }
+
     /// The 64-bit membership signature used to prescreen dominance tests.
     #[inline]
     pub fn sign(&self) -> u64 {
@@ -167,28 +174,33 @@ impl Cut {
 
     /// Re-expresses this cut's truth table over a superset leaf ordering.
     ///
-    /// `merged` must contain every leaf of `self` in ascending order.
+    /// `merged` must contain every leaf of `self` in ascending order. Both
+    /// orderings are ascending, so leaf `i` moves to a position `p_i >= i`
+    /// with `p_0 < p_1 < ...`; stretching from the highest leaf down, each
+    /// variable slides up through positions the table does not depend on,
+    /// one adjacent-variable swap at a time.
     pub fn expand_tt(&self, merged: &[NodeId]) -> Tt4 {
-        // Map each of our leaf positions to its position in `merged`.
-        let mut pos = [0usize; MAX_LEAVES];
-        for (i, l) in self.leaves().iter().enumerate() {
-            pos[i] = merged
+        let mut t = self.tt.raw();
+        for (i, l) in self.leaves().iter().enumerate().rev() {
+            let p = merged
                 .iter()
                 .position(|m| m == l)
                 .expect("merged leaves must be a superset");
-        }
-        let mut g = 0u16;
-        for m in 0..16u16 {
-            let mut child = 0u16;
-            for (i, &p) in pos.iter().take(self.len as usize).enumerate() {
-                child |= (m >> p & 1) << i;
-            }
-            if self.tt.raw() >> child & 1 != 0 {
-                g |= 1 << m;
+            for v in i..p {
+                t = swap_adjacent(t, v);
             }
         }
-        Tt4::from_raw(g)
+        Tt4::from_raw(t)
     }
+}
+
+/// Swaps variables `v` and `v + 1` of a 4-input truth table: minterms with
+/// `x_v = x_{v+1}` stay, the two mixed halves trade places.
+fn swap_adjacent(t: u16, v: usize) -> u16 {
+    const KEEP: [u16; 3] = [0x9999, 0xC3C3, 0xF00F];
+    const UP: [u16; 3] = [0x2222, 0x0C0C, 0x00F0];
+    let shift = 1 << v;
+    t & KEEP[v] | (t & UP[v]) << shift | (t >> shift) & UP[v]
 }
 
 #[cfg(test)]
@@ -226,6 +238,68 @@ mod tests {
         let cut = Cut::new(&[n(5), n(9)], Tt4::var(0) & Tt4::var(1));
         let expanded = cut.expand_tt(&[n(2), n(5), n(9)]);
         assert_eq!(expanded, Tt4::var(1) & Tt4::var(2));
+    }
+
+    /// The bit-by-bit definition `expand_tt` must match: minterm `m` of the
+    /// merged ordering reads the cut table at the leaves' merged positions.
+    fn expand_tt_reference(cut: &Cut, merged: &[NodeId]) -> Tt4 {
+        let pos: Vec<usize> = cut
+            .leaves()
+            .iter()
+            .map(|l| merged.iter().position(|m| m == l).unwrap())
+            .collect();
+        let mut g = 0u16;
+        for m in 0..16u16 {
+            let mut child = 0u16;
+            for (i, &p) in pos.iter().enumerate() {
+                child |= (m >> p & 1) << i;
+            }
+            if cut.tt().raw() >> child & 1 != 0 {
+                g |= 1 << m;
+            }
+        }
+        Tt4::from_raw(g)
+    }
+
+    #[test]
+    fn expand_tt_matches_the_reference_exhaustively() {
+        // Every placement of a k-leaf cut among four merged slots (15 in
+        // all), against every table that ignores variables k and above —
+        // the only tables a k-leaf cut can carry.
+        let merged = [n(10), n(20), n(30), n(40)];
+        for mask in 1u32..16 {
+            let leaves: Vec<NodeId> = (0..4)
+                .filter(|b| mask >> b & 1 != 0)
+                .map(|b| merged[b])
+                .collect();
+            let k = leaves.len();
+            for raw in 0..=u16::MAX {
+                let tt = Tt4::from_raw(raw);
+                if (k..4).any(|v| tt.depends_on(v)) {
+                    continue;
+                }
+                let cut = Cut::new(&leaves, tt);
+                assert_eq!(
+                    cut.expand_tt(&merged),
+                    expand_tt_reference(&cut, &merged),
+                    "leaves {mask:#06b}, table {raw:#06x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn swap_adjacent_exchanges_projections() {
+        for v in 0..3 {
+            assert_eq!(swap_adjacent(Tt4::var(v).raw(), v), Tt4::var(v + 1).raw());
+            assert_eq!(swap_adjacent(Tt4::var(v + 1).raw(), v), Tt4::var(v).raw());
+            for other in (0..4).filter(|&o| o != v && o != v + 1) {
+                assert_eq!(
+                    swap_adjacent(Tt4::var(other).raw(), v),
+                    Tt4::var(other).raw()
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Bottom-up k-feasible cut enumeration.
 
 use dacpara_aig::{AigRead, NodeId, NodeKind};
+use dacpara_npn::Tt4;
 
 use crate::{Cut, CutSet};
 
@@ -70,12 +71,18 @@ pub fn and_cuts<V: AigRead + ?Sized>(
                 continue;
             };
             let merged = &leaves[..k];
+            // Dominance depends on the leaves alone, so a dominated merge is
+            // dropped before its truth table is computed.
+            if !push_filtered(&mut out, Cut::new(merged, Tt4::FALSE)) {
+                continue;
+            }
             let ta = ca.expand_tt(merged);
             let tb = cb.expand_tt(merged);
             let ta = if fa.is_complement() { !ta } else { ta };
             let tb = if fb.is_complement() { !tb } else { tb };
-            let cut = Cut::new(merged, ta & tb);
-            push_filtered(&mut out, cut);
+            out.last_mut()
+                .expect("the merge was just pushed")
+                .set_tt(ta & tb);
         }
     }
     // Sort by leaf count (smaller cuts first — they are cheaper to match and
@@ -87,13 +94,18 @@ pub fn and_cuts<V: AigRead + ?Sized>(
     out
 }
 
-/// Inserts `cut` unless dominated; removes cuts it dominates.
-fn push_filtered(out: &mut CutSet, cut: Cut) {
+/// Appends `cut` unless dominated, after removing the cuts it dominates;
+/// returns whether it was appended.
+///
+/// `out[1..]` is an antichain under dominance (every insertion keeps it
+/// one), so a dominated `cut` cannot also dominate an earlier entry: a
+/// rejection never leaves a removal behind.
+fn push_filtered(out: &mut CutSet, cut: Cut) -> bool {
     // Slot 0 is the trivial cut, which never participates in dominance.
     let mut i = 1;
     while i < out.len() {
         if out[i].dominates(&cut) {
-            return;
+            return false;
         }
         if cut.dominates(&out[i]) {
             out.swap_remove(i);
@@ -102,13 +114,13 @@ fn push_filtered(out: &mut CutSet, cut: Cut) {
         }
     }
     out.push(cut);
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dacpara_aig::Aig;
-    use dacpara_npn::Tt4;
 
     /// Recompute the function of `root` over up-to-4 inputs by exhaustive
     /// evaluation, for cross-checking cut truth tables.

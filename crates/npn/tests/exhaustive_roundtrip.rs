@@ -9,12 +9,15 @@
 //! permutation tables would corrupt rewrites only on rare functions that
 //! unit tests never sample.
 //!
+//! The memoized [`canon`] must also agree with [`canon_uncached`] on
+//! every function, transform included.
+//!
 //! Ignored by default (it sweeps 65536 × 768 transform applications);
 //! CI runs it in the release test step via `--ignored`.
 
 use std::collections::HashSet;
 
-use dacpara_npn::{canon_uncached, ClassRegistry, NpnTransform, Tt4};
+use dacpara_npn::{canon, canon_uncached, ClassRegistry, NpnTransform, Tt4};
 
 #[test]
 #[ignore = "exhaustive sweep; run with --ignored (CI release tests do)"]
@@ -45,6 +48,21 @@ fn all_65536_functions_round_trip_through_canon() {
         222,
         "distinct canonical representatives must be the 222 NPN classes"
     );
+}
+
+#[test]
+#[ignore = "exhaustive sweep; run with --ignored (CI release tests do)"]
+fn memoized_canon_matches_the_uncached_search_everywhere() {
+    // The memo table must hand back exactly the transform the search
+    // picks (not merely one reaching the same representative): structure
+    // wiring, and therefore every rewrite, depends on it. Both the filling
+    // lookup and the filled one are checked.
+    for raw in 0..=u16::MAX {
+        let f = Tt4::from_raw(raw);
+        let want = canon_uncached(f);
+        assert_eq!(canon(f), want, "first lookup of {raw:#06x}");
+        assert_eq!(canon(f), want, "memoized lookup of {raw:#06x}");
+    }
 }
 
 #[test]

@@ -175,7 +175,13 @@ impl Structure {
     }
 }
 
+/// Upper bound on the gates of any library structure (the largest built
+/// today has 24), so per-structure scratch can live in a fixed array.
+pub const MAX_STRUCTURE_GATES: usize = 32;
+
 /// The per-class structure library.
+///
+/// Every structure has at most [`MAX_STRUCTURE_GATES`] gates.
 pub struct NpnLibrary {
     per_class: Vec<Vec<Structure>>,
 }
@@ -239,6 +245,10 @@ impl NpnLibrary {
                     debug_assert_eq!(s.function(), rep);
                     structures.push(s);
                 }
+                assert!(
+                    structures.iter().all(|s| s.size() <= MAX_STRUCTURE_GATES),
+                    "class {id} has a structure above MAX_STRUCTURE_GATES"
+                );
                 structures
             })
             .collect();
