@@ -131,79 +131,107 @@ impl MVal {
     }
 }
 
-/// Structural-hash lookups between two leaf literals of one cut, shared by
-/// every structure mapped onto that cut. A leaf literal is indexed
-/// `2 * leaf + complement`; an entry holds [`LeafPairMemo::UNKNOWN`],
-/// [`LeafPairMemo::ABSENT`] or the raw id [`AigRead::find_and`] returned.
+/// Structural-hash probes made while evaluating one node, shared by every
+/// cut and structure mapped for it: the literal pair `(x, y)`, `x <= y`,
+/// maps to the raw answer of [`AigRead::find_and`]. Open addressing over a
+/// fixed array; once [`ProbeMemo::LIMIT`] pairs are stored, new pairs go to
+/// the graph uncached.
 ///
-/// Caching is exact because no leaf's fanout list changes while one cut
-/// is evaluated: DACPara's evaluation stage has no writers, and the
-/// ICCAD'18 operator holds every leaf's lock (ARCHITECTURE.md §14).
-struct LeafPairMemo([[u32; 8]; 8]);
+/// Caching is exact because nothing writes the graph while DACPara's
+/// evaluation stage runs; the ICCAD'18 operator holds every cut leaf's
+/// lock, so its leaf-pair answers are stable too (ARCHITECTURE.md §14).
+/// The answer is cached raw; whether it may be shared depends on the cut,
+/// so the caller filters it at every use.
+struct ProbeMemo {
+    keys: [u64; ProbeMemo::SLOTS],
+    vals: [u32; ProbeMemo::SLOTS],
+    len: usize,
+}
 
-impl LeafPairMemo {
-    const UNKNOWN: u32 = u32::MAX;
-    const ABSENT: u32 = u32::MAX - 1;
+impl ProbeMemo {
+    /// Table size (a power of two).
+    const SLOTS: usize = 128;
+    /// Stored pairs at most, keeping linear probe runs short.
+    const LIMIT: usize = Self::SLOTS * 3 / 4;
+    /// Key of an empty slot: a pair of equal literals, which `fold_and`
+    /// folds before any probe.
+    const EMPTY: u64 = u64::MAX;
+    /// Value of a pair `find_and` found no node for.
+    const ABSENT: u32 = u32::MAX;
 
-    fn new() -> LeafPairMemo {
-        LeafPairMemo([[Self::UNKNOWN; 8]; 8])
+    fn new() -> ProbeMemo {
+        ProbeMemo {
+            keys: [Self::EMPTY; Self::SLOTS],
+            vals: [0; Self::SLOTS],
+            len: 0,
+        }
     }
 
-    /// `view.find_and(x, y)` for `x <= y`, answered from the memo when both
-    /// literals sit on cut leaves.
-    fn find_and<V: AigRead + ?Sized>(
-        &mut self,
-        view: &V,
-        leaves: &[NodeId],
-        x: Lit,
-        y: Lit,
-    ) -> Option<NodeId> {
-        let slot = |l: Lit| {
-            leaves
-                .iter()
-                .position(|&n| n == l.node())
-                .map(|i| 2 * i + usize::from(l.is_complement()))
-        };
-        let (Some(i), Some(j)) = (slot(x), slot(y)) else {
-            return view.find_and(x, y);
-        };
-        let entry = &mut self.0[i][j];
-        match *entry {
-            Self::UNKNOWN => {
-                let found = view.find_and(x, y);
-                *entry = found.map_or(Self::ABSENT, NodeId::raw);
-                found
+    /// `view.find_and(x, y)` for `x <= y`, answered from the memo when the
+    /// pair was probed before.
+    fn find_and<V: AigRead + ?Sized>(&mut self, view: &V, x: Lit, y: Lit) -> Option<NodeId> {
+        let key = u64::from(x.raw()) << 32 | u64::from(y.raw());
+        let shift = 64 - Self::SLOTS.trailing_zeros();
+        let mut i = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+        loop {
+            match self.keys[i] {
+                k if k == key => {
+                    return match self.vals[i] {
+                        Self::ABSENT => None,
+                        raw => Some(NodeId::new(raw)),
+                    };
+                }
+                Self::EMPTY => break,
+                _ => i = (i + 1) % Self::SLOTS,
             }
-            Self::ABSENT => None,
-            raw => Some(NodeId::new(raw)),
         }
+        let found = view.find_and(x, y);
+        if self.len < Self::LIMIT {
+            self.keys[i] = key;
+            self.vals[i] = found.map_or(Self::ABSENT, NodeId::raw);
+            self.len += 1;
+        }
+        found
     }
 }
 
 /// Evaluates every (non-trivial) cut of `n` and returns the best
-/// replacement candidate, if any beats the gain/level thresholds.
+/// replacement candidate, if any beats the gain/level thresholds: the
+/// first cut, in order, whose best gain is strictly greater than every
+/// earlier cut's.
+///
+/// Each cut is evaluated against a gain floor — the best gain found so
+/// far — and reports only structures that beat it, so a cut that cannot
+/// win is dropped after its MFFC and losing structures stop mapping early
+/// (see ARCHITECTURE.md §14).
 pub fn evaluate_node<V: AigRead + ?Sized>(
     view: &V,
     n: NodeId,
     cuts: &[Cut],
     ctx: &EvalContext,
 ) -> Option<Candidate> {
+    let mut memo = ProbeMemo::new();
     let mut best: Option<Candidate> = None;
     for cut in cuts {
         if cut.len() < 2 {
             continue;
         }
-        if let Some(cand) = evaluate_cut(view, n, cut, ctx) {
-            let better = match &best {
-                None => true,
-                Some(b) => cand.gain > b.gain,
-            };
-            if better {
-                best = Some(cand);
-            }
+        let floor = best.as_ref().map_or(base_floor(ctx), |b| b.gain);
+        if let Some(cand) = best_on_cut(view, n, cut, ctx, floor, &mut memo) {
+            best = Some(cand);
         }
     }
     best
+}
+
+/// The gain a candidate must strictly exceed to pass the threshold:
+/// positive gain, or non-negative under `use_zeros`.
+fn base_floor(ctx: &EvalContext) -> i32 {
+    if ctx.use_zeros {
+        -1
+    } else {
+        0
+    }
 }
 
 /// Evaluates a single cut of `n`: the best structure of the cut's class by
@@ -219,7 +247,22 @@ pub fn evaluate_cut<V: AigRead + ?Sized>(
     cut: &Cut,
     ctx: &EvalContext,
 ) -> Option<Candidate> {
+    best_on_cut(view, n, cut, ctx, base_floor(ctx), &mut ProbeMemo::new())
+}
+
+/// [`evaluate_cut`] restricted to structures whose gain is strictly greater
+/// than `floor` (at least [`base_floor`]); `memo` holds the probes of
+/// earlier cuts of the same node.
+fn best_on_cut<V: AigRead + ?Sized>(
+    view: &V,
+    n: NodeId,
+    cut: &Cut,
+    ctx: &EvalContext,
+    floor: i32,
+    memo: &mut ProbeMemo,
+) -> Option<Candidate> {
     debug_assert!(cut.len() >= 2);
+    debug_assert!(floor >= base_floor(ctx));
     let leaves = cut.leaves();
     let tt = cut.tt();
     let class = ctx.registry.class_of(tt);
@@ -230,10 +273,14 @@ pub fn evaluate_cut<V: AigRead + ?Sized>(
     if dacpara_obs::is_enabled() {
         eval_obs().mffc_size.record(freed.freed.len() as u64);
     }
-    let saved = freed.saved() as u32;
-    // The most nodes a structure may add and still pass the gain threshold
-    // (`saved >= 1`: the root itself is always freed).
-    let max_added = if ctx.use_zeros { saved } else { saved - 1 };
+    // `gain = saved - added <= saved`: a cut that frees no more than the
+    // floor cannot beat it.
+    let saved = freed.saved() as i32;
+    if saved <= floor {
+        return None;
+    }
+    // The most nodes a structure may add and still beat the floor.
+    let max_added = (saved - floor - 1) as u32;
     let (rep, transform) = canon(tt);
     debug_assert_eq!(rep, ctx.registry.representative(class));
 
@@ -245,7 +292,6 @@ pub fn evaluate_cut<V: AigRead + ?Sized>(
     };
 
     let root_level = view.level(n);
-    let mut memo = LeafPairMemo::new();
     let mut best: Option<(i32, u32, u32, usize)> = None; // gain, added, level, idx
     for (si, s) in structures.iter().take(budget).enumerate() {
         let Some(m) = map_structure(
@@ -256,7 +302,7 @@ pub fn evaluate_cut<V: AigRead + ?Sized>(
             &freed.freed,
             ctx.count_sharing,
             max_added,
-            &mut memo,
+            memo,
             None,
         ) else {
             continue;
@@ -266,10 +312,10 @@ pub fn evaluate_cut<V: AigRead + ?Sized>(
                 continue; // identity replacement
             }
         }
-        let gain = saved as i32 - m.added as i32;
-        let gain_ok = gain > 0 || (ctx.use_zeros && gain >= 0);
-        let level_ok = !ctx.preserve_level || m.level <= root_level;
-        if !(gain_ok && level_ok) {
+        // `added <= max_added`, so the gain beats the floor.
+        let gain = saved - m.added as i32;
+        debug_assert!(gain > floor);
+        if ctx.preserve_level && m.level > root_level {
             continue;
         }
         let better = match best {
@@ -311,7 +357,7 @@ fn map_structure<V: AigRead + ?Sized>(
     freed: &[NodeId],
     count_sharing: bool,
     max_added: u32,
-    memo: &mut LeafPairMemo,
+    memo: &mut ProbeMemo,
     mut shared: Option<&mut Vec<NodeId>>,
 ) -> Option<Mapping> {
     let (wiring, out_neg) = transform.wire();
@@ -353,7 +399,7 @@ fn map_structure<V: AigRead + ?Sized>(
                     (MVal::Real(f), view.level(f.node()))
                 } else {
                     let existing = if count_sharing {
-                        memo.find_and(view, leaves, x, y)
+                        memo.find_and(view, x, y)
                             .filter(|&g| view.is_and(g) && !freed.contains(&g))
                     } else {
                         None
@@ -438,7 +484,7 @@ pub fn reevaluate_structure<V: AigRead + ?Sized>(
         &freed.freed,
         ctx.count_sharing,
         u32::MAX,
-        &mut LeafPairMemo::new(),
+        &mut ProbeMemo::new(),
         Some(&mut shared_nodes),
     )
     .expect("an unbounded mapping always completes");

@@ -2,15 +2,20 @@
 //!
 //! `evaluate_cut` stops mapping a structure once it has added more nodes
 //! than the gain threshold allows, and memoizes structural-hash lookups
-//! between leaf literals across the structures of one cut. Neither may
-//! change the answer: for every AND node and every cut of the `log2`,
-//! `voter` and MtM generators at test scale, on both the serial `Aig` and
-//! the `ConcurrentAig`, the kernel must pick exactly what a brute-force
-//! scan picks when it maps every class structure to completion with
-//! `reevaluate_structure` and ranks them by (gain, fewest added nodes,
-//! lowest level, first in library order).
+//! across the structures of one cut. `evaluate_node` shares that memo
+//! across all cuts of the node and raises the threshold to the best gain
+//! found so far. None of this may change the answer: for every AND node
+//! and every cut of the `log2`, `voter` and MtM generators at test scale,
+//! on both the serial `Aig` and the `ConcurrentAig`, `evaluate_cut` must
+//! pick exactly what a brute-force scan picks when it maps every class
+//! structure to completion with `reevaluate_structure` and ranks them by
+//! (gain, fewest added nodes, lowest level, first in library order), and
+//! `evaluate_node` must pick the first cut whose brute-force gain is
+//! strictly the best.
 
-use dacpara::{evaluate_cut, reevaluate_structure, Candidate, EvalContext, RewriteConfig};
+use dacpara::{
+    evaluate_cut, evaluate_node, reevaluate_structure, Candidate, EvalContext, RewriteConfig,
+};
 use dacpara_aig::concurrent::ConcurrentAig;
 use dacpara_aig::{Aig, AigRead, NodeId};
 use dacpara_circuits::{arith, control, mtm, MtmParams};
@@ -69,8 +74,9 @@ fn brute_force<V: AigRead + ?Sized>(
     best.map(|(gain, _, _, idx)| (idx, gain))
 }
 
-/// Checks every cut of every AND node of `view`; returns how many cuts
-/// produced a candidate (so a vacuous sweep is caught).
+/// Checks every cut of every AND node of `view`, then the node as a whole;
+/// returns how many nodes produced a candidate (so a vacuous sweep is
+/// caught).
 fn sweep<V: AigRead + ?Sized>(view: &V, cfg: &RewriteConfig, label: &str) -> usize {
     let ctx = EvalContext::new(cfg);
     let store = CutStore::new(view.slot_count(), cfg.cut_config());
@@ -80,7 +86,11 @@ fn sweep<V: AigRead + ?Sized>(view: &V, cfg: &RewriteConfig, label: &str) -> usi
         if !view.is_and(n) {
             continue;
         }
-        for cut in store.cuts(view, n).iter().filter(|c| c.len() >= 2) {
+        let cuts = store.cuts(view, n);
+        // The node's expected choice: `(leaves, struct_idx, gain)` of the
+        // first cut whose gain beats every earlier cut's.
+        let mut want_node: Option<(Vec<NodeId>, usize, i32)> = None;
+        for cut in cuts.iter().filter(|c| c.len() >= 2) {
             let got = evaluate_cut(view, n, cut, &ctx).map(|c| (c.struct_idx, c.gain));
             let want = brute_force(view, n, cut, &ctx);
             assert_eq!(
@@ -90,8 +100,16 @@ fn sweep<V: AigRead + ?Sized>(view: &V, cfg: &RewriteConfig, label: &str) -> usi
                 cut.leaves(),
                 cut.tt().raw()
             );
-            found += usize::from(got.is_some());
+            if let Some((idx, gain)) = want {
+                if want_node.as_ref().is_none_or(|(_, _, best)| gain > *best) {
+                    want_node = Some((cut.leaves().to_vec(), idx, gain));
+                }
+            }
         }
+        let got_node =
+            evaluate_node(view, n, &cuts, &ctx).map(|c| (c.leaves, c.struct_idx, c.gain));
+        assert_eq!(got_node, want_node, "{label}: node {n:?}");
+        found += usize::from(got_node.is_some());
     }
     found
 }

@@ -233,6 +233,38 @@ mod tests {
     }
 
     #[test]
+    fn signature_prefilter_never_rejects_a_feasible_merge() {
+        // Every pair of 1-4-leaf cuts over ids where 65, 66 and 67 collide
+        // with 1, 2 and 3 modulo 64: more than four signature bits must
+        // mean the merge fails. Collisions only hide leaves, so the reverse
+        // does not hold, and the sweep must see both kinds of pair.
+        let ids = [1, 2, 3, 4, 5, 6, 65, 66, 67];
+        let cuts: Vec<Cut> = (1u32..1 << ids.len())
+            .filter(|mask| (1..=MAX_LEAVES as u32).contains(&mask.count_ones()))
+            .map(|mask| {
+                let leaves: Vec<NodeId> = (0..ids.len())
+                    .filter(|b| mask >> b & 1 != 0)
+                    .map(|b| n(ids[b]))
+                    .collect();
+                Cut::new(&leaves, Tt4::FALSE)
+            })
+            .collect();
+        let (mut rejected, mut collided) = (0, 0);
+        for a in &cuts {
+            for b in &cuts {
+                let merged = a.merge_leaves(b);
+                if (a.sign() | b.sign()).count_ones() as usize > MAX_LEAVES {
+                    assert!(merged.is_none(), "{:?} + {:?}", a.leaves(), b.leaves());
+                    rejected += 1;
+                } else if merged.is_none() {
+                    collided += 1;
+                }
+            }
+        }
+        assert!(rejected > 0 && collided > 0, "{rejected} / {collided}");
+    }
+
+    #[test]
     fn expand_tt_repositions_variables() {
         // Cut over {5, 9} computing leaf0 & leaf1; expand over {2, 5, 9}.
         let cut = Cut::new(&[n(5), n(9)], Tt4::var(0) & Tt4::var(1));

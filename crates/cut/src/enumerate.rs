@@ -3,7 +3,7 @@
 use dacpara_aig::{AigRead, NodeId, NodeKind};
 use dacpara_npn::Tt4;
 
-use crate::{Cut, CutSet};
+use crate::{Cut, CutSet, MAX_LEAVES};
 
 /// Parameters of cut enumeration.
 #[derive(Copy, Clone, Debug)]
@@ -67,6 +67,12 @@ pub fn and_cuts<V: AigRead + ?Sized>(
     out.push(Cut::trivial(n));
     for ca in cuts_a {
         for cb in cuts_b {
+            // Every leaf sets one signature bit (leaves equal modulo 64
+            // share it), so a union with more than four bits set has more
+            // than four leaves: the merge would fail.
+            if (ca.sign() | cb.sign()).count_ones() as usize > MAX_LEAVES {
+                continue;
+            }
             let Some((leaves, k)) = ca.merge_leaves(cb) else {
                 continue;
             };

@@ -37,6 +37,13 @@ fn obs() -> &'static ObsHandles {
     })
 }
 
+/// Counts `k` cut sets served from the memo.
+fn count_hits(k: u64) {
+    if k > 0 && dacpara_obs::is_enabled() {
+        obs().memo_hits.add(k);
+    }
+}
+
 type Slot = RwLock<Option<(u32, Arc<CutSet>)>>;
 
 /// A slot-indexed, generation-validated cache of cut sets, safe for
@@ -100,26 +107,28 @@ impl CutStore {
     }
 
     /// The cached cut set of `n`, if present and still matching `n`'s
-    /// current generation.
+    /// current generation. A plain lookup: the memo counters describe
+    /// [`CutStore::try_cuts`] only.
     pub fn get<V: AigRead + ?Sized>(&self, view: &V, n: NodeId) -> Option<Arc<CutSet>> {
-        let guard = self.slots[n.index()].read();
-        let found = match &*guard {
+        match &*self.slots[n.index()].read() {
             Some((gen, cuts)) if *gen == view.generation(n) => Some(Arc::clone(cuts)),
             _ => None,
-        };
-        if dacpara_obs::is_enabled() {
-            if found.is_some() {
-                obs().memo_hits.incr();
-            } else {
-                obs().memo_misses.incr();
-            }
         }
-        found
     }
 
     /// Stores a cut set for `n` at its current generation.
     pub fn put<V: AigRead + ?Sized>(&self, view: &V, n: NodeId, cuts: Arc<CutSet>) {
         *self.slots[n.index()].write() = Some((view.generation(n), cuts));
+    }
+
+    /// Stores a freshly computed cut set, counting it as one memo miss.
+    fn put_computed<V: AigRead + ?Sized>(&self, view: &V, n: NodeId, cuts: CutSet) -> Arc<CutSet> {
+        if dacpara_obs::is_enabled() {
+            obs().memo_misses.incr();
+        }
+        let cuts = Arc::new(cuts);
+        self.put(view, n, Arc::clone(&cuts));
+        cuts
     }
 
     /// Returns the cut set of `n`, computing it (and any missing ancestor
@@ -138,51 +147,66 @@ impl CutStore {
     /// when a dead node is encountered — which can happen when planning
     /// against a concurrently mutating graph; callers retry after
     /// revalidation.
+    ///
+    /// Memo accounting: the request for `n` and each fanin set an AND node
+    /// needs count once — a miss if this call computes the set, a hit if
+    /// the memo serves it.
     pub fn try_cuts<V: AigRead + ?Sized>(&self, view: &V, n: NodeId) -> Option<Arc<CutSet>> {
         if let Some(hit) = self.get(view, n) {
+            count_hits(1);
             return Some(hit);
         }
-        let mut stack = vec![n];
-        while let Some(&top) = stack.last() {
-            if self.get(view, top).is_some() {
-                stack.pop();
-                continue;
-            }
-            match view.kind(top) {
-                NodeKind::Const0 | NodeKind::Input => {
-                    self.put(view, top, Arc::new(leaf_cuts(view, top)));
-                    stack.pop();
-                }
-                NodeKind::And => {
-                    let [fa, fb] = view.fanins(top);
-                    if !view.is_alive(fa.node()) || !view.is_alive(fb.node()) {
-                        return None; // racing against a concurrent mutation
+        // Each entry is a set some caller needs; `probed` marks an AND
+        // node whose fanins were already looked up (and counted) once.
+        let mut stack = vec![(n, false)];
+        loop {
+            let &(top, probed) = stack.last().expect("the loop returns on an empty stack");
+            let cuts = if let Some(hit) = self.get(view, top) {
+                count_hits(1);
+                hit
+            } else {
+                match view.kind(top) {
+                    NodeKind::Const0 | NodeKind::Input => {
+                        self.put_computed(view, top, leaf_cuts(view, top))
                     }
-                    let ca = self.get(view, fa.node());
-                    let cb = self.get(view, fb.node());
-                    match (ca, cb) {
-                        (Some(ca), Some(cb)) => {
-                            let cuts = and_cuts(view, top, &ca, &cb, &self.cfg);
-                            if dacpara_obs::is_enabled() {
-                                obs().cuts_per_node.record(cuts.len() as u64);
-                            }
-                            self.put(view, top, Arc::new(cuts));
-                            stack.pop();
+                    NodeKind::And => {
+                        let [fa, fb] = view.fanins(top);
+                        if !view.is_alive(fa.node()) || !view.is_alive(fb.node()) {
+                            return None; // racing against a concurrent mutation
                         }
-                        (ca, cb) => {
-                            if ca.is_none() {
-                                stack.push(fa.node());
+                        let ca = self.get(view, fa.node());
+                        let cb = self.get(view, fb.node());
+                        if !probed {
+                            count_hits(u64::from(ca.is_some()) + u64::from(cb.is_some()));
+                            stack.last_mut().expect("top is on the stack").1 = true;
+                        }
+                        match (ca, cb) {
+                            (Some(ca), Some(cb)) => {
+                                let cuts = and_cuts(view, top, &ca, &cb, &self.cfg);
+                                if dacpara_obs::is_enabled() {
+                                    obs().cuts_per_node.record(cuts.len() as u64);
+                                }
+                                self.put_computed(view, top, cuts)
                             }
-                            if cb.is_none() {
-                                stack.push(fb.node());
+                            (ca, cb) => {
+                                if ca.is_none() {
+                                    stack.push((fa.node(), false));
+                                }
+                                if cb.is_none() {
+                                    stack.push((fb.node(), false));
+                                }
+                                continue;
                             }
                         }
                     }
+                    NodeKind::Free => return None,
                 }
-                NodeKind::Free => return None,
+            };
+            stack.pop();
+            if stack.is_empty() {
+                return Some(cuts);
             }
         }
-        self.get(view, n)
     }
 
     /// Clears the cached set of `n`; returns whether one was present.
