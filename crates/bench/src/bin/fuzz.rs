@@ -12,7 +12,7 @@
 //! ```
 //!
 //! `run` generates seeded random circuits (see `dacpara_fuzz::gen`) and
-//! sweeps each through the engine × scheduler × thread matrix, cross-checked
+//! sweeps each through the engine × thread matrix, cross-checked
 //! with budgeted CEC and the structural invariant checker. On the first
 //! failure it delta-debugs the circuit down to a minimal witness and writes
 //! a replayable corpus entry (default `fuzz/corpus/`). Exit code 1 means a
@@ -21,9 +21,8 @@
 //!
 //! `replay` re-runs recorded corpus entries — explicit files, or every
 //! `*.entry` under the corpus directory — and verifies each behaves as
-//! recorded: regression pins must pass, shrunk witnesses must still fail.
-//! Entries whose `requires-feature:` is not compiled into this binary are
-//! skipped, so the checked-in drain-bug witness is inert in default builds.
+//! recorded: regression pins must pass, shrunk witnesses must still fail
+//! (under the fault plan they recorded, if any).
 //!
 //! `shrink` re-minimizes an existing failing entry, e.g. after the oracle
 //! or the generator changed.
@@ -46,15 +45,6 @@ use dacpara_fuzz::gen::GenConfig;
 use dacpara_fuzz::oracle::OracleConfig;
 use dacpara_fuzz::shrink::ShrinkConfig;
 use dacpara_fuzz::{fuzz_run, shrink_failing, summarize, FuzzConfig};
-
-/// Cargo features compiled into this binary that corpus entries may demand.
-fn have_features() -> Vec<&'static str> {
-    let mut feats = Vec::new();
-    if cfg!(feature = "inject-drain-bug") {
-        feats.push("inject-drain-bug");
-    }
-    feats
-}
 
 struct Common {
     trace: Option<PathBuf>,
@@ -289,7 +279,6 @@ fn cmd_run(args: Vec<String>) -> Result<ExitCode, String> {
                 seed: case.seed,
                 threads: run.threads.clone(),
                 fault: run.fault.clone(),
-                requires_feature: have_features().first().map(|f| f.to_string()),
                 expect_fail: true,
                 note: format!(
                     "fuzz run --seed {:#x}: {}",
@@ -339,16 +328,12 @@ fn cmd_replay(mut args: Vec<String>) -> Result<ExitCode, String> {
         eprintln!("corpus: no entries under {}", corpus.display());
         return Ok(ExitCode::SUCCESS);
     }
-    let feats = have_features();
     obs_begin(&common);
     let mut mismatches = 0usize;
     for path in &files {
         let entry = CorpusEntry::read_from(path)?;
-        match replay(&entry, &feats)? {
+        match replay(&entry)? {
             ReplayOutcome::Green => eprintln!("green:   {}", path.display()),
-            ReplayOutcome::Skipped(feat) => {
-                eprintln!("skipped: {} (needs feature `{feat}`)", path.display());
-            }
             ReplayOutcome::Mismatch(failures) => {
                 mismatches += 1;
                 if failures.is_empty() {
@@ -399,13 +384,6 @@ fn cmd_shrink(mut args: Vec<String>) -> Result<ExitCode, String> {
     let mut entry = CorpusEntry::read_from(&parsed.input)?;
     if !entry.expect_fail {
         return Err("entry is a regression pin (`expect: pass`); nothing to shrink".into());
-    }
-    if let Some(feat) = &entry.requires_feature {
-        if !have_features().contains(&feat.as_str()) {
-            return Err(format!(
-                "entry needs feature `{feat}`; rebuild with --features {feat}"
-            ));
-        }
     }
     let oracle = entry.oracle_config()?;
     let case = dacpara_fuzz::FailingCase {

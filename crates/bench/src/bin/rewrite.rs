@@ -4,7 +4,6 @@
 //! ```text
 //! rewrite [--engine NAME] [--threads N] [--passes N]
 //!         [--runs N] [--zeros] [--classes 134|222] [--check]
-//!         [--scheduler steal|barrier]
 //!         [--headroom X.Y] [--max-regrowths N]
 //!         [--trace FILE.json] [--metrics FILE.jsonl]
 //!         [--in FILE.{aag,aig,blif}|--bench NAME[:scale]]
@@ -16,10 +15,7 @@
 //! applies the engine up to `N` times via [`dacpara::optimize`]; for
 //! `dacpara` and `iccad18` the passes share one `RewriteSession`, so later
 //! passes revisit only the nodes earlier passes dirtied and a converged
-//! pass returns immediately. `--scheduler` picks the worklist scheduler of
-//! those two Galois engines: `steal` (default) work-steals and retries
-//! conflict-aborted commits within the pass, `barrier` is the historical
-//! shared-cursor scheme.
+//! pass returns immediately.
 //!
 //! Observability flags (see `docs/ARCHITECTURE.md`, "Observability"):
 //!
@@ -110,10 +106,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--classes" => {
                 cfg.num_classes = parse_num("--classes", it.next())?;
-            }
-            "--scheduler" => {
-                let name = it.next().ok_or("--scheduler needs `steal` or `barrier`")?;
-                cfg.scheduler = name.parse().map_err(|e| format!("{e}"))?;
             }
             "--headroom" => {
                 cfg.headroom = parse_num("--headroom", it.next())?;
@@ -229,7 +221,6 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: rewrite [--engine NAME] [--threads N] [--passes N] \
                  [--runs N] [--zeros] [--classes 134|222] [--check] \
-                 [--scheduler steal|barrier] \
                  [--headroom X.Y] [--max-regrowths N] \
                  [--trace FILE.json] [--metrics FILE.jsonl] \
                  (--in FILE.aag | --bench NAME[:test|small|medium]) [--out FILE.aag]"

@@ -38,12 +38,13 @@ mod pass;
 mod recovery;
 mod serial;
 mod session;
+mod speculate;
 mod static_info;
 mod stats;
 pub mod testkit;
 pub mod validity;
 
-pub use config::{ConfigError, ParseSchedulerError, RewriteConfig, SchedulerKind};
+pub use config::{ConfigError, RewriteConfig};
 pub use dacpara_engine::rewrite_dacpara;
 pub use eval::{
     build_replacement, evaluate_cut, evaluate_node, reevaluate_structure, AndBuilder, Candidate,

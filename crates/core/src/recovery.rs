@@ -25,7 +25,7 @@ pub(crate) const ERRORS_OBSERVED: &str = "pass.errors_observed";
 ///
 /// `record` keeps the first error and counts later ones; `is_set` is the
 /// engines' `bail()` predicate — a single atomic load, cheap enough for
-/// per-item polling inside the schedulers' drain loops.
+/// per-item polling inside the scheduler's drain loops.
 #[derive(Default)]
 pub(crate) struct FirstError {
     slot: Mutex<Option<AigError>>,

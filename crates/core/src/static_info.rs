@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use dacpara_aig::{Aig, AigError, AigRead};
 use dacpara_cut::CutStore;
-use dacpara_galois::{chunk_size, run_spmd, WorkQueue};
+use dacpara_galois::parallel_for;
 use parking_lot::Mutex;
 
 use crate::eval::{build_replacement, evaluate_node, Candidate, EvalContext};
@@ -77,26 +77,18 @@ pub fn rewrite_static(
         let store = CutStore::new(aig.slot_count(), cfg.cut_config());
         let prep: Vec<Mutex<Option<Candidate>>> =
             (0..aig.slot_count()).map(|_| Mutex::new(None)).collect();
-        let queue = WorkQueue::new(order.len());
-        let chunk = chunk_size(order.len(), cfg.threads);
         {
-            let (aig, order, store, prep, queue, ctx) =
-                (&*aig, &order, &store, &prep, &queue, &ctx);
-            run_spmd(cfg.threads, |_w| {
-                while let Some(range) = queue.next_chunk(chunk) {
-                    for i in range {
-                        let n = order[i];
-                        if AigRead::refs(aig, n) == 0 {
-                            continue;
-                        }
-                        let cuts = {
-                            let _obs = dacpara_obs::span("enumerate");
-                            store.cuts(aig, n)
-                        };
-                        let _obs = dacpara_obs::span("evaluate");
-                        *prep[n.index()].lock() = evaluate_node(aig, n, &cuts, ctx);
-                    }
+            let aig = &*aig;
+            parallel_for(cfg.threads, &order, |_, &n| {
+                if AigRead::refs(aig, n) == 0 {
+                    return;
                 }
+                let cuts = {
+                    let _obs = dacpara_obs::span("enumerate");
+                    store.cuts(aig, n)
+                };
+                let _obs = dacpara_obs::span("evaluate");
+                *prep[n.index()].lock() = evaluate_node(aig, n, &cuts, &ctx);
             });
         }
 

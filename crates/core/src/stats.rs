@@ -37,8 +37,8 @@ pub struct RewriteStats {
     pub clean_skipped: u64,
     /// Speculative-execution counters (conflicts/aborts/wasted work).
     pub spec: SpecSnapshot,
-    /// Work-stealing scheduler counters (steals/retries/retry-commits).
-    /// All-zero under the barrier scheduler and on serial engines.
+    /// Work-stealing scheduler counters (steals/retries/retry-commits) of
+    /// the Galois engines (`dacpara`, `iccad18`); all-zero on the others.
     pub sched: SchedSnapshot,
     /// Number of level worklists processed (DACPara only).
     pub worklists: usize,

@@ -53,6 +53,10 @@ pub mod points {
     pub const LOCK_ACQUIRE: &str = "lock.acquire";
     /// Replacement operator entry; an injected fault panics the worker.
     pub const OPERATOR_PANIC: &str = "operator.panic";
+    /// A committed replacement in the Galois engines; an injected fault
+    /// installs the complemented root — a planted miscompile that the
+    /// fuzzer self-test must convict.
+    pub const REPLACE_CORRUPT: &str = "replace.corrupt";
 }
 
 /// Fast-path switch: `false` means no plan is armed and [`point`] returns

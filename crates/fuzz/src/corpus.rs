@@ -4,19 +4,18 @@
 //! separator and the circuit in ASCII AIGER. Everything the oracle needs to
 //! reproduce a run is in the header: the generator seed it came from, the
 //! thread counts, an optional fault plan (spec + seed, in the grammar
-//! [`dacpara_fault::FaultPlan::parse`] accepts), an optional cargo feature
-//! the failure needs (`requires-feature: inject-drain-bug` for the PR 4
-//! drain-bug witness), and whether the entry is *expected* to fail
-//! (a shrunk witness) or to pass (a regression pin).
+//! [`dacpara_fault::FaultPlan::parse`] accepts), and whether the entry is
+//! *expected* to fail (a shrunk witness) or to pass (a regression pin).
 //!
 //! ```text
 //! # dacpara-fuzz corpus entry
 //! version: 1
 //! seed: 12345
-//! threads: 1,2,4
+//! threads: 1,2
+//! fault-spec: replace.corrupt=@1
+//! fault-seed: 0
 //! expect: fail
-//! requires-feature: inject-drain-bug
-//! note: shrunk witness of the steal drain bug
+//! note: shrunk witness of the planted replacement miscompile
 //! ---
 //! aag 9 2 0 2 7
 //! ...
@@ -40,9 +39,6 @@ pub struct CorpusEntry {
     pub threads: Vec<usize>,
     /// Optional fault plan `(spec, seed)` armed around every cell.
     pub fault: Option<(String, u64)>,
-    /// Cargo feature the failure needs (entries are skipped when the
-    /// feature is not compiled in).
-    pub requires_feature: Option<String>,
     /// `true` for a shrunk failure witness, `false` for a regression pin.
     pub expect_fail: bool,
     /// Free-text provenance note.
@@ -58,7 +54,6 @@ impl CorpusEntry {
             seed,
             threads: vec![1, 2, 4],
             fault: None,
-            requires_feature: None,
             expect_fail: false,
             note: note.to_string(),
             aig,
@@ -74,9 +69,6 @@ impl CorpusEntry {
         if let Some((spec, fseed)) = &self.fault {
             s.push_str(&format!("fault-spec: {spec}\n"));
             s.push_str(&format!("fault-seed: {fseed}\n"));
-        }
-        if let Some(feat) = &self.requires_feature {
-            s.push_str(&format!("requires-feature: {feat}\n"));
         }
         s.push_str(&format!(
             "expect: {}\n",
@@ -103,7 +95,6 @@ impl CorpusEntry {
             seed: 0,
             threads: vec![1, 2, 4],
             fault: None,
-            requires_feature: None,
             expect_fail: false,
             note: String::new(),
             aig: Aig::new(),
@@ -146,7 +137,6 @@ impl CorpusEntry {
                         .parse()
                         .map_err(|_| format!("fault-seed `{value}` is not a u64"))?;
                 }
-                "requires-feature" => entry.requires_feature = Some(value.to_string()),
                 "expect" => {
                     entry.expect_fail = match value {
                         "fail" => true,
@@ -203,8 +193,6 @@ impl CorpusEntry {
 pub enum ReplayOutcome {
     /// The entry behaved as recorded (pin passed, or witness reproduced).
     Green,
-    /// The entry needs a cargo feature this build lacks.
-    Skipped(String),
     /// The entry did not behave as recorded; the strings render the
     /// unexpected failures (empty when a witness failed to reproduce).
     Mismatch(Vec<String>),
@@ -212,16 +200,7 @@ pub enum ReplayOutcome {
 
 /// Replays `entry`: runs the recorded oracle sweep and compares the result
 /// with the recorded expectation.
-///
-/// `have_features` names the relevant cargo features compiled into this
-/// binary (the caller knows; `cfg!` cannot be evaluated for a dependency's
-/// feature set at a distance).
-pub fn replay(entry: &CorpusEntry, have_features: &[&str]) -> Result<ReplayOutcome, String> {
-    if let Some(feat) = &entry.requires_feature {
-        if !have_features.contains(&feat.as_str()) {
-            return Ok(ReplayOutcome::Skipped(feat.clone()));
-        }
-    }
+pub fn replay(entry: &CorpusEntry) -> Result<ReplayOutcome, String> {
     let cfg = entry.oracle_config()?;
     let failures = check_circuit(&entry.aig, &cfg);
     let outcome = match (entry.expect_fail, failures.is_empty()) {
@@ -244,7 +223,6 @@ mod tests {
             seed: 17,
             threads: vec![1, 2],
             fault: Some(("arena.alloc=1/64*2".into(), 9)),
-            requires_feature: Some("inject-drain-bug".into()),
             expect_fail: true,
             note: "round-trip test".into(),
             aig,
@@ -254,7 +232,6 @@ mod tests {
         assert_eq!(back.seed, 17);
         assert_eq!(back.threads, vec![1, 2]);
         assert_eq!(back.fault, entry.fault);
-        assert_eq!(back.requires_feature, entry.requires_feature);
         assert!(back.expect_fail);
         assert_eq!(back.note, "round-trip test");
         assert_eq!(aiger::to_string(&back.aig), aiger::to_string(&entry.aig));
@@ -268,21 +245,10 @@ mod tests {
     }
 
     #[test]
-    fn replay_skips_entries_needing_missing_features() {
-        let aig = generate(&GenConfig::small(), 4);
-        let mut entry = CorpusEntry::pin(4, aig, "pin");
-        entry.requires_feature = Some("inject-drain-bug".into());
-        assert_eq!(
-            replay(&entry, &[]).unwrap(),
-            ReplayOutcome::Skipped("inject-drain-bug".into())
-        );
-    }
-
-    #[test]
     fn replay_runs_pins_green() {
         let aig = generate(&GenConfig::small(), 8);
         let mut entry = CorpusEntry::pin(8, aig, "pin");
         entry.threads = vec![1, 2];
-        assert_eq!(replay(&entry, &[]).unwrap(), ReplayOutcome::Green);
+        assert_eq!(replay(&entry).unwrap(), ReplayOutcome::Green);
     }
 }

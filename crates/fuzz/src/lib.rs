@@ -9,8 +9,8 @@
 //! * [`mutate`] — structurally-valid-by-construction mutations over
 //!   existing AIGs (edge retarget, complement flip, function-preserving
 //!   node duplication, cone swap),
-//! * [`oracle`] — the differential oracle: every engine × scheduler ×
-//!   thread count, cross-checked with budgeted CEC and the structural
+//! * [`oracle`] — the differential oracle: every engine × thread count,
+//!   cross-checked with budgeted CEC and the structural
 //!   invariant checker, optionally under `dacpara-fault` injection,
 //! * [`shrink`] — a delta-debugging minimizer that keeps a failure alive
 //!   while the circuit shrinks (cone removal, node bypass, input merging),
@@ -18,9 +18,9 @@
 //!   setup) under `fuzz/corpus/`.
 //!
 //! The crate's own self-test (`tests/selftest.rs`) closes the loop: with
-//! the `inject-drain-bug` feature re-introducing the PR 4 steal-scheduler
-//! drain bug, the fuzzer must find a failing circuit within a bounded seed
-//! budget and shrink the witness below 60 nodes.
+//! the `replace.corrupt` fault point planting a miscompile in the Galois
+//! engines' commits, the fuzzer must find a failing circuit within a
+//! bounded seed budget and shrink the witness below 60 nodes.
 //!
 //! # Example
 //!

@@ -2,7 +2,7 @@
 //! inputs, every engine's output is *exhaustively* equivalent to its input
 //! (all 2^n assignments in one simulation word).
 
-use dacpara::{run_engine, Engine, RewriteConfig, RewriteSession, SchedulerKind};
+use dacpara::{run_engine, Engine, RewriteConfig, RewriteSession};
 use dacpara_suite::{build_from_recipe, exhaustively_equivalent, Op};
 use proptest::prelude::*;
 
@@ -71,26 +71,21 @@ proptest! {
         }
     }
 
-    /// Across thread counts, both worklist schedulers and multi-pass
-    /// sessions, speculation accounting stays exact: every attempted
-    /// activity ends in exactly one commit or abort, the barrier scheduler
-    /// never reports stealing activity, and once a pass converges the
-    /// dirty set stays empty so later passes skip at least as many clean
-    /// nodes.
+    /// Across thread counts and multi-pass sessions, speculation
+    /// accounting stays exact: every attempted activity ends in exactly one
+    /// commit or abort, and once a pass converges the dirty set stays empty
+    /// so later passes skip at least as many clean nodes.
     #[test]
     fn scheduler_accounting_is_exact_across_passes(
         (n_in, ops, n_out) in small_circuit(),
         t_idx in 0..3usize,
-        steal in any::<bool>(),
         passes in 1..4usize,
     ) {
         let threads = [1usize, 2, 4][t_idx];
-        let sched = if steal { SchedulerKind::Steal } else { SchedulerKind::Barrier };
         let golden = build_from_recipe(n_in, &ops, n_out);
         for engine in [Engine::DacPara, Engine::Iccad18] {
             let cfg = RewriteConfig { num_classes: 222, ..RewriteConfig::rewrite_op() }
-                .with_threads(threads)
-                .with_scheduler(sched);
+                .with_threads(threads);
             let mut session = RewriteSession::new(&golden, &cfg).unwrap();
             let mut history = Vec::new();
             for _ in 0..passes {
@@ -98,15 +93,8 @@ proptest! {
                 prop_assert_eq!(
                     stats.spec.commits + stats.spec.aborts,
                     stats.spec.attempts,
-                    "{} x{} {}: attempt accounting", engine, threads, sched
+                    "{} x{}: attempt accounting", engine, threads
                 );
-                if sched == SchedulerKind::Barrier {
-                    prop_assert_eq!(
-                        stats.sched.steals + stats.sched.retries + stats.sched.retry_commits,
-                        0,
-                        "{}: barrier scheduler reported stealing activity", engine
-                    );
-                }
                 history.push((session.converged(), stats.clean_skipped));
             }
             let aig = session.finish();

@@ -11,7 +11,7 @@
 //!   exhausts it and must recover by salvage + regrowth;
 //! * **injected faults** — `dacpara_fault` plans firing at the arena
 //!   allocator, the speculative lock table, and the replacement operators,
-//!   swept over ≥16 seeds across thread counts, schedulers, and engines;
+//!   swept over ≥16 seeds across thread counts and engines;
 //! * **panic budgets** — a persistently panicking operator must surface as
 //!   `AigError::WorkerPanicked` once the recovery budget is exhausted,
 //!   never as a process abort or a hung scope join.
@@ -26,7 +26,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::thread;
 use std::time::Duration;
 
-use dacpara::{run_engine, Engine, RewriteConfig, RewriteStats, SchedulerKind};
+use dacpara::{run_engine, Engine, RewriteConfig, RewriteStats};
 use dacpara_aig::{Aig, AigError, AigRead};
 use dacpara_circuits::{full_suite, Benchmark, Scale};
 use dacpara_equiv::{check_equivalence, random_sim_check, CecConfig, CecResult, SimOutcome};
@@ -131,7 +131,7 @@ fn assert_equiv(golden: &Aig, rewritten: &Aig, label: &str) {
 
 /// Common post-run checks for a run that must have *recovered*, not failed:
 /// structural invariants hold, the result is equivalent to the input, and
-/// the recovery counters are internally consistent.
+/// the recovery and speculation counters are internally consistent.
 fn assert_recovered_ok(bench: &Benchmark, aig: &Aig, stats: &RewriteStats, label: &str) -> u64 {
     aig.check()
         .unwrap_or_else(|e| panic!("{label}: recovered graph is corrupt: {e}"));
@@ -146,13 +146,21 @@ fn assert_recovered_ok(bench: &Benchmark, aig: &Aig, stats: &RewriteStats, label
         "{label}: salvaged more commits than were made: {}",
         stats.summary()
     );
+    // Every attempt ends in exactly one commit or abort, including the ones
+    // an injected fault or an exhausted arena cut short.
+    assert_eq!(
+        stats.spec.attempts,
+        stats.spec.commits + stats.spec.aborts,
+        "{label}: attempt accounting broke: {}",
+        stats.summary()
+    );
     stats.recoveries
 }
 
 /// Tentpole acceptance: at `headroom: 1.0` (arena sized to the live graph
 /// plus fixed slack) with the default regrowth budget, both concurrent
-/// engines complete every test-scale circuit under both schedulers at
-/// 1/2/4 threads with zero `Err` and stay CEC-equivalent.
+/// engines complete every test-scale circuit at 1/2/4 threads with zero
+/// `Err` and stay CEC-equivalent.
 ///
 /// Because the arena reuses freed slots and rewriting only shrinks the
 /// graph, a live-sized arena normally never exhausts — the transient
@@ -167,43 +175,39 @@ fn minimal_headroom_completes_every_circuit_via_regrowth() {
     let _serial = exclusive();
     for bench in &full_suite(Scale::Test) {
         for engine in [Engine::DacPara, Engine::Iccad18] {
-            for sched in [SchedulerKind::Steal, SchedulerKind::Barrier] {
-                for threads in [1, 2, 4] {
-                    eprintln!("[recov] {} {engine} {sched} x{threads}", bench.name);
-                    let cfg = RewriteConfig {
-                        headroom: 1.0,
-                        ..RewriteConfig::rewrite_op()
-                    }
-                    .with_threads(threads)
-                    .with_scheduler(sched);
-                    let max_regrowths = cfg.max_regrowths as u64;
-                    let label = format!("{engine} {sched} x{threads} on {}", bench.name);
-                    let (aig, result) = run_with_watchdog(&label, bench.aig.clone(), engine, cfg);
-                    let stats = result.unwrap_or_else(|e| {
-                        panic!("{label}: recovery did not absorb exhaustion: {e}")
-                    });
-                    assert_recovered_ok(bench, &aig, &stats, &label);
-                    // No panics are injected here, so every recovery is an
-                    // exhaustion regrowth, and the budget bounds them.
-                    assert_eq!(
-                        stats.recoveries,
-                        stats.regrowths,
-                        "{label}: unexplained non-regrowth recovery: {}",
-                        stats.summary()
-                    );
-                    assert!(
-                        stats.regrowths <= max_regrowths,
-                        "{label}: regrowth budget overrun: {}",
-                        stats.summary()
-                    );
+            for threads in [1, 2, 4] {
+                eprintln!("[recov] {} {engine} x{threads}", bench.name);
+                let cfg = RewriteConfig {
+                    headroom: 1.0,
+                    ..RewriteConfig::rewrite_op()
                 }
+                .with_threads(threads);
+                let max_regrowths = cfg.max_regrowths as u64;
+                let label = format!("{engine} x{threads} on {}", bench.name);
+                let (aig, result) = run_with_watchdog(&label, bench.aig.clone(), engine, cfg);
+                let stats = result
+                    .unwrap_or_else(|e| panic!("{label}: recovery did not absorb exhaustion: {e}"));
+                assert_recovered_ok(bench, &aig, &stats, &label);
+                // No panics are injected here, so every recovery is an
+                // exhaustion regrowth, and the budget bounds them.
+                assert_eq!(
+                    stats.recoveries,
+                    stats.regrowths,
+                    "{label}: unexplained non-regrowth recovery: {}",
+                    stats.summary()
+                );
+                assert!(
+                    stats.regrowths <= max_regrowths,
+                    "{label}: regrowth budget overrun: {}",
+                    stats.summary()
+                );
             }
         }
     }
 }
 
 /// Injected-fault sweep: ≥16 seeds spread across all three fault points,
-/// both engines, both schedulers, and 1/2/4 threads, on the largest
+/// both engines, and 1/2/4 threads, on the largest
 /// test-scale circuit at minimal headroom. Every run must complete
 /// (recovering as needed), stay equivalent, and never hang; across the
 /// sweep every fault point must actually fire.
@@ -229,11 +233,6 @@ fn injected_faults_never_hang_or_break_equivalence() {
     for seed in 0..16u64 {
         let spec = SPECS[(seed % 4) as usize];
         let threads = [1, 2, 4][(seed % 3) as usize];
-        let sched = if seed % 2 == 0 {
-            SchedulerKind::Steal
-        } else {
-            SchedulerKind::Barrier
-        };
         let engine = if (seed / 2) % 2 == 0 {
             Engine::DacPara
         } else {
@@ -247,12 +246,8 @@ fn injected_faults_never_hang_or_break_equivalence() {
             max_regrowths: 8,
             ..RewriteConfig::rewrite_op()
         }
-        .with_threads(threads)
-        .with_scheduler(sched);
-        let label = format!(
-            "seed {seed} [{spec}] {engine} {sched} x{threads} on {}",
-            bench.name
-        );
+        .with_threads(threads);
+        let label = format!("seed {seed} [{spec}] {engine} x{threads} on {}", bench.name);
         eprintln!("[recov] {label}");
         let plan = FaultPlan::parse(spec, seed).expect("valid sweep spec");
         let injection = dacpara_fault::inject(&plan);
