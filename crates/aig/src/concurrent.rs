@@ -500,14 +500,6 @@ impl ConcurrentAig {
         self.delete_cone_inner(root, None);
     }
 
-    /// Like [`ConcurrentAig::delete_cone`], but records each *surviving*
-    /// fanin of a deleted node into `boundary` — the nodes whose reference
-    /// counts (and hence MFFC/sharing picture) changed without their own
-    /// structure changing. Entries may repeat.
-    pub fn delete_cone_logged(&self, root: NodeId, boundary: &mut Vec<NodeId>) {
-        self.delete_cone_inner(root, Some(boundary));
-    }
-
     fn delete_cone_inner(&self, root: NodeId, mut boundary: Option<&mut Vec<NodeId>>) {
         debug_assert_eq!(self.nodes[root.index()].refs.load(ORD_LOAD), 0);
         debug_assert_eq!(self.kind(root), NodeKind::And);
@@ -618,9 +610,10 @@ impl ConcurrentAig {
         self.cleanup_inner(None)
     }
 
-    /// Like [`ConcurrentAig::cleanup`], but records the surviving boundary
-    /// fanins of every deleted cone into `boundary` (see
-    /// [`ConcurrentAig::delete_cone_logged`]).
+    /// Like [`ConcurrentAig::cleanup`], but records each *surviving* fanin
+    /// of a deleted node into `boundary` — the nodes whose reference counts
+    /// (and hence MFFC/sharing picture) changed without their own structure
+    /// changing. Entries may repeat.
     pub fn cleanup_traced(&self, boundary: &mut Vec<NodeId>) -> usize {
         self.cleanup_inner(Some(boundary))
     }

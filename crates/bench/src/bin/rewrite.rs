@@ -35,7 +35,7 @@
 //! Fault tolerance (see `docs/ARCHITECTURE.md` §12):
 //!
 //! * `--headroom X.Y` — arena slack factor for the concurrent engines
-//!   (default 2.0; must be ≥ 1.0 and finite).
+//!   (default 1.6; must be ≥ 1.0 and finite).
 //! * `--max-regrowths N` — how many times an exhausted arena may be
 //!   re-homed with doubled headroom before the pass gives up (default 4;
 //!   `0` disables in-pass recovery).

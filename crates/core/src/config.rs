@@ -2,7 +2,7 @@
 
 use dacpara_aig::AigError;
 use dacpara_cut::CutConfig;
-use dacpara_npn::{ClassId, ClassRegistry};
+use dacpara_npn::ClassRegistry;
 
 /// A rejected [`RewriteConfig`] field, reported by
 /// [`RewriteConfig::validate`].
@@ -85,11 +85,6 @@ pub struct RewriteConfig {
     /// Use the enumeration-refined structure library (slower first-use
     /// build, slightly better structures; see `dacpara_nst::refine`).
     pub refined_library: bool,
-    /// Regions for the partition engine (Liu & Zhang, FPGA'17). `0` (the
-    /// default) means `2 × threads`, the heuristic the engine has always
-    /// used; the old trailing `parts` argument of `rewrite_partition`
-    /// folded into this field.
-    pub partition_regions: usize,
     /// How many times a concurrent pass may recover from arena exhaustion
     /// by salvaging committed work and re-homing into a geometrically
     /// grown arena before [`dacpara_aig::AigError::CapacityExhausted`] is
@@ -113,7 +108,6 @@ impl RewriteConfig {
             level_partition: true,
             revalidate: true,
             refined_library: false,
-            partition_regions: 0,
             max_regrowths: 4,
         }
     }
@@ -174,17 +168,6 @@ impl RewriteConfig {
         Ok(())
     }
 
-    /// The number of regions the partition engine should use:
-    /// [`RewriteConfig::partition_regions`], with `0` meaning
-    /// `2 × threads`.
-    pub fn effective_partition_regions(&self) -> usize {
-        if self.partition_regions == 0 {
-            self.threads.max(1) * 2
-        } else {
-            self.partition_regions
-        }
-    }
-
     /// The cut-enumeration configuration.
     pub fn cut_config(&self) -> CutConfig {
         if self.cut_limit == 0 {
@@ -194,7 +177,7 @@ impl RewriteConfig {
         }
     }
 
-    /// Per-class allowance table (index = [`ClassId`]).
+    /// Per-class allowance table (index = [`dacpara_npn::ClassId`]).
     pub fn allowed_classes(&self) -> Vec<bool> {
         let reg = ClassRegistry::global();
         let mut allowed = vec![false; reg.len()];
@@ -202,21 +185,6 @@ impl RewriteConfig {
             allowed[id as usize] = true;
         }
         allowed
-    }
-
-    /// Number of structures to scan for one class.
-    pub fn structure_budget(&self, available: usize) -> usize {
-        if self.max_structures == 0 {
-            available
-        } else {
-            self.max_structures.min(available)
-        }
-    }
-
-    /// Whether a class id passes the filter (convenience over
-    /// [`RewriteConfig::allowed_classes`] for one-off queries).
-    pub fn class_allowed(&self, allowed: &[bool], id: ClassId) -> bool {
-        allowed.get(id as usize).copied().unwrap_or(false)
     }
 }
 
@@ -304,26 +272,5 @@ mod tests {
         }
         let err: dacpara_aig::AigError = ConfigError::ZeroThreads.into();
         assert!(err.to_string().contains("invalid configuration"));
-    }
-
-    #[test]
-    fn partition_regions_default_tracks_threads() {
-        let cfg = RewriteConfig::rewrite_op().with_threads(4);
-        assert_eq!(cfg.partition_regions, 0);
-        assert_eq!(cfg.effective_partition_regions(), 8);
-        let explicit = RewriteConfig {
-            partition_regions: 3,
-            ..cfg
-        };
-        assert_eq!(explicit.effective_partition_regions(), 3);
-    }
-
-    #[test]
-    fn structure_budget_caps() {
-        let cfg = RewriteConfig::p1();
-        assert_eq!(cfg.structure_budget(10), 5);
-        assert_eq!(cfg.structure_budget(3), 3);
-        let unlimited = RewriteConfig::rewrite_op();
-        assert_eq!(unlimited.structure_budget(10), 10);
     }
 }

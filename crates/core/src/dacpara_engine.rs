@@ -19,30 +19,19 @@
 //!    Galois-style exclusive locks on the relevant nodes. Enumeration
 //!    results of deleted nodes' transitive fanouts are recursively cleared.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::sync::atomic::Ordering;
 
 use dacpara_aig::concurrent::ConcurrentAig;
 use dacpara_aig::{Aig, AigError, AigRead, NodeId};
 use dacpara_cut::CutStore;
-use dacpara_galois::{run_spmd, ItemOutcome, LockTable, SpecStats, StealPool};
+use dacpara_galois::{run_spmd, ItemOutcome, LockTable};
 use dacpara_npn::canon;
 
 use crate::eval::{evaluate_node, reevaluate_structure, Candidate, EvalContext};
-use crate::recovery::{contain_panic, FirstError};
-use crate::session::RewriteSession;
+use crate::session::{Pass, RewriteSession};
 use crate::speculate::{commit_replacement, speculate, Attempt};
 use crate::validity::{cut_cover, verify_cut};
 use crate::{Engine, RewriteConfig, RewriteStats};
-
-/// Atomic counters shared by the replacement operators.
-#[derive(Default)]
-struct Counters {
-    replacements: AtomicU64,
-    stale_skipped: AtomicU64,
-    revalidated: AtomicU64,
-    evaluations: AtomicU64,
-}
 
 /// Runs the DACPara pass.
 ///
@@ -69,237 +58,148 @@ pub fn rewrite_dacpara(aig: &mut Aig, cfg: &RewriteConfig) -> Result<RewriteStat
     Ok(stats)
 }
 
-/// One DACPara pass on the session's resident state: the first pass (after
-/// creation or re-sync) covers the whole graph, later passes only the dirty
-/// set, and an empty dirty set returns immediately — no enumeration, no
-/// evaluation.
-///
-/// Fault tolerance: when a round ends with an error, the team has already
-/// drained cooperatively through the `bail()` checks, and the pass hands
-/// the first error to [`RewriteSession::recover`]. If recovery succeeds
-/// (arena re-homed with grown headroom, or a contained panic's salvage
-/// validated), the same run is redone on the salvaged graph — committed
-/// rewrites are kept — instead of returning `Err`.
-pub(crate) fn session_pass(sess: &mut RewriteSession) -> Result<RewriteStats, AigError> {
-    let start = Instant::now();
-    let _pass_span = dacpara_obs::span!("rewrite_dacpara", threads = sess.cfg.threads);
-    let mut stats = RewriteStats {
-        engine: "dacpara".into(),
-        area_before: sess.shared.num_ands(),
-        delay_before: sess.shared.depth(),
-        ..Default::default()
-    };
-    let spec = SpecStats::new();
-    let lock_base = sess.locks.stats().snapshot();
-    let counters = Counters::default();
-    let pool = StealPool::new(sess.cfg.threads);
-    let mut worked = false;
-    // Replacements already credited to a previous salvage, so recoveries
-    // report only the commits they newly carried over.
-    let mut salvage_mark = 0u64;
+/// One DACPara run over `work`, inside [`RewriteSession::resident_pass`]:
+/// the node dividing of Fig. 1 and the three barrier-separated stages per
+/// worklist.
+pub(crate) fn round(
+    sess: &RewriteSession,
+    pass: &Pass,
+    work: Vec<NodeId>,
+    stats: &mut RewriteStats,
+) {
+    let cfg = &sess.cfg;
+    let (shared, store, locks, prep, ctx) = (
+        &sess.shared,
+        &sess.store,
+        &sess.locks,
+        &sess.prep,
+        &sess.ctx,
+    );
 
-    let runs = sess.cfg.runs.max(1);
-    let mut run = 0;
-    while run < runs {
-        let (work, skipped) = sess.take_worklist();
-        stats.clean_skipped += skipped;
-        if work.is_empty() {
-            run += 1;
-            continue; // fixpoint: nothing enumerated, nothing evaluated
-        }
-        worked = true;
-        let cfg = &sess.cfg;
-        let (shared, store, locks, prep, ctx) = (
-            &sess.shared,
-            &sess.store,
-            &sess.locks,
-            &sess.prep,
-            &sess.ctx,
-        );
-
-        // --- Node dividing (Fig. 1): one worklist per initial level
-        // (or a single global worklist under the ablation flag).
-        let mut worklists: Vec<Vec<NodeId>> = Vec::new();
-        if cfg.level_partition {
-            for n in work {
-                let level = shared.level(n) as usize;
-                if worklists.len() <= level {
-                    worklists.resize_with(level + 1, Vec::new);
-                }
-                worklists[level].push(n);
+    // --- Node dividing (Fig. 1): one worklist per initial level (or a
+    // single global worklist under the ablation flag).
+    let mut worklists: Vec<Vec<NodeId>> = Vec::new();
+    if cfg.level_partition {
+        for n in work {
+            let level = shared.level(n) as usize;
+            if worklists.len() <= level {
+                worklists.resize_with(level + 1, Vec::new);
             }
-        } else {
-            worklists.push(work);
+            worklists[level].push(n);
         }
-        // Level 0 holds no AND nodes and sparse dirty sets leave gaps;
-        // empty lists would only burn barriers.
-        worklists.retain(|l| !l.is_empty());
-        stats.worklists += worklists.len();
-
-        let error = FirstError::new();
-
-        {
-            let (pool, error, spec, counters) = (&pool, &error, &spec, &counters);
-            let worklists = &worklists;
-            run_spmd(cfg.threads, |w| {
-                let owner = w.id as u32 + 1;
-                let bail = || error.is_set();
-                // Each stage opens with a barrier pair: the first waits for
-                // the whole team to leave the previous stage (which orders
-                // the stages), the second publishes the armed round.
-                let begin_stage = |list_len: usize| {
-                    if w.barrier() {
-                        // A poisoned pass distributes nothing, but still
-                        // arms the pool so its drain invariant holds.
-                        pool.begin(if error.is_set() { 0 } else { list_len });
-                    }
-                    w.barrier();
-                };
-
-                for list in worklists {
-                    // -------- Stage 1: parallel cut enumeration.
-                    //
-                    // Every worker must enter the drain loop even when a
-                    // teammate has already reported an error: each worker
-                    // seeds its own block of an armed round inside `drive`,
-                    // so a worker that skipped the stage wholesale would
-                    // strand its share as forever-pending items and the
-                    // rest of the team would spin on the drain count.
-                    // Bailing is per-item instead.
-                    begin_stage(list.len());
-                    {
-                        let _obs = dacpara_obs::span("enumerate");
-                        pool.drive(w.id, |i, _| {
-                            let n = list[i];
-                            if !bail() && shared.is_and(n) && shared.refs(n) > 0 {
-                                let _ = store.try_cuts(shared, n);
-                            }
-                            ItemOutcome::Done
-                        });
-                    }
-
-                    // -------- Stage 2: parallel, lock-free evaluation.
-                    begin_stage(list.len());
-                    {
-                        let _obs = dacpara_obs::span("evaluate");
-                        pool.drive(w.id, |i, _| {
-                            if bail() {
-                                return ItemOutcome::Done;
-                            }
-                            let n = list[i];
-                            if !shared.is_and(n) || shared.refs(n) == 0 {
-                                *prep[n.index()].lock() = None;
-                                return ItemOutcome::Done;
-                            }
-                            counters.evaluations.fetch_add(1, Ordering::Relaxed);
-                            let cand = store
-                                .try_cuts(shared, n)
-                                .and_then(|cuts| evaluate_node(shared, n, &cuts, ctx));
-                            *prep[n.index()].lock() = cand;
-                            ItemOutcome::Done
-                        });
-                    }
-
-                    // -------- Stage 3: parallel validated replacement.
-                    //
-                    // A conflict-aborted commit puts its candidate back into
-                    // `prep` and yields the node to the retry queue; the
-                    // retry ceiling eventually forces inline blocking.
-                    begin_stage(list.len());
-                    {
-                        let _obs = dacpara_obs::span("replace");
-                        pool.drive(w.id, |i, tries| {
-                            if bail() {
-                                return ItemOutcome::Done;
-                            }
-                            let n = list[i];
-                            let Some(cand) = prep[n.index()].lock().take() else {
-                                return ItemOutcome::Done;
-                            };
-                            // A rescheduled node already counted its
-                            // revalidation on the first try.
-                            let mut revalidation_counted = tries > 0;
-                            // Contain operator panics at the item boundary:
-                            // the pool never sees an unwind, so it is not
-                            // poisoned and the round drains normally while
-                            // `bail()` skips the rest.
-                            let outcome = contain_panic(|| {
-                                speculate(spec, tries, || {
-                                    replace_operator(
-                                        shared,
-                                        store,
-                                        locks,
-                                        ctx,
-                                        n,
-                                        &cand,
-                                        owner,
-                                        counters,
-                                        cfg.revalidate,
-                                        &mut revalidation_counted,
-                                    )
-                                })
-                            });
-                            match outcome {
-                                Ok(Some(())) => {
-                                    if tries > 0 {
-                                        pool.stats().record_retry_commit();
-                                    }
-                                    ItemOutcome::Done
-                                }
-                                Ok(None) => {
-                                    *prep[n.index()].lock() = Some(cand);
-                                    ItemOutcome::Retry
-                                }
-                                Err(e) => {
-                                    error.record(e);
-                                    ItemOutcome::Done
-                                }
-                            }
-                        });
-                    }
-
-                    // Leader restores strash canonicity between lists,
-                    // tracing the merges into the dirty set.
-                    if w.barrier() {
-                        sess.canonicalize_and_sweep(false);
-                    }
-                    w.barrier();
-                }
-            });
-        }
-        stats.errors_observed += error.superseded();
-        match error.take() {
-            None => {
-                sess.canonicalize_and_sweep(true);
-                sess.shared.recompute_levels();
-                run += 1;
-            }
-            Some(e) => {
-                // Salvage committed work and redo this run on the recovered
-                // graph; `recover` propagates the error once its budget
-                // (max_regrowths / panic backstop) is spent.
-                let committed = counters.replacements.load(Ordering::Relaxed);
-                sess.recover(e, &mut stats, committed - salvage_mark)?;
-                salvage_mark = committed;
-            }
-        }
+    } else {
+        worklists.push(work);
     }
+    // Level 0 holds no AND nodes and sparse dirty sets leave gaps; empty
+    // lists would only burn barriers.
+    worklists.retain(|l| !l.is_empty());
+    stats.worklists += worklists.len();
 
-    stats.area_after = sess.shared.num_ands();
-    stats.delay_after = sess.shared.depth();
-    stats.replacements = counters.replacements.load(Ordering::Relaxed);
-    stats.stale_skipped = counters.stale_skipped.load(Ordering::Relaxed);
-    stats.revalidated = counters.revalidated.load(Ordering::Relaxed);
-    stats.evaluations = counters.evaluations.load(Ordering::Relaxed);
-    spec.merge_snapshot(&sess.locks.stats().snapshot().since(&lock_base));
-    stats.spec = spec.snapshot();
-    stats.sched = pool.stats().snapshot();
-    stats.time = start.elapsed();
-    if dacpara_obs::is_enabled() {
-        dacpara_obs::counter("rewrite.evaluations").add(stats.evaluations);
-    }
-    sess.set_converged(!worked || (stats.replacements == 0 && sess.store.dirty_count() == 0));
-    Ok(stats)
+    let (pool, error) = (&pass.pool, &pass.error);
+    let worklists = &worklists;
+    run_spmd(cfg.threads, |w| {
+        let owner = w.id as u32 + 1;
+        let bail = || error.is_set();
+        // Each stage opens with a barrier pair: the first waits for the
+        // whole team to leave the previous stage (which orders the stages),
+        // the second publishes the armed round.
+        let begin_stage = |list_len: usize| {
+            if w.barrier() {
+                // A poisoned pass distributes nothing, but still arms the
+                // pool so its drain invariant holds.
+                pool.begin(if error.is_set() { 0 } else { list_len });
+            }
+            w.barrier();
+        };
+
+        for list in worklists {
+            // -------- Stage 1: parallel cut enumeration.
+            //
+            // Every worker must enter the drain loop even when a teammate
+            // has already reported an error: each worker seeds its own
+            // block of an armed round inside `drive`, so a worker that
+            // skipped the stage wholesale would strand its share as
+            // forever-pending items and the rest of the team would spin on
+            // the drain count. Bailing is per-item instead.
+            begin_stage(list.len());
+            {
+                let _obs = dacpara_obs::span("enumerate");
+                pool.drive(w.id, |i, _| {
+                    let n = list[i];
+                    if !bail() && shared.is_and(n) && shared.refs(n) > 0 {
+                        let _ = store.try_cuts(shared, n);
+                    }
+                    ItemOutcome::Done
+                });
+            }
+
+            // -------- Stage 2: parallel, lock-free evaluation.
+            begin_stage(list.len());
+            {
+                let _obs = dacpara_obs::span("evaluate");
+                pool.drive(w.id, |i, _| {
+                    if bail() {
+                        return ItemOutcome::Done;
+                    }
+                    let n = list[i];
+                    if !shared.is_and(n) || shared.refs(n) == 0 {
+                        *prep[n.index()].lock() = None;
+                        return ItemOutcome::Done;
+                    }
+                    pass.evaluations.fetch_add(1, Ordering::Relaxed);
+                    let cand = store
+                        .try_cuts(shared, n)
+                        .and_then(|cuts| evaluate_node(shared, n, &cuts, ctx));
+                    *prep[n.index()].lock() = cand;
+                    ItemOutcome::Done
+                });
+            }
+
+            // -------- Stage 3: parallel validated replacement.
+            //
+            // A conflict-aborted commit puts its candidate back into `prep`
+            // and yields the node to the retry queue; the retry ceiling
+            // eventually forces inline blocking.
+            begin_stage(list.len());
+            {
+                let _obs = dacpara_obs::span("replace");
+                pool.drive(w.id, |i, tries| {
+                    let n = list[i];
+                    let Some(cand) = prep[n.index()].lock().take() else {
+                        return ItemOutcome::Done;
+                    };
+                    // A rescheduled node already counted its revalidation
+                    // on the first try.
+                    let mut revalidation_counted = tries > 0;
+                    let outcome = speculate(pass, tries, || {
+                        replace_operator(
+                            shared,
+                            store,
+                            locks,
+                            ctx,
+                            n,
+                            &cand,
+                            owner,
+                            pass,
+                            cfg.revalidate,
+                            &mut revalidation_counted,
+                        )
+                    });
+                    if outcome == ItemOutcome::Retry {
+                        *prep[n.index()].lock() = Some(cand);
+                    }
+                    outcome
+                });
+            }
+
+            // Leader restores strash canonicity between lists, tracing the
+            // merges into the dirty set.
+            if w.barrier() {
+                sess.canonicalize_and_sweep(false);
+            }
+            w.barrier();
+        }
+    });
 }
 
 /// One attempt of the §4.4 replacement operator for node `n` and its stored
@@ -315,13 +215,13 @@ fn replace_operator(
     n: NodeId,
     cand: &Candidate,
     owner: u32,
-    counters: &Counters,
+    pass: &Pass,
     revalidate: bool,
     revalidation_counted: &mut bool,
-) -> Result<Attempt<()>, AigError> {
+) -> Result<Attempt, AigError> {
     let stale = || {
-        counters.stale_skipped.fetch_add(1, Ordering::Relaxed);
-        Ok(Attempt::Done(()))
+        pass.stale_skipped.fetch_add(1, Ordering::Relaxed);
+        Ok(Attempt::Done)
     };
     if !shared.is_and(n) || shared.refs(n) == 0 {
         return stale();
@@ -338,7 +238,7 @@ fn replace_operator(
             return stale();
         }
         if !*revalidation_counted {
-            counters.revalidated.fetch_add(1, Ordering::Relaxed);
+            pass.revalidated.fetch_add(1, Ordering::Relaxed);
             *revalidation_counted = true;
         }
         // §4.4: re-enumerate on the latest AIG and match the stored cut
@@ -366,7 +266,7 @@ fn replace_operator(
     region.extend(cand.leaves.iter().map(|l| l.raw()));
     region.extend(cover_hint.iter().map(|c| c.raw()));
     region.extend(shared.fanout_ids(n).iter().map(|f| f.raw()));
-    let Some(guard) = locks.try_acquire(owner, region) else {
+    let Some(guard) = locks.try_acquire(owner, region, &pass.spec) else {
         return Ok(Attempt::Conflict);
     };
 
@@ -412,7 +312,7 @@ fn replace_operator(
     let _extra_guard = if extra.is_empty() {
         None
     } else {
-        match locks.try_acquire(owner, extra) {
+        match locks.try_acquire(owner, extra, &pass.spec) {
             Some(g) => Some(g),
             None => return Ok(Attempt::Conflict),
         }
@@ -420,12 +320,12 @@ fn replace_operator(
 
     // ---- Apply.
     if commit_replacement(shared, store, ctx, n, &live, &re.freed)? {
-        counters.replacements.fetch_add(1, Ordering::Relaxed);
+        pass.replacements.fetch_add(1, Ordering::Relaxed);
         if dacpara_obs::is_enabled() {
             dacpara_obs::histogram("rewrite.replacement_gain").record(re.gain.max(0) as u64);
         }
     }
-    Ok(Attempt::Done(()))
+    Ok(Attempt::Done)
 }
 
 #[cfg(test)]

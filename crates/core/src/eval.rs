@@ -250,6 +250,16 @@ pub fn evaluate_cut<V: AigRead + ?Sized>(
     best_on_cut(view, n, cut, ctx, base_floor(ctx), &mut ProbeMemo::new())
 }
 
+/// Structures scanned out of `available` for one class, under a
+/// [`EvalContext::max_structures`] cap (`0` = all).
+fn structure_budget(max_structures: usize, available: usize) -> usize {
+    if max_structures == 0 {
+        available
+    } else {
+        max_structures.min(available)
+    }
+}
+
 /// [`evaluate_cut`] restricted to structures whose gain is strictly greater
 /// than `floor` (at least [`base_floor`]); `memo` holds the probes of
 /// earlier cuts of the same node.
@@ -285,11 +295,7 @@ fn best_on_cut<V: AigRead + ?Sized>(
     debug_assert_eq!(rep, ctx.registry.representative(class));
 
     let structures = ctx.lib.structures(class);
-    let budget = if ctx.max_structures == 0 {
-        structures.len()
-    } else {
-        ctx.max_structures.min(structures.len())
-    };
+    let budget = structure_budget(ctx.max_structures, structures.len());
 
     let root_level = view.level(n);
     let mut best: Option<(i32, u32, u32, usize)> = None; // gain, added, level, idx
@@ -572,6 +578,15 @@ mod tests {
             preserve_level: false,
             ..RewriteConfig::rewrite_op()
         })
+    }
+
+    #[test]
+    fn structure_budget_caps() {
+        let capped = RewriteConfig::p1().max_structures;
+        assert_eq!(structure_budget(capped, 10), 5);
+        assert_eq!(structure_budget(capped, 3), 3);
+        let unlimited = RewriteConfig::rewrite_op().max_structures;
+        assert_eq!(structure_budget(unlimited, 10), 10);
     }
 
     /// A deliberately wasteful majority: 2:1 muxes instead of the 4-gate

@@ -7,17 +7,15 @@
 //! is what the paper's Fig. 2 contrasts with DACPara's split operators, and
 //! it is recorded here in [`dacpara_galois::SpecStats`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::sync::atomic::Ordering;
 
 use dacpara_aig::concurrent::ConcurrentAig;
 use dacpara_aig::{Aig, AigError, AigRead, NodeId};
 use dacpara_cut::CutStore;
-use dacpara_galois::{run_spmd, ItemOutcome, LockTable, SpecStats, StealPool};
+use dacpara_galois::{run_spmd, LockTable};
 
 use crate::eval::{evaluate_node, reevaluate_structure, EvalContext};
-use crate::recovery::{contain_panic, FirstError};
-use crate::session::RewriteSession;
+use crate::session::{Pass, RewriteSession};
 use crate::speculate::{commit_replacement, speculate, Attempt};
 use crate::validity::{cut_cover, verify_cut};
 use crate::{Engine, RewriteConfig, RewriteStats};
@@ -35,127 +33,33 @@ pub fn rewrite_lockstep(aig: &mut Aig, cfg: &RewriteConfig) -> Result<RewriteSta
     Ok(stats)
 }
 
-/// One ICCAD'18 pass on the session's resident state (full graph on the
-/// first pass, dirty set afterwards, immediate return at a fixpoint).
-///
-/// Fault tolerance mirrors the DACPara engine: a round that ends with an
-/// error (the team drains cooperatively through the error checks) hands its
-/// first error to [`RewriteSession::recover`], which salvages committed
-/// rewrites and — within its regrowth/panic budgets — re-homes the arena so
-/// the same run can be redone instead of returning `Err`.
-pub(crate) fn session_pass(sess: &mut RewriteSession) -> Result<RewriteStats, AigError> {
-    let start = Instant::now();
-    let _pass_span = dacpara_obs::span!("rewrite_lockstep", threads = sess.cfg.threads);
-    let mut stats = RewriteStats {
-        engine: "iccad18".into(),
-        area_before: sess.shared.num_ands(),
-        delay_before: sess.shared.depth(),
-        ..Default::default()
-    };
-    let spec = SpecStats::new();
-    let lock_base = sess.locks.stats().snapshot();
-    let evaluations = AtomicU64::new(0);
-    let pool = StealPool::new(sess.cfg.threads);
-    let mut worked = false;
-
-    let runs = sess.cfg.runs.max(1);
-    let mut run = 0;
-    while run < runs {
-        let (order, skipped) = sess.take_worklist();
-        stats.clean_skipped += skipped;
-        if order.is_empty() {
-            run += 1;
-            continue; // fixpoint: no operator runs at all
-        }
-        worked = true;
-        let cfg = &sess.cfg;
-        let (shared, store, locks, ctx) = (&sess.shared, &sess.store, &sess.locks, &sess.ctx);
-        let error = FirstError::new();
-        let replacements = AtomicU64::new(0);
-
-        {
-            let (order, pool, error, replacements, spec, evaluations) =
-                (&order, &pool, &error, &replacements, &spec, &evaluations);
-            pool.begin(order.len());
-            run_spmd(cfg.threads, |w| {
-                let owner = w.id as u32 + 1;
-                // A conflict-aborted operator yields the item back to the
-                // scheduler instead of spin-retrying inline, until the retry
-                // ceiling forces it to block.
-                pool.drive(w.id, |i, tries| {
-                    if error.is_set() {
-                        return ItemOutcome::Done;
-                    }
-                    // Contain operator panics at the item boundary: the pool
-                    // never sees an unwind, so it is not poisoned and the
-                    // round drains normally while the error check above
-                    // skips the rest.
-                    let outcome = contain_panic(|| {
-                        speculate(spec, tries, || {
-                            combined_operator(
-                                shared,
-                                store,
-                                locks,
-                                ctx,
-                                order[i],
-                                owner,
-                                evaluations,
-                            )
-                        })
-                    });
-                    match outcome {
-                        Ok(Some(replaced)) => {
-                            if replaced {
-                                replacements.fetch_add(1, Ordering::Relaxed);
-                            }
-                            if tries > 0 {
-                                pool.stats().record_retry_commit();
-                            }
-                            ItemOutcome::Done
-                        }
-                        Ok(None) => ItemOutcome::Retry,
-                        Err(e) => {
-                            error.record(e);
-                            ItemOutcome::Done
-                        }
-                    }
-                });
-            });
-        }
-        stats.errors_observed += error.superseded();
-        // `replacements` is fresh each round, so everything it counted this
-        // round is either carried into stats on success or salvaged below.
-        let committed = replacements.load(Ordering::Relaxed);
-        stats.replacements += committed;
-        match error.take() {
-            None => {
-                sess.canonicalize_and_sweep(true);
-                sess.shared.recompute_levels();
-                run += 1;
-            }
-            Some(e) => {
-                // Salvage committed work and redo this run on the recovered
-                // graph; `recover` propagates the error once its budget
-                // (max_regrowths / panic backstop) is spent.
-                sess.recover(e, &mut stats, committed)?;
-            }
-        }
-    }
-
-    stats.area_after = sess.shared.num_ands();
-    stats.delay_after = sess.shared.depth();
-    stats.evaluations = evaluations.load(Ordering::Relaxed);
-    spec.merge_snapshot(&sess.locks.stats().snapshot().since(&lock_base));
-    stats.spec = spec.snapshot();
-    stats.sched = pool.stats().snapshot();
-    stats.time = start.elapsed();
-    sess.set_converged(!worked || (stats.replacements == 0 && sess.store.dirty_count() == 0));
-    Ok(stats)
+/// One ICCAD'18 run over `order`, inside
+/// [`RewriteSession::resident_pass`]: a single scheduler drive of the
+/// combined operator. A conflict-aborted operator yields the item back to
+/// the scheduler instead of spin-retrying inline, until the retry ceiling
+/// forces it to block.
+pub(crate) fn round(
+    sess: &RewriteSession,
+    pass: &Pass,
+    order: Vec<NodeId>,
+    _stats: &mut RewriteStats,
+) {
+    let (shared, store, locks, ctx) = (&sess.shared, &sess.store, &sess.locks, &sess.ctx);
+    let order = &order;
+    pass.pool.begin(order.len());
+    run_spmd(sess.cfg.threads, |w| {
+        let owner = w.id as u32 + 1;
+        pass.pool.drive(w.id, |i, tries| {
+            speculate(pass, tries, || {
+                combined_operator(shared, store, locks, ctx, order[i], owner, pass)
+            })
+        });
+    });
 }
 
 /// One attempt of the single ICCAD'18-style operator: enumerate, lock
 /// everything related, evaluate *while holding the locks*, then replace.
-/// Finishes with whether it replaced `n`. A conflict carries nothing over —
+/// Counts its own replacement. A conflict carries nothing over —
 /// the retry recomputes enumeration and evaluation from scratch, exactly
 /// the waste the paper's Fig. 2 charges this scheme.
 fn combined_operator(
@@ -165,10 +69,10 @@ fn combined_operator(
     ctx: &EvalContext,
     n: NodeId,
     owner: u32,
-    evaluations: &AtomicU64,
-) -> Result<Attempt<bool>, AigError> {
+    pass: &Pass,
+) -> Result<Attempt, AigError> {
     if !shared.is_and(n) || shared.refs(n) == 0 {
-        return Ok(Attempt::Done(false));
+        return Ok(Attempt::Done);
     }
 
     // Stage A: cut enumeration (results verified under locks below).
@@ -177,7 +81,7 @@ fn combined_operator(
     drop(enum_span);
     let Some(cuts) = cuts else {
         if !shared.is_and(n) {
-            return Ok(Attempt::Done(false));
+            return Ok(Attempt::Done);
         }
         return Ok(Attempt::Conflict);
     };
@@ -199,9 +103,9 @@ fn combined_operator(
         }
     }
     if usable.is_empty() {
-        return Ok(Attempt::Done(false));
+        return Ok(Attempt::Done);
     }
-    let Some(guard) = locks.try_acquire(owner, region) else {
+    let Some(guard) = locks.try_acquire(owner, region, &pass.spec) else {
         return Ok(Attempt::Conflict);
     };
 
@@ -215,16 +119,16 @@ fn combined_operator(
 
     // Stage B: evaluation while holding every lock.
     let eval_span = dacpara_obs::span("evaluate");
-    evaluations.fetch_add(1, Ordering::Relaxed);
+    pass.evaluations.fetch_add(1, Ordering::Relaxed);
     let cand = evaluate_node(shared, n, &valid_cuts, ctx);
     drop(eval_span);
     let Some(cand) = cand else {
-        return Ok(Attempt::Done(false));
+        return Ok(Attempt::Done);
     };
     let re = reevaluate_structure(shared, n, &cand, ctx);
     let gain_ok = re.gain > 0 || (ctx.use_zeros && re.gain >= 0);
     if !gain_ok {
-        return Ok(Attempt::Done(false));
+        return Ok(Attempt::Done);
     }
 
     // Shared (reused) nodes must be locked before mutation.
@@ -237,7 +141,7 @@ fn combined_operator(
     let _extra_guard = if extra.is_empty() {
         None
     } else {
-        match locks.try_acquire(owner, extra) {
+        match locks.try_acquire(owner, extra, &pass.spec) {
             Some(g) => Some(g),
             // Everything — enumeration AND evaluation — is lost.
             None => return Ok(Attempt::Conflict),
@@ -246,8 +150,10 @@ fn combined_operator(
 
     // Stage C: replacement.
     let _obs = dacpara_obs::span("replace");
-    let replaced = commit_replacement(shared, store, ctx, n, &cand, &re.freed)?;
-    Ok(Attempt::Done(replaced))
+    if commit_replacement(shared, store, ctx, n, &cand, &re.freed)? {
+        pass.replacements.fetch_add(1, Ordering::Relaxed);
+    }
+    Ok(Attempt::Done)
 }
 
 #[cfg(test)]

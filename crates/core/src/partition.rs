@@ -32,8 +32,7 @@ struct Region {
     sub: Aig,
 }
 
-/// Runs partition-parallel rewriting. The region count comes from
-/// [`RewriteConfig::partition_regions`] (`0` = `2 × threads`).
+/// Runs partition-parallel rewriting over `2 × threads` regions.
 ///
 /// # Errors
 ///
@@ -52,6 +51,15 @@ struct Region {
 /// # Ok::<(), dacpara_aig::AigError>(())
 /// ```
 pub fn rewrite_partition(aig: &mut Aig, cfg: &RewriteConfig) -> Result<RewriteStats, AigError> {
+    rewrite_regions(aig, cfg, cfg.threads.max(1) * 2)
+}
+
+/// [`rewrite_partition`] over `parts` regions.
+fn rewrite_regions(
+    aig: &mut Aig,
+    cfg: &RewriteConfig,
+    parts: usize,
+) -> Result<RewriteStats, AigError> {
     let start = Instant::now();
     let mut stats = RewriteStats {
         engine: "partition-fpga17".into(),
@@ -60,7 +68,7 @@ pub fn rewrite_partition(aig: &mut Aig, cfg: &RewriteConfig) -> Result<RewriteSt
         ..Default::default()
     };
     aig.cleanup();
-    let parts = cfg.effective_partition_regions().max(1);
+    let parts = parts.max(1);
 
     for _ in 0..cfg.runs.max(1) {
         // ---- 1. Claim regions: output cones round-robin, first claim wins.
@@ -312,13 +320,6 @@ mod tests {
         }
     }
 
-    fn cfg_parts(parts: usize) -> RewriteConfig {
-        RewriteConfig {
-            partition_regions: parts,
-            ..cfg()
-        }
-    }
-
     fn assert_equiv(before: &Aig, after: &Aig) {
         let cec = CecConfig {
             sim_rounds: 32,
@@ -335,7 +336,7 @@ mod tests {
     fn single_partition_matches_serial_behaviour() {
         let golden = control::voter(15);
         let mut partitioned = golden.clone();
-        rewrite_partition(&mut partitioned, &cfg_parts(1)).unwrap();
+        rewrite_regions(&mut partitioned, &cfg(), 1).unwrap();
         partitioned.check().unwrap();
         let mut serial = golden.clone();
         rewrite_serial(&mut serial, &cfg()).unwrap();
@@ -355,7 +356,7 @@ mod tests {
         let golden = arith::multiplier(8);
         for parts in [2, 4, 8] {
             let mut aig = golden.clone();
-            let stats = rewrite_partition(&mut aig, &cfg_parts(parts)).unwrap();
+            let stats = rewrite_regions(&mut aig, &cfg(), parts).unwrap();
             aig.check().unwrap();
             assert!(stats.area_after <= stats.area_before, "{parts} parts");
             assert_equiv(&golden, &aig);
@@ -378,7 +379,7 @@ mod tests {
         let mut serial = golden.clone();
         let s = rewrite_serial(&mut serial, &cfg()).unwrap();
         let mut part = golden.clone();
-        let p = rewrite_partition(&mut part, &cfg_parts(8)).unwrap();
+        let p = rewrite_regions(&mut part, &cfg(), 8).unwrap();
         let (pr, sr) = (p.area_reduction(), s.area_reduction());
         assert!(
             pr.abs_diff(sr) * 100 <= sr.max(1) * 15,
@@ -397,7 +398,7 @@ mod tests {
         aig.add_output(ab);
         aig.add_output(dacpara_aig::Lit::TRUE);
         let golden = aig.clone();
-        rewrite_partition(&mut aig, &cfg_parts(3)).unwrap();
+        rewrite_regions(&mut aig, &cfg(), 3).unwrap();
         aig.check().unwrap();
         assert_equiv(&golden, &aig);
     }

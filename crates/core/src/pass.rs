@@ -21,7 +21,7 @@ pub enum Engine {
     /// DACPara (this paper).
     DacPara,
     /// Partition-based coarse-grain parallelism (Liu & Zhang, FPGA'17 —
-    /// the paper's reference [15]); regions default to `2 × threads`.
+    /// the paper's reference \[15\]) over `2 × threads` regions.
     Partition,
 }
 

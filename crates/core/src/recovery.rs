@@ -21,7 +21,7 @@ use parking_lot::Mutex;
 /// Obs counter bumped once per superseded worker error.
 pub(crate) const ERRORS_OBSERVED: &str = "pass.errors_observed";
 
-/// A first-writer-wins error slot shared by one round of SPMD workers.
+/// A first-writer-wins error slot shared by the SPMD workers of one pass.
 ///
 /// `record` keeps the first error and counts later ones; `is_set` is the
 /// engines' `bail()` predicate — a single atomic load, cheap enough for
@@ -34,10 +34,6 @@ pub(crate) struct FirstError {
 }
 
 impl FirstError {
-    pub(crate) fn new() -> FirstError {
-        FirstError::default()
-    }
-
     /// Stores `e` if the slot is empty; otherwise counts it as superseded
     /// (and bumps the `pass.errors_observed` obs counter at this leaf, so
     /// the stat and the export cannot drift).
@@ -83,7 +79,7 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Wraps one replacement-operator invocation: a panic inside `f` becomes
+/// Wraps one operator activity (see `speculate`): a panic inside `f` becomes
 /// `Err(AigError::WorkerPanicked)` instead of unwinding into the scheduler
 /// (where it would poison a steal pool or strand a barrier team).
 ///
@@ -107,7 +103,7 @@ mod tests {
 
     #[test]
     fn first_error_wins_and_later_ones_are_counted() {
-        let slot = FirstError::new();
+        let slot = FirstError::default();
         assert!(!slot.is_set());
         slot.record(AigError::CapacityExhausted { capacity: 1 });
         slot.record(AigError::CapacityExhausted { capacity: 2 });

@@ -31,15 +31,19 @@
 //! still accepted: the session extracts the serial graph, runs them, and
 //! re-syncs (losing incrementality for that pass, keeping allocations).
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
+
 use dacpara_aig::concurrent::ConcurrentAig;
 use dacpara_aig::{Aig, AigError, AigRead, NodeId};
 use dacpara_cut::CutStore;
 use dacpara_equiv::{check_equivalence, CecConfig, CecResult};
-use dacpara_galois::LockTable;
+use dacpara_galois::{LockTable, SpecStats, StealPool};
 use parking_lot::Mutex;
 
 use crate::eval::{Candidate, EvalContext};
 use crate::pass::Engine;
+use crate::recovery::FirstError;
 use crate::{
     rewrite_partition, rewrite_serial, rewrite_static, RewriteConfig, RewriteStats, StaticMode,
 };
@@ -149,8 +153,12 @@ impl RewriteSession {
     /// [`RewriteConfig::headroom`] proves insufficient).
     pub fn run(&mut self, engine: Engine) -> Result<RewriteStats, AigError> {
         let stats = match engine {
-            Engine::DacPara => crate::dacpara_engine::session_pass(self)?,
-            Engine::Iccad18 => crate::lockstep::session_pass(self)?,
+            Engine::DacPara => {
+                self.resident_pass("dacpara", "rewrite_dacpara", crate::dacpara_engine::round)?
+            }
+            Engine::Iccad18 => {
+                self.resident_pass("iccad18", "rewrite_lockstep", crate::lockstep::round)?
+            }
             Engine::AbcRewrite | Engine::Dac22 | Engine::Tcad23 | Engine::Partition => {
                 let mut aig = self.extract();
                 let stats = match engine {
@@ -181,12 +189,6 @@ impl RewriteSession {
     /// Number of `run` calls completed so far.
     pub fn passes_run(&self) -> usize {
         self.passes_run
-    }
-
-    /// Number of nodes currently marked dirty (the next incremental pass's
-    /// worklist bound).
-    pub fn dirty_len(&self) -> usize {
-        self.store.dirty_count()
     }
 
     /// A serial snapshot of the current graph (levels recomputed).
@@ -233,6 +235,83 @@ impl RewriteSession {
         self.fresh = true;
         self.converged = false;
         Ok(())
+    }
+
+    /// One resident pass of a Galois engine: the first pass (after creation
+    /// or re-sync) covers the whole graph, later passes only the dirty set,
+    /// and an empty dirty set returns immediately — no enumeration, no
+    /// evaluation.
+    ///
+    /// `round` runs the engine's parallel work for one run over the
+    /// worklist (DACPara's level split and three stages, or ICCAD'18's
+    /// single operator drive), reporting into the pass's one [`Pass`]
+    /// ledger. Everything around it lives here: the `cfg.runs` loop, the
+    /// between-run canonicalize/sweep and level refresh, and the fault
+    /// path — when a round ends with an error, the team has already
+    /// drained cooperatively, and the first error goes to
+    /// [`RewriteSession::recover`]; if recovery succeeds, the same run is
+    /// redone on the salvaged graph, keeping committed rewrites.
+    pub(crate) fn resident_pass(
+        &mut self,
+        engine: &str,
+        span_name: &'static str,
+        mut round: impl FnMut(&RewriteSession, &Pass, Vec<NodeId>, &mut RewriteStats),
+    ) -> Result<RewriteStats, AigError> {
+        let start = Instant::now();
+        let _pass_span = dacpara_obs::span!(span_name, threads = self.cfg.threads);
+        let mut stats = RewriteStats {
+            engine: engine.into(),
+            area_before: self.shared.num_ands(),
+            delay_before: self.shared.depth(),
+            ..Default::default()
+        };
+        let pass = Pass::new(self.cfg.threads);
+        let mut worked = false;
+        // Replacements already credited to a previous salvage, so each
+        // recovery reports only the commits it newly carries over.
+        let mut salvage_mark = 0u64;
+
+        let mut run = 0;
+        while run < self.cfg.runs.max(1) {
+            let (work, skipped) = self.take_worklist();
+            stats.clean_skipped += skipped;
+            if work.is_empty() {
+                run += 1;
+                continue; // fixpoint: nothing enumerated, nothing evaluated
+            }
+            worked = true;
+            round(self, &pass, work, &mut stats);
+            match pass.error.take() {
+                None => {
+                    self.canonicalize_and_sweep(true);
+                    self.shared.recompute_levels();
+                    run += 1;
+                }
+                Some(e) => {
+                    // `recover` propagates the error once its budget
+                    // (max_regrowths / panic backstop) is spent.
+                    let committed = pass.replacements.load(Ordering::Relaxed);
+                    self.recover(e, &mut stats, committed - salvage_mark)?;
+                    salvage_mark = committed;
+                }
+            }
+        }
+
+        stats.area_after = self.shared.num_ands();
+        stats.delay_after = self.shared.depth();
+        stats.replacements = pass.replacements.load(Ordering::Relaxed);
+        stats.stale_skipped = pass.stale_skipped.load(Ordering::Relaxed);
+        stats.revalidated = pass.revalidated.load(Ordering::Relaxed);
+        stats.evaluations = pass.evaluations.load(Ordering::Relaxed);
+        stats.errors_observed = pass.error.superseded();
+        stats.spec = pass.spec.snapshot();
+        stats.sched = pass.pool.stats().snapshot();
+        stats.time = start.elapsed();
+        if dacpara_obs::is_enabled() {
+            dacpara_obs::counter("rewrite.evaluations").add(stats.evaluations);
+        }
+        self.converged = !worked || (stats.replacements == 0 && self.store.dirty_count() == 0);
+        Ok(stats)
     }
 
     /// Attempts in-pass recovery from `err`, salvaging every committed
@@ -346,11 +425,6 @@ impl RewriteSession {
         (work, skipped)
     }
 
-    /// Record the verdict of a finished resident pass.
-    pub(crate) fn set_converged(&mut self, converged: bool) {
-        self.converged = converged;
-    }
-
     /// Single-threaded synchronization-point maintenance shared by the
     /// resident engines: restore strash canonicity, delete dangling cones,
     /// and translate everything either step touched into memo invalidation
@@ -377,6 +451,36 @@ impl RewriteSession {
             } else {
                 self.store.invalidate(x);
             }
+        }
+    }
+}
+
+/// What one resident pass shares with its workers: the one speculation
+/// ledger (attempts, commits, aborts, and the lock conflicts
+/// [`LockTable::try_acquire`] records), the scheduler, the first-error
+/// slot, and the operators' counters. Built once per
+/// [`RewriteSession::resident_pass`] and reused by every run and redo, so
+/// its totals are the pass's totals.
+pub(crate) struct Pass {
+    pub(crate) spec: SpecStats,
+    pub(crate) pool: StealPool,
+    pub(crate) error: FirstError,
+    pub(crate) replacements: AtomicU64,
+    pub(crate) evaluations: AtomicU64,
+    pub(crate) stale_skipped: AtomicU64,
+    pub(crate) revalidated: AtomicU64,
+}
+
+impl Pass {
+    fn new(threads: usize) -> Pass {
+        Pass {
+            spec: SpecStats::new(),
+            pool: StealPool::new(threads),
+            error: FirstError::default(),
+            replacements: AtomicU64::new(0),
+            evaluations: AtomicU64::new(0),
+            stale_skipped: AtomicU64::new(0),
+            revalidated: AtomicU64::new(0),
         }
     }
 }

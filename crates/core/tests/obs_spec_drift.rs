@@ -1,8 +1,9 @@
 //! Drift guard: the speculation totals reported by `RewriteStats` must
 //! agree exactly with what the obs layer recorded, because both are fed
-//! from the same leaf-level `SpecStats::record_*` calls (never `merge`).
-//! If an engine ever double-counts on merge, or an obs hook moves off the
-//! leaf path, this test fails.
+//! from the same leaf-level `SpecStats::record_*` calls (never an
+//! aggregate). If an engine ever double-counts, or an obs hook moves off
+//! the leaf path, this test fails. Both Galois engines run through the same
+//! checks.
 //!
 //! Lives in its own integration-test file (= its own process) because it
 //! drives the process-global registry; keep it to a single `#[test]`.
@@ -33,6 +34,24 @@ fn lanes_for(trace: &str, name: &str) -> HashSet<u64> {
 
 #[test]
 fn spec_stats_match_obs_events() {
+    // The injected panic of section 5 is contained by the engine; keep it
+    // off stderr while letting real panics through.
+    let prev_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let injected = info
+            .payload()
+            .downcast_ref::<&str>()
+            .is_some_and(|s| s.starts_with("injected fault:"));
+        if !injected {
+            prev_hook(info);
+        }
+    }));
+    for engine in [Engine::DacPara, Engine::Iccad18] {
+        check_engine(engine);
+    }
+}
+
+fn check_engine(engine: Engine) {
     dacpara_obs::reset();
     dacpara_obs::enable();
 
@@ -43,7 +62,7 @@ fn spec_stats_match_obs_events() {
         seed: 7,
     });
     let cfg = RewriteConfig::rewrite_op().with_threads(4);
-    let stats = run_engine(&mut aig, Engine::DacPara, &cfg).expect("dacpara run");
+    let stats = run_engine(&mut aig, engine, &cfg).expect("engine run");
     dacpara_obs::disable();
 
     assert!(stats.replacements > 0, "the run must actually rewrite");
@@ -66,6 +85,13 @@ fn spec_stats_match_obs_events() {
     assert_eq!(stats.sched.steals, counter("sched.steals"));
     assert_eq!(stats.sched.retries, counter("sched.retries"));
     assert_eq!(stats.sched.retry_commits, counter("sched.retry_commits"));
+
+    // 1c. Both engines publish their evaluation count.
+    assert_eq!(
+        stats.evaluations,
+        counter("rewrite.evaluations"),
+        "{engine}: rewrite.evaluations drift"
+    );
 
     // 2. ... vs. the per-thread instant events in the exported trace.
     let trace = dacpara_obs::chrome_trace_to_string();
@@ -123,18 +149,6 @@ fn spec_stats_match_obs_events() {
     // the stats fields, so the counter deltas must equal the new run's
     // stats exactly.
     let base: Vec<u64> = recovery_counters.iter().map(|&n| counter(n)).collect();
-    // The injected panic is contained by the engine; keep it off stderr
-    // while letting real panics through.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<&str>()
-            .is_some_and(|s| s.starts_with("injected fault:"));
-        if !injected {
-            prev_hook(info);
-        }
-    }));
     dacpara_obs::enable();
     let mut faulted = mtm(&MtmParams {
         inputs: 40,
@@ -150,7 +164,7 @@ fn spec_stats_match_obs_events() {
     let plan = FaultPlan::parse("operator.panic=@3*1", 0x0B5).expect("valid spec");
     let faulted_stats = {
         let _inj = dacpara_fault::inject(&plan);
-        run_engine(&mut faulted, Engine::DacPara, &faulted_cfg).expect("recovered run")
+        run_engine(&mut faulted, engine, &faulted_cfg).expect("recovered run")
     };
     dacpara_obs::disable();
     faulted.check().expect("recovered graph is sound");

@@ -10,7 +10,7 @@
 //! * **conflict accounting** — the cost model behind the paper's Fig. 2 is
 //!   exactly "how much computation do aborts discard" ([`SpecStats`]),
 //! * **worklist execution** — a team of workers draining shared worklists
-//!   ([`run_spmd`], [`WorkQueue`]),
+//!   ([`run_spmd`], [`parallel_for`]),
 //! * **work stealing with in-round conflict retry** — per-worker Chase-Lev
 //!   deques with adaptive range splitting and per-worker retry queues, so
 //!   an aborted activity is re-tried within the same round instead of
@@ -20,26 +20,21 @@
 //! # Example
 //!
 //! ```
-//! use dacpara_galois::{run_spmd, LockTable, WorkQueue};
+//! use dacpara_galois::{parallel_for, LockTable, SpecStats};
 //! use std::sync::atomic::{AtomicU32, Ordering};
 //!
-//! // Increment 100 shared cells, each protected by a Galois lock.
+//! // Increment 100 shared cells, each protected by a Galois lock; the
+//! // conflicts land in one ledger.
 //! let cells: Vec<AtomicU32> = (0..100).map(|_| AtomicU32::new(0)).collect();
 //! let locks = LockTable::new(100);
-//! let queue = WorkQueue::new(100);
-//! let (cells, locks, queue) = (&cells, &locks, &queue);
-//! run_spmd(4, |w| {
-//!     while let Some(range) = queue.next_chunk(4) {
-//!         for i in range {
-//!             loop {
-//!                 if let Some(_guard) = locks.try_acquire(w.id as u32 + 1, vec![i as u32]) {
-//!                     cells[i].fetch_add(1, Ordering::Relaxed);
-//!                     break;
-//!                 }
-//!                 std::hint::spin_loop();
-//!             }
-//!         }
+//! let spec = SpecStats::new();
+//! let items: Vec<u32> = (0..100).collect();
+//! parallel_for(4, &items, |w, &i| loop {
+//!     if let Some(_guard) = locks.try_acquire(w.id as u32 + 1, vec![i], &spec) {
+//!         cells[i as usize].fetch_add(1, Ordering::Relaxed);
+//!         break;
 //!     }
+//!     std::hint::spin_loop();
 //! });
 //! assert!(cells.iter().all(|c| c.load(Ordering::Relaxed) == 1));
 //! ```
@@ -53,5 +48,5 @@ mod stats;
 pub use deque::{Steal, StealDeque};
 pub use locks::{LockSet, LockTable};
 pub use sched::{ItemOutcome, SchedSnapshot, SchedStats, StealPool, MAX_SCHED_RETRIES};
-pub use spmd::{chunk_size, parallel_for, run_spmd, WorkQueue, Worker};
+pub use spmd::{parallel_for, run_spmd, Worker};
 pub use stats::{SpecSnapshot, SpecStats};

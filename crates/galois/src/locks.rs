@@ -4,7 +4,9 @@
 //! touch; when a lock is already held by another activity the acquiring
 //! activity *aborts* — releasing everything it held and retrying later —
 //! rather than blocking (blocking could deadlock and would hide the wasted
-//! work the paper's Fig. 2 is about).
+//! work the paper's Fig. 2 is about). The table keeps no statistics of its
+//! own: each acquisition records its conflict into the caller's
+//! [`SpecStats`] ledger, so one pass has one conflict ledger.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -25,17 +27,18 @@ fn hold_time_histogram() -> &'static Arc<LogHistogram> {
 /// # Example
 ///
 /// ```
-/// use dacpara_galois::LockTable;
+/// use dacpara_galois::{LockTable, SpecStats};
 ///
 /// let table = LockTable::new(16);
-/// let set = table.try_acquire(1, vec![3, 7, 7, 5]).expect("uncontended");
-/// assert!(table.try_acquire(2, vec![5]).is_none()); // conflict
+/// let spec = SpecStats::new();
+/// let set = table.try_acquire(1, vec![3, 7, 7, 5], &spec).expect("uncontended");
+/// assert!(table.try_acquire(2, vec![5], &spec).is_none()); // conflict
 /// drop(set);
-/// assert!(table.try_acquire(2, vec![5]).is_some());
+/// assert!(table.try_acquire(2, vec![5], &spec).is_some());
+/// assert_eq!(spec.conflicts(), 1);
 /// ```
 pub struct LockTable {
     slots: Box<[AtomicU32]>,
-    stats: SpecStats,
 }
 
 impl LockTable {
@@ -43,7 +46,6 @@ impl LockTable {
     pub fn new(n: usize) -> LockTable {
         LockTable {
             slots: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            stats: SpecStats::default(),
         }
     }
 
@@ -52,9 +54,8 @@ impl LockTable {
         self.slots.len()
     }
 
-    /// Grows the table to cover at least `n` elements, preserving the
-    /// accumulated statistics. Existing locks must all be released (the
-    /// slots are rebuilt unlocked). Lets a long-lived session reuse one
+    /// Grows the table to cover at least `n` elements. Existing locks must
+    /// all be released (the slots are rebuilt unlocked). Lets a long-lived session reuse one
     /// table across passes even when the underlying arena grows.
     ///
     /// # Panics
@@ -76,17 +77,12 @@ impl LockTable {
         self.slots.is_empty()
     }
 
-    /// The conflict statistics accumulated by this table.
-    pub fn stats(&self) -> &SpecStats {
-        &self.stats
-    }
-
     /// Attempts to acquire every element in `ids` for `owner` (non-zero).
     ///
     /// The ids are sorted and deduplicated internally (sorted acquisition
     /// order prevents deadlock between concurrent all-or-nothing attempts).
-    /// On any conflict every lock taken so far is released, the abort is
-    /// recorded, and `None` is returned.
+    /// On any conflict every lock taken so far is released, the conflict is
+    /// recorded in `spec`, and `None` is returned.
     ///
     /// Re-entrant acquisition by the same owner succeeds (the element stays
     /// locked until the outermost guard drops — callers must not rely on
@@ -95,12 +91,18 @@ impl LockTable {
     /// # Panics
     ///
     /// Panics if `owner` is zero or an id is out of range.
-    pub fn try_acquire(&self, owner: u32, mut ids: Vec<u32>) -> Option<LockSet<'_>> {
+    pub fn try_acquire(
+        &self,
+        owner: u32,
+        mut ids: Vec<u32>,
+        spec: &SpecStats,
+    ) -> Option<LockSet<'_>> {
         assert_ne!(owner, 0, "owner ids are non-zero");
         if dacpara_fault::point(dacpara_fault::points::LOCK_ACQUIRE) {
             // An injected conflict is indistinguishable from a real one:
-            // nothing was taken, the abort is recorded, the caller retries.
-            self.stats.record_conflict();
+            // nothing was taken, the conflict is recorded, the caller
+            // retries.
+            spec.record_conflict();
             return None;
         }
         ids.sort_unstable();
@@ -114,7 +116,7 @@ impl LockTable {
                 for &held in &ids[..i] {
                     self.slots[held as usize].store(0, Ordering::Release);
                 }
-                self.stats.record_conflict();
+                spec.record_conflict();
                 return None;
             }
         }
@@ -188,62 +190,66 @@ mod tests {
     #[test]
     fn all_or_nothing() {
         let t = LockTable::new(8);
-        let g1 = t.try_acquire(1, vec![2, 4]).unwrap();
+        let spec = SpecStats::new();
+        let g1 = t.try_acquire(1, vec![2, 4], &spec).unwrap();
         // Overlap on 4: the whole set {1, 4, 6} must fail and leave 1 and 6
         // free.
-        assert!(t.try_acquire(2, vec![1, 4, 6]).is_none());
+        assert!(t.try_acquire(2, vec![1, 4, 6], &spec).is_none());
         assert!(!t.is_locked(1));
         assert!(!t.is_locked(6));
         drop(g1);
-        assert!(t.try_acquire(2, vec![1, 4, 6]).is_some());
+        assert!(t.try_acquire(2, vec![1, 4, 6], &spec).is_some());
     }
 
     #[test]
     fn duplicate_ids_are_tolerated() {
         let t = LockTable::new(4);
-        let g = t.try_acquire(3, vec![1, 1, 1]).unwrap();
+        let spec = SpecStats::new();
+        let g = t.try_acquire(3, vec![1, 1, 1], &spec).unwrap();
         assert_eq!(g.ids(), &[1]);
     }
 
     #[test]
     fn conflicts_are_counted() {
         let t = LockTable::new(4);
-        let _g = t.try_acquire(1, vec![0]).unwrap();
-        assert!(t.try_acquire(2, vec![0]).is_none());
-        assert!(t.try_acquire(2, vec![0]).is_none());
-        assert_eq!(t.stats().conflicts(), 2);
+        let spec = SpecStats::new();
+        let _g = t.try_acquire(1, vec![0], &spec).unwrap();
+        assert!(t.try_acquire(2, vec![0], &spec).is_none());
+        assert!(t.try_acquire(2, vec![0], &spec).is_none());
+        assert_eq!(spec.conflicts(), 2);
     }
 
     #[test]
     fn injected_acquire_fault_is_a_recorded_conflict() {
         let t = LockTable::new(4);
+        let spec = SpecStats::new();
         let plan = dacpara_fault::FaultPlan::parse("lock.acquire=@1", 0).unwrap();
         {
             let _inj = dacpara_fault::inject(&plan);
-            assert!(t.try_acquire(1, vec![0, 2]).is_none());
+            assert!(t.try_acquire(1, vec![0, 2], &spec).is_none());
             assert!(!t.is_locked(0));
             assert!(!t.is_locked(2));
         }
-        assert_eq!(t.stats().conflicts(), 1);
+        assert_eq!(spec.conflicts(), 1);
         // The very next (uninjected) attempt succeeds.
-        assert!(t.try_acquire(1, vec![0, 2]).is_some());
+        assert!(t.try_acquire(1, vec![0, 2], &spec).is_some());
     }
 
     #[test]
     fn concurrent_hammering_is_exclusive() {
         use std::sync::atomic::{AtomicU64, Ordering};
         let t = LockTable::new(1);
+        let spec = SpecStats::new();
         let counter = AtomicU64::new(0);
         let iterations = 2_000;
-        let t = &t;
-        let counter = &counter;
+        let (t, spec, counter) = (&t, &spec, &counter);
         std::thread::scope(|s| {
             for w in 0..4u32 {
                 s.spawn(move || {
                     let owner = w + 1;
                     let mut done = 0;
                     while done < iterations {
-                        if let Some(_g) = t.try_acquire(owner, vec![0]) {
+                        if let Some(_g) = t.try_acquire(owner, vec![0], spec) {
                             // Non-atomic-looking critical section.
                             let v = counter.load(Ordering::Relaxed);
                             counter.store(v + 1, Ordering::Relaxed);

@@ -1,20 +1,21 @@
 //! Work-stealing scheduler with in-round conflict retry.
 //!
-//! A shared-cursor worklist ([`crate::WorkQueue`]) hands out fixed-size
-//! chunks, so a node whose speculative commit keeps hitting lock conflicts
-//! pins its worker in a spin-retry loop — the serialization-by-conflict
-//! waste that "Parallel AIG Refactoring via Conflict Breaking" identifies
-//! as the dominant loss in parallel AIG optimization. The Galois engines
-//! schedule through [`StealPool`] instead:
+//! A shared-cursor worklist that hands out fixed-size chunks lets a node
+//! whose speculative commit keeps hitting lock conflicts pin its worker in
+//! a spin-retry loop — the serialization-by-conflict waste that "Parallel
+//! AIG Refactoring via Conflict Breaking" identifies as the dominant loss
+//! in parallel AIG optimization. Every parallel loop in the workspace —
+//! each stage of both Galois engines, and [`crate::parallel_for`] —
+//! schedules through [`StealPool`] instead:
 //!
 //! * **Per-worker Chase-Lev deques** ([`crate::StealDeque`]). Each worker
 //!   seeds its own deque with one contiguous block of the worklist; idle
 //!   workers steal the oldest (largest) outstanding range from a victim.
 //! * **Adaptive chunk sizing.** A popped or stolen range larger than the
-//!   quantum (seeded from [`crate::chunk_size`]) is halved: the tail half
-//!   goes back on the worker's own deque — where thieves can take it —
-//!   and the head half is halved again, so chunk granularity adapts to
-//!   how much work is left instead of being fixed up front.
+//!   quantum (`len / (8 × workers)`, clamped to `1..=256`) is halved: the
+//!   tail half goes back on the worker's own deque — where thieves can
+//!   take it — and the head half is halved again, so chunk granularity
+//!   adapts to how much work is left instead of being fixed up front.
 //! * **A per-worker conflict retry queue.** An item whose operator reports
 //!   [`ItemOutcome::Retry`] (a Galois lock conflict) is re-enqueued on its
 //!   worker's retry queue with exponential backoff — measured in locally
@@ -34,7 +35,6 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::Mutex;
 
 use crate::deque::{Steal, StealDeque};
-use crate::spmd::chunk_size;
 
 /// What an operator did with a scheduled item.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -199,6 +199,20 @@ fn unpack(item: usize) -> (usize, usize) {
     (item >> 32, item & u32::MAX as usize)
 }
 
+/// The splitting quantum for a round of `len` items on `workers` workers:
+/// small enough to balance, large enough to amortize the deque traffic.
+///
+/// # Panics
+///
+/// Panics (debug) if `len` or `workers` is zero — a zero-length round has
+/// no meaningful quantum (callers must skip empty rounds), and zero workers
+/// would divide by zero anyway.
+fn chunk_size(len: usize, workers: usize) -> usize {
+    debug_assert!(workers > 0, "chunk size for a zero-thread team");
+    debug_assert!(len > 0, "chunk size of an empty worklist");
+    (len / (workers.max(1) * 8)).clamp(1, 256)
+}
+
 /// A reusable work-stealing pool for one SPMD team.
 ///
 /// Lifecycle per round: the leader calls [`StealPool::begin`] (between
@@ -254,11 +268,6 @@ impl StealPool {
             quantum: AtomicUsize::new(1),
             stats: SchedStats::default(),
         }
-    }
-
-    /// Team size this pool was built for.
-    pub fn workers(&self) -> usize {
-        self.slots.len()
     }
 
     /// The scheduler counters accumulated across every round so far.
@@ -636,5 +645,26 @@ mod tests {
         let pool = StealPool::new(1);
         pool.begin(4);
         pool.begin(4); // nothing was driven: 4 items silently discarded
+    }
+
+    #[test]
+    fn chunk_size_is_sane() {
+        assert!(chunk_size(1_000_000, 4) <= 256);
+        assert!(chunk_size(100, 4) >= 1);
+        assert_eq!(chunk_size(1, 64), 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "empty worklist")]
+    fn chunk_size_rejects_empty_worklists_in_debug() {
+        let _ = chunk_size(0, 4);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "zero-thread team")]
+    fn chunk_size_rejects_zero_threads_in_debug() {
+        let _ = chunk_size(100, 0);
     }
 }

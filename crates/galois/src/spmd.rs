@@ -7,9 +7,9 @@
 //! `std::thread::scope` fits naturally because the team lives exactly as
 //! long as the pass.
 
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
+
+use crate::sched::{ItemOutcome, StealPool};
 
 /// Handle given to each SPMD worker.
 pub struct Worker<'a> {
@@ -96,52 +96,8 @@ where
     });
 }
 
-/// A one-shot shared index dispenser for dynamic load balancing: workers
-/// repeatedly grab disjoint chunks of `0..len` until it is drained.
-#[derive(Debug)]
-pub struct WorkQueue {
-    next: AtomicUsize,
-    len: usize,
-}
-
-impl WorkQueue {
-    /// Creates a dispenser over `0..len`.
-    pub fn new(len: usize) -> WorkQueue {
-        WorkQueue {
-            next: AtomicUsize::new(0),
-            len,
-        }
-    }
-
-    /// Grabs the next chunk of at most `chunk` indices, or `None` when
-    /// drained.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is zero.
-    pub fn next_chunk(&self, chunk: usize) -> Option<Range<usize>> {
-        assert!(chunk > 0);
-        let start = self.next.fetch_add(chunk, Ordering::Relaxed);
-        (start < self.len).then(|| start..(start + chunk).min(self.len))
-    }
-}
-
-/// Heuristic chunk size: small enough to balance, large enough to amortize
-/// the atomic increment.
-///
-/// # Panics
-///
-/// Panics (debug) if `len` or `num_threads` is zero — a zero-length
-/// worklist has no meaningful chunk size (callers must skip empty lists),
-/// and zero threads would divide by zero anyway.
-pub fn chunk_size(len: usize, num_threads: usize) -> usize {
-    debug_assert!(num_threads > 0, "chunk size for a zero-thread team");
-    debug_assert!(len > 0, "chunk size of an empty worklist");
-    (len / (num_threads.max(1) * 8)).clamp(1, 256)
-}
-
 /// Convenience: applies `f` to every item of `items` on a team of
-/// `num_threads` workers with dynamic chunked load balancing.
+/// `num_threads` workers, scheduled by a [`StealPool`].
 ///
 /// # Example
 ///
@@ -164,39 +120,22 @@ where
     if items.is_empty() {
         return;
     }
-    let queue = WorkQueue::new(items.len());
-    let chunk = chunk_size(items.len(), num_threads.max(1));
-    let queue = &queue;
-    let f = &f;
-    run_spmd(num_threads.max(1), |w| {
-        while let Some(range) = queue.next_chunk(chunk) {
-            for i in range {
-                f(w, &items[i]);
-            }
-        }
+    let threads = num_threads.max(1);
+    let pool = StealPool::new(threads);
+    pool.begin(items.len());
+    let (pool, f) = (&pool, &f);
+    run_spmd(threads, |w| {
+        pool.drive(w.id, |i, _| {
+            f(w, &items[i]);
+            ItemOutcome::Done
+        });
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn work_queue_covers_every_index_once() {
-        let queue = WorkQueue::new(10_000);
-        let hits: Vec<AtomicU64> = (0..10_000).map(|_| AtomicU64::new(0)).collect();
-        let queue = &queue;
-        let hits = &hits;
-        run_spmd(4, |_w| {
-            while let Some(range) = queue.next_chunk(64) {
-                for i in range {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
     #[test]
     fn barrier_elects_exactly_one_leader() {
@@ -238,26 +177,5 @@ mod tests {
     fn parallel_for_on_empty_slice_is_fine() {
         let data: Vec<u32> = Vec::new();
         parallel_for(4, &data, |_, _| panic!("must not be called"));
-    }
-
-    #[test]
-    fn chunk_size_is_sane() {
-        assert!(chunk_size(1_000_000, 4) <= 256);
-        assert!(chunk_size(100, 4) >= 1);
-        assert_eq!(chunk_size(1, 64), 1);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "empty worklist")]
-    fn chunk_size_rejects_empty_worklists_in_debug() {
-        let _ = chunk_size(0, 4);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "zero-thread team")]
-    fn chunk_size_rejects_zero_threads_in_debug() {
-        let _ = chunk_size(100, 0);
     }
 }

@@ -68,10 +68,10 @@ impl SpecStats {
     /// Records a lock-acquisition conflict.
     ///
     /// The observability events below are emitted *only* here (and in the
-    /// other `record_*` methods), never in [`SpecStats::merge`], so the
-    /// global obs counters always equal the sum of leaf-level recordings —
-    /// the drift test in `crates/core/tests/obs_spec_drift.rs` relies on
-    /// this.
+    /// other `record_*` methods) — counters are never aggregated from other
+    /// ledgers — so the global obs counters always equal the sum of
+    /// leaf-level recordings; the drift test in
+    /// `crates/core/tests/obs_spec_drift.rs` relies on this.
     pub fn record_conflict(&self) {
         self.conflicts.fetch_add(1, Ordering::Relaxed);
         if dacpara_obs::is_enabled() {
@@ -146,35 +146,6 @@ impl SpecStats {
         }
     }
 
-    /// Adds another set of counters into this one.
-    ///
-    /// Deliberately emits no observability events: each event was already
-    /// recorded once by the leaf-level `record_*` call, and re-emitting on
-    /// merge would double-count.
-    pub fn merge(&self, other: &SpecStats) {
-        self.attempts.fetch_add(other.attempts(), Ordering::Relaxed);
-        self.conflicts
-            .fetch_add(other.conflicts(), Ordering::Relaxed);
-        self.commits.fetch_add(other.commits(), Ordering::Relaxed);
-        self.aborts.fetch_add(other.aborts(), Ordering::Relaxed);
-        self.wasted_ns
-            .fetch_add(other.wasted_ns(), Ordering::Relaxed);
-        self.useful_ns
-            .fetch_add(other.useful_ns(), Ordering::Relaxed);
-    }
-
-    /// Adds a plain-value snapshot (typically a [`SpecSnapshot::since`]
-    /// delta) into these counters. Like [`SpecStats::merge`], emits no
-    /// observability events.
-    pub fn merge_snapshot(&self, snap: &SpecSnapshot) {
-        self.attempts.fetch_add(snap.attempts, Ordering::Relaxed);
-        self.conflicts.fetch_add(snap.conflicts, Ordering::Relaxed);
-        self.commits.fetch_add(snap.commits, Ordering::Relaxed);
-        self.aborts.fetch_add(snap.aborts, Ordering::Relaxed);
-        self.wasted_ns.fetch_add(snap.wasted_ns, Ordering::Relaxed);
-        self.useful_ns.fetch_add(snap.useful_ns, Ordering::Relaxed);
-    }
-
     /// Plain-value snapshot for reporting.
     pub fn snapshot(&self) -> SpecSnapshot {
         SpecSnapshot {
@@ -206,20 +177,6 @@ pub struct SpecSnapshot {
 }
 
 impl SpecSnapshot {
-    /// The counters accumulated since `baseline` was taken (saturating).
-    /// Lets a long-lived [`crate::LockTable`] report per-pass deltas
-    /// without double-counting earlier passes.
-    pub fn since(&self, baseline: &SpecSnapshot) -> SpecSnapshot {
-        SpecSnapshot {
-            attempts: self.attempts.saturating_sub(baseline.attempts),
-            conflicts: self.conflicts.saturating_sub(baseline.conflicts),
-            commits: self.commits.saturating_sub(baseline.commits),
-            aborts: self.aborts.saturating_sub(baseline.aborts),
-            wasted_ns: self.wasted_ns.saturating_sub(baseline.wasted_ns),
-            useful_ns: self.useful_ns.saturating_sub(baseline.useful_ns),
-        }
-    }
-
     /// Fraction of operator time discarded.
     pub fn wasted_fraction(&self) -> f64 {
         let total = (self.wasted_ns + self.useful_ns) as f64;
@@ -262,19 +219,6 @@ mod tests {
         assert_eq!(s.commits() + s.aborts(), s.attempts());
         assert_eq!(s.conflicts(), 1);
         assert!((s.wasted_fraction() - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_sums_counters() {
-        let a = SpecStats::new();
-        let b = SpecStats::new();
-        a.record_commit(Duration::from_nanos(10));
-        b.record_abort(Duration::from_nanos(30));
-        a.merge(&b);
-        let snap = a.snapshot();
-        assert_eq!(snap.commits, 1);
-        assert_eq!(snap.aborts, 1);
-        assert_eq!(snap.wasted_ns, 30);
     }
 
     #[test]

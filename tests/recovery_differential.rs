@@ -338,6 +338,55 @@ fn contained_panic_is_recovered_and_validated() {
     }
 }
 
+/// With `runs: 2`, a fault in the second run salvages the first run's
+/// commits too: `salvaged_commits` counts every commit since the last
+/// salvage point, as `RewriteSession::recover` documents, and both engines
+/// must agree on that.
+#[test]
+fn second_run_fault_salvages_the_first_runs_commits() {
+    let _serial = exclusive();
+    silence_injected_panics();
+    let suite = full_suite(Scale::Test);
+    let bench = suite
+        .iter()
+        .max_by_key(|b| b.aig.num_ands())
+        .expect("non-empty suite");
+    for engine in [Engine::DacPara, Engine::Iccad18] {
+        // One worker keeps the pass deterministic, so a fault-free single
+        // run tells how many operator activities run 1 makes and how many
+        // replacements it commits.
+        let one_run = RewriteConfig::rewrite_op().with_threads(1);
+        let label = format!("second-run fault {engine} on {}", bench.name);
+        eprintln!("[recov] {label}");
+        let (_, first) = run_with_watchdog(&label, bench.aig.clone(), engine, one_run.clone());
+        let first = first.unwrap_or_else(|e| panic!("{label}: fault-free run failed: {e}"));
+        assert!(first.replacements > 0, "{label}: run 1 must commit");
+        assert_eq!(first.spec.aborts, 0, "{label}: one worker never conflicts");
+        // The first operator activity of run 2 panics, so every commit the
+        // recovery carries over was made by run 1.
+        let spec = format!("operator.panic=@{}*1", first.spec.attempts + 1);
+        let plan = FaultPlan::parse(&spec, 0).expect("valid spec");
+        let injection = dacpara_fault::inject(&plan);
+        let cfg = RewriteConfig { runs: 2, ..one_run };
+        let (aig, result) = run_with_watchdog(&label, bench.aig.clone(), engine, cfg);
+        assert_eq!(
+            injection.fired(points::OPERATOR_PANIC),
+            1,
+            "{label}: the panic must fire in run 2"
+        );
+        drop(injection);
+        let stats = result.unwrap_or_else(|e| panic!("{label}: panic was not recovered: {e}"));
+        assert_recovered_ok(bench, &aig, &stats, &label);
+        assert_eq!(stats.recoveries, 1, "{label}: {}", stats.summary());
+        assert_eq!(
+            stats.salvaged_commits,
+            first.replacements,
+            "{label}: the salvage must include run 1's commits: {}",
+            stats.summary()
+        );
+    }
+}
+
 /// When every operator invocation panics, the per-session panic-recovery
 /// budget runs out and the pass must surface the contained panic as
 /// `Err(AigError::WorkerPanicked)` — leaving the caller's graph untouched —
