@@ -4,7 +4,7 @@
 //! ```text
 //! rewrite [--engine NAME] [--threads N] [--passes N]
 //!         [--runs N] [--zeros] [--classes 134|222] [--check]
-//!         [--headroom X.Y] [--max-regrowths N]
+//!         [--headroom X.Y]
 //!         [--trace FILE.json] [--metrics FILE.jsonl]
 //!         [--in FILE.{aag,aig,blif}|--bench NAME[:scale]]
 //!         [--out FILE.{aag,aig,blif,v,dot}]
@@ -36,9 +36,10 @@
 //!
 //! * `--headroom X.Y` — arena slack factor for the concurrent engines
 //!   (default 1.6; must be ≥ 1.0 and finite).
-//! * `--max-regrowths N` — how many times an exhausted arena may be
-//!   re-homed with doubled headroom before the pass gives up (default 4;
-//!   `0` disables in-pass recovery).
+//! * `--max-regrowths N` is gone. A session recovers in-pass at most
+//!   eight times, arena exhaustion and contained panics combined, and
+//!   each exhaustion doubles the headroom. To avoid regrowths, raise
+//!   `--headroom`; there is no way to turn in-pass recovery off.
 //! * `DACPARA_FAULT_SPEC` / `DACPARA_FAULT_SEED` — arm the deterministic
 //!   fault-injection harness (e.g. `arena.alloc=1/64*2`); the armed plan is
 //!   echoed to stderr. See the `dacpara-fault` crate docs for the grammar.
@@ -109,9 +110,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--headroom" => {
                 cfg.headroom = parse_num("--headroom", it.next())?;
-            }
-            "--max-regrowths" => {
-                cfg.max_regrowths = parse_num("--max-regrowths", it.next())?;
             }
             "--zeros" => cfg.use_zeros = true,
             "--check" => check = true,
@@ -221,7 +219,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: rewrite [--engine NAME] [--threads N] [--passes N] \
                  [--runs N] [--zeros] [--classes 134|222] [--check] \
-                 [--headroom X.Y] [--max-regrowths N] \
+                 [--headroom X.Y] \
                  [--trace FILE.json] [--metrics FILE.jsonl] \
                  (--in FILE.aag | --bench NAME[:test|small|medium]) [--out FILE.aag]"
             );

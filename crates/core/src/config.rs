@@ -85,12 +85,6 @@ pub struct RewriteConfig {
     /// Use the enumeration-refined structure library (slower first-use
     /// build, slightly better structures; see `dacpara_nst::refine`).
     pub refined_library: bool,
-    /// How many times a concurrent pass may recover from arena exhaustion
-    /// by salvaging committed work and re-homing into a geometrically
-    /// grown arena before [`dacpara_aig::AigError::CapacityExhausted`] is
-    /// propagated to the caller. `0` disables in-pass recovery (the
-    /// pre-recovery fail-fast behaviour).
-    pub max_regrowths: usize,
 }
 
 impl RewriteConfig {
@@ -108,7 +102,6 @@ impl RewriteConfig {
             level_partition: true,
             revalidate: true,
             refined_library: false,
-            max_regrowths: 4,
         }
     }
 

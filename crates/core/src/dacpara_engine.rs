@@ -331,28 +331,14 @@ fn replace_operator(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::assert_equiv;
     use dacpara_circuits::{arith, control, mtm, MtmParams};
-    use dacpara_equiv::{check_equivalence, CecConfig, CecResult};
 
     fn cfg(threads: usize) -> RewriteConfig {
         RewriteConfig {
             num_classes: 222,
             threads,
             ..RewriteConfig::rewrite_op()
-        }
-    }
-
-    fn assert_equiv(before: &Aig, after: &Aig) {
-        // Bounded SAT budget: a counterexample is always a failure; an
-        // exhausted budget falls back on the (passing) simulation check.
-        let cfg = CecConfig {
-            sim_rounds: 32,
-            max_conflicts: 100_000,
-            seed: 0xDAC,
-        };
-        match check_equivalence(before, after, &cfg) {
-            CecResult::Equivalent | CecResult::Undecided => {}
-            CecResult::Inequivalent(_) => panic!("rewriting broke equivalence"),
         }
     }
 

@@ -18,6 +18,7 @@ use dacpara_npn::{canon, ClassId, ClassRegistry, NpnTransform, Tt4};
 use dacpara_nst::{NpnLibrary, StructIn, Structure, MAX_STRUCTURE_GATES};
 use dacpara_obs::LogHistogram;
 
+use crate::validity::verify_cut;
 use crate::RewriteConfig;
 
 /// Cached observability handles for the evaluation hot path.
@@ -512,34 +513,70 @@ pub fn reevaluate_structure<V: AigRead + ?Sized>(
 /// Something that can create AND gates — lets the structure builder run on
 /// both the serial and the concurrent graph.
 pub trait AndBuilder {
+    /// The graph the builder reads back from.
+    type View: AigRead + ?Sized;
+
     /// Creates (or finds) the AND of two literals.
     ///
     /// # Errors
     ///
     /// The concurrent implementation reports arena exhaustion.
     fn and(&mut self, a: Lit, b: Lit) -> Result<Lit, AigError>;
+
+    /// Read access to the graph being built on.
+    fn view(&self) -> &Self::View;
 }
 
 impl AndBuilder for Aig {
+    type View = Aig;
+
     fn and(&mut self, a: Lit, b: Lit) -> Result<Lit, AigError> {
         Ok(self.add_and(a, b))
+    }
+
+    fn view(&self) -> &Aig {
+        self
     }
 }
 
 /// Concurrent builder: the caller must hold the engine locks on every node
 /// that may serve as a fanin (cut leaves and shareable nodes).
 impl AndBuilder for &ConcurrentAig {
+    type View = ConcurrentAig;
+
     fn and(&mut self, a: Lit, b: Lit) -> Result<Lit, AigError> {
         self.add_and_locked(a, b)
     }
+
+    fn view(&self) -> &ConcurrentAig {
+        self
+    }
+}
+
+/// The function of `lit` over `leaves`, or `None` when the leaves do not
+/// cut it off from the inputs.
+fn lit_tt<V: AigRead + ?Sized>(view: &V, lit: Lit, leaves: &[NodeId]) -> Option<Tt4> {
+    let tt = if lit.node() == NodeId::CONST0 {
+        Tt4::FALSE
+    } else {
+        verify_cut(view, lit.node(), leaves)?.1
+    };
+    Some(if lit.is_complement() { !tt } else { tt })
 }
 
 /// Materializes the candidate's structure on the graph and returns the new
 /// root literal (which may be an existing node thanks to sharing).
 ///
+/// The returned root is *certified*: its function over `cand.leaves`,
+/// evaluated on the graph just built, equals `cand.tt`. A root that fails
+/// the certificate is refused — nothing is rewired, and the gates built
+/// for it are left dangling for the next sweep (see ARCHITECTURE.md §12).
+///
 /// # Errors
 ///
-/// Propagates arena exhaustion from the concurrent builder.
+/// Propagates arena exhaustion from the concurrent builder, and returns
+/// [`AigError::InvariantViolation`] when the built root does not compute
+/// `cand.tt` over the leaves.
 pub fn build_replacement<B: AndBuilder>(
     builder: &mut B,
     cand: &Candidate,
@@ -563,7 +600,14 @@ pub fn build_replacement<B: AndBuilder>(
         let b = resolve(gate[1], &vals);
         vals.push(builder.and(a, b)?);
     }
-    Ok(resolve(structure.root(), &vals).xor(out_neg))
+    let root = resolve(structure.root(), &vals).xor(out_neg);
+    if lit_tt(builder.view(), root, &cand.leaves) != Some(cand.tt) {
+        return Err(AigError::InvariantViolation(format!(
+            "replacement root {root:?} does not compute the cut function over {:?}",
+            cand.leaves
+        )));
+    }
+    Ok(root)
 }
 
 #[cfg(test)]
@@ -635,6 +679,50 @@ mod tests {
             check_equivalence(&golden, &aig, &CecConfig::default()),
             CecResult::Equivalent
         );
+    }
+
+    /// Candidates whose transform does not realize their table: the output
+    /// flipped, and every input flipped (majority is self-dual, so that
+    /// complements it too).
+    fn miswired(cand: &Candidate) -> [Candidate; 2] {
+        let mut out = cand.clone();
+        out.transform.output_neg ^= true;
+        let mut inputs = cand.clone();
+        inputs.transform.input_neg ^= 0b1111;
+        [out, inputs]
+    }
+
+    #[test]
+    fn certificate_refuses_a_root_that_misses_the_cut_function() {
+        let (aig, root) = wasteful_majority();
+        let store = CutStore::new(aig.slot_count(), CutConfig::unlimited());
+        let cuts = store.cuts(&aig, root);
+        let cand = evaluate_node(&aig, root, &cuts, &ctx()).unwrap();
+        for bad in miswired(&cand) {
+            let mut serial = aig.clone();
+            let err = build_replacement(&mut serial, &bad, NpnLibrary::global());
+            assert!(
+                matches!(err, Err(AigError::InvariantViolation(_))),
+                "serial: {bad:?} must be refused, got {err:?}"
+            );
+            serial.check().unwrap();
+            assert_eq!(
+                check_equivalence(&aig, &serial, &CecConfig::default()),
+                CecResult::Equivalent
+            );
+
+            let shared = ConcurrentAig::from_aig(&aig, 2.0).unwrap();
+            let err = build_replacement(&mut &shared, &bad, NpnLibrary::global());
+            assert!(
+                matches!(err, Err(AigError::InvariantViolation(_))),
+                "concurrent: {bad:?} must be refused, got {err:?}"
+            );
+            shared.check().unwrap();
+            assert_eq!(
+                check_equivalence(&aig, &shared.to_aig(), &CecConfig::default()),
+                CecResult::Equivalent
+            );
+        }
     }
 
     #[test]

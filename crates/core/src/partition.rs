@@ -36,8 +36,8 @@ struct Region {
 ///
 /// # Errors
 ///
-/// Propagates any error from the per-region serial engine (currently none
-/// in practice — the serial arena grows on demand).
+/// Propagates any error from the per-region serial engine (a replacement
+/// that fails its certificate; the serial arena grows on demand).
 ///
 /// # Example
 ///
@@ -309,26 +309,14 @@ fn instantiate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::assert_equiv;
     use dacpara_circuits::{arith, control, mtm, MtmParams};
-    use dacpara_equiv::{check_equivalence, CecConfig, CecResult};
 
     fn cfg() -> RewriteConfig {
         RewriteConfig {
             num_classes: 222,
             threads: 3,
             ..RewriteConfig::rewrite_op()
-        }
-    }
-
-    fn assert_equiv(before: &Aig, after: &Aig) {
-        let cec = CecConfig {
-            sim_rounds: 32,
-            max_conflicts: 100_000,
-            seed: 0xDAC,
-        };
-        match check_equivalence(before, after, &cec) {
-            CecResult::Equivalent | CecResult::Undecided => {}
-            CecResult::Inequivalent(_) => panic!("partition rewriting broke equivalence"),
         }
     }
 

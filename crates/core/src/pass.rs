@@ -102,15 +102,17 @@ impl std::str::FromStr for Engine {
 }
 
 /// Runs one engine over the graph, in place. Every engine takes exactly
-/// `(aig, cfg)` — engine-specific knobs (like the partition engine's region
-/// count) live in [`RewriteConfig`].
+/// `(aig, cfg)`: what an engine tunes lives in [`RewriteConfig`] or is
+/// derived from it (the partition engine uses `2 × threads` regions).
 ///
 /// # Errors
 ///
 /// Returns the [`crate::ConfigError`] (mapped through [`AigError`]) if `cfg`
-/// fails [`RewriteConfig::validate`], or
-/// [`AigError::CapacityExhausted`] from the concurrent engines when
-/// [`RewriteConfig::headroom`] is too small.
+/// fails [`RewriteConfig::validate`];
+/// [`AigError::CapacityExhausted`] or [`AigError::WorkerPanicked`] from
+/// the concurrent engines once the session's recovery budget is spent; or
+/// [`AigError::InvariantViolation`] if a replacement fails its certificate
+/// (see [`crate::build_replacement`]).
 ///
 /// # Example
 ///

@@ -21,11 +21,9 @@ use crate::{RewriteConfig, RewriteStats};
 ///
 /// # Errors
 ///
-/// The serial engine itself cannot fail (its arena grows on demand), but it
-/// returns `Result` like every other engine so `run_engine` and session
-/// flows need no special case. The only current error source is
-/// replacement-builder arena exhaustion, which the growable serial [`Aig`]
-/// never triggers.
+/// The serial arena grows on demand, so the only error is a replacement
+/// that fails its certificate ([`AigError::InvariantViolation`], see
+/// [`crate::build_replacement`]).
 ///
 /// # Example
 ///
@@ -98,27 +96,13 @@ pub fn rewrite_serial(aig: &mut Aig, cfg: &RewriteConfig) -> Result<RewriteStats
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::assert_equiv;
     use dacpara_circuits::{arith, control, mtm, MtmParams};
-    use dacpara_equiv::{check_equivalence, CecConfig, CecResult};
 
     fn cfg() -> RewriteConfig {
         RewriteConfig {
             num_classes: 222,
             ..RewriteConfig::rewrite_op()
-        }
-    }
-
-    fn assert_equiv(before: &Aig, after: &Aig) {
-        // Bounded SAT budget: a counterexample is always a failure; an
-        // exhausted budget falls back on the (passing) simulation check.
-        let cfg = CecConfig {
-            sim_rounds: 32,
-            max_conflicts: 100_000,
-            seed: 0xDAC,
-        };
-        match check_equivalence(before, after, &cfg) {
-            CecResult::Equivalent | CecResult::Undecided => {}
-            CecResult::Inequivalent(_) => panic!("rewriting broke equivalence"),
         }
     }
 

@@ -37,7 +37,6 @@ use std::time::Instant;
 use dacpara_aig::concurrent::ConcurrentAig;
 use dacpara_aig::{Aig, AigError, AigRead, NodeId};
 use dacpara_cut::CutStore;
-use dacpara_equiv::{check_equivalence, CecConfig, CecResult};
 use dacpara_galois::{LockTable, SpecStats, StealPool};
 use parking_lot::Mutex;
 
@@ -78,33 +77,25 @@ pub struct RewriteSession {
     fresh: bool,
     converged: bool,
     passes_run: usize,
-    /// Serial snapshot known equivalent to the current graph (committed
-    /// rewrites are equivalence-preserving, so it stays valid across
-    /// passes; refreshed by [`RewriteSession::resync`] because external
-    /// mutation carries no such guarantee). The panic-recovery path
-    /// CEC-checks salvaged graphs against it before accepting them.
-    golden: Aig,
     /// Effective arena headroom: starts at [`RewriteConfig::headroom`] and
     /// grows geometrically on each exhaustion recovery, persisting across
     /// passes so a session that needed headroom once keeps it.
     cur_headroom: f64,
-    /// Exhaustion recoveries performed, bounded by
-    /// [`RewriteConfig::max_regrowths`] over the session lifetime.
-    regrowths: u64,
-    /// Contained-panic recoveries performed, bounded by
-    /// [`MAX_PANIC_RECOVERIES`] over the session lifetime.
-    panic_recoveries: u64,
+    /// In-pass recoveries performed, bounded by [`MAX_RECOVERIES`] over the
+    /// session lifetime.
+    recoveries: u64,
 }
 
 /// Headroom multiplier applied on each arena-exhaustion recovery.
 const REGROWTH_FACTOR: f64 = 2.0;
 
-/// Session-lifetime bound on contained-panic recoveries. A panic is a bug,
-/// not an expected operating condition like exhaustion, so the bound is a
-/// fixed backstop rather than a tunable: recover a few times to finish the
-/// flow, but a persistently panicking operator must eventually surface as
-/// [`AigError::WorkerPanicked`].
-const MAX_PANIC_RECOVERIES: u64 = 4;
+/// Session-lifetime bound on in-pass recoveries, arena exhaustion and
+/// contained panics alike. A fixed backstop rather than a tunable: each
+/// exhaustion doubles the headroom, so a few recoveries cover any real
+/// shortfall, and a persistently failing operator must eventually surface
+/// its error ([`AigError::CapacityExhausted`] or
+/// [`AigError::WorkerPanicked`]) instead of looping.
+const MAX_RECOVERIES: u64 = 8;
 
 impl RewriteSession {
     /// Builds a session over a copy of `aig`, allocating the concurrent
@@ -132,9 +123,7 @@ impl RewriteSession {
             fresh: true,
             converged: false,
             passes_run: 0,
-            golden: aig.clone(),
-            regrowths: 0,
-            panic_recoveries: 0,
+            recoveries: 0,
         })
     }
 
@@ -203,27 +192,17 @@ impl RewriteSession {
         self.extract()
     }
 
-    /// Re-initializes the session from an externally mutated graph, reusing
-    /// every allocation that is still large enough. The cut memo is reset
-    /// (node ids were renumbered) and the next pass processes the whole
-    /// graph again. The golden equivalence snapshot is refreshed: external
-    /// mutation carries no equivalence guarantee.
+    /// Re-homes the session onto `aig` at the current effective headroom,
+    /// reusing every allocation that is still large enough — after an
+    /// external mutation, and after an in-pass recovery. The cut memo is
+    /// reset (node ids were renumbered) and the next pass processes the
+    /// whole graph again.
     ///
     /// # Errors
     ///
     /// Propagates [`ConcurrentAig::resync_from`] sizing errors; the session
     /// keeps its previous graph on error.
     pub fn resync(&mut self, aig: &Aig) -> Result<(), AigError> {
-        self.rehome(aig)?;
-        self.golden = aig.clone();
-        Ok(())
-    }
-
-    /// Re-homes the session onto `aig` at the current effective headroom
-    /// without touching the golden snapshot (shared by [`RewriteSession::resync`]
-    /// and the in-pass recovery paths, whose graphs are already known
-    /// equivalent to it).
-    fn rehome(&mut self, aig: &Aig) -> Result<(), AigError> {
         self.shared.resync_from(aig, self.cur_headroom)?;
         let cap = self.shared.capacity();
         self.store.grow(cap);
@@ -288,8 +267,8 @@ impl RewriteSession {
                     run += 1;
                 }
                 Some(e) => {
-                    // `recover` propagates the error once its budget
-                    // (max_regrowths / panic backstop) is spent.
+                    // `recover` propagates the error once the session's
+                    // recovery budget is spent.
                     let committed = pass.replacements.load(Ordering::Relaxed);
                     self.recover(e, &mut stats, committed - salvage_mark)?;
                     salvage_mark = committed;
@@ -319,8 +298,16 @@ impl RewriteSession {
     /// graph and the interrupted pass should redo its current run from a
     /// full worklist (resync renumbers nodes, so the pre-fault dirty set is
     /// not translatable — the full list is its superset). On `Err` the
-    /// caller must propagate: the fault is either not recoverable, over its
-    /// budget, or the salvaged graph failed validation.
+    /// caller must propagate: the fault is either not recoverable, over the
+    /// [`MAX_RECOVERIES`] budget, or the salvaged graph failed
+    /// [`ConcurrentAig::check`].
+    ///
+    /// Arena exhaustion and contained panics take the same path. Every
+    /// commit installed a root that passed its certificate (see
+    /// [`crate::build_replacement`]), so whatever point the team stopped
+    /// at, the salvaged graph is function-equivalent to the pass input, or
+    /// structurally broken in a way `check()` rejects (ARCHITECTURE.md
+    /// §12). Only exhaustion doubles the headroom.
     ///
     /// `newly_committed` is the number of replacements committed since the
     /// last salvage point; it feeds [`RewriteStats::salvaged_commits`].
@@ -330,71 +317,37 @@ impl RewriteSession {
         stats: &mut RewriteStats,
         newly_committed: u64,
     ) -> Result<(), AigError> {
-        match err {
-            AigError::CapacityExhausted { .. } => {
-                if self.regrowths >= self.cfg.max_regrowths as u64 {
-                    return Err(err);
-                }
-                // Commits are atomic under all-or-nothing locks, so after
-                // the team drained, the shared graph is consistent — at
-                // worst a failed replacement left a dangling (unreferenced)
-                // cone behind. Restore canonicity, drop dangling cones, and
-                // re-home into a geometrically larger arena.
-                self.canonicalize_and_sweep(true);
-                let salvaged = self.extract();
-                self.cur_headroom *= REGROWTH_FACTOR;
-                self.rehome(&salvaged)?;
-                self.regrowths += 1;
-                stats.regrowths += 1;
-                if dacpara_obs::is_enabled() {
-                    dacpara_obs::counter("session.regrowths").incr();
-                }
-                self.note_recovery(stats, newly_committed);
-                Ok(())
-            }
-            AigError::WorkerPanicked { .. } => {
-                if self.panic_recoveries >= MAX_PANIC_RECOVERIES {
-                    return Err(err);
-                }
-                // A panic escaping an operator voids the locking-discipline
-                // argument that exhaustion recovery leans on, so the
-                // salvaged graph must prove itself: structural invariants
-                // first, then equivalence against the golden snapshot.
-                self.canonicalize_and_sweep(true);
-                if self.shared.check().is_err() {
-                    return Err(err);
-                }
-                let salvaged = self.extract();
-                let cec = CecConfig {
-                    sim_rounds: 32,
-                    max_conflicts: 100_000,
-                    seed: 0xFA17,
-                };
-                // `Undecided` passes: simulation found no difference and
-                // the bounded SAT budget simply ran out — the same policy
-                // the differential suites use for large graphs.
-                if let CecResult::Inequivalent(_) = check_equivalence(&self.golden, &salvaged, &cec)
-                {
-                    return Err(err);
-                }
-                self.rehome(&salvaged)?;
-                self.panic_recoveries += 1;
-                self.note_recovery(stats, newly_committed);
-                Ok(())
-            }
-            other => Err(other),
+        let exhausted = match err {
+            AigError::CapacityExhausted { .. } => true,
+            AigError::WorkerPanicked { .. } => false,
+            other => return Err(other),
+        };
+        if self.recoveries >= MAX_RECOVERIES {
+            return Err(err);
         }
-    }
-
-    /// Common bookkeeping for a successful recovery: stats fields plus the
-    /// drift-checked `session.*` obs counters.
-    fn note_recovery(&self, stats: &mut RewriteStats, newly_committed: u64) {
+        // Restore canonicity and drop the dangling cones a failed or
+        // interrupted replacement left behind, then prove the structure.
+        self.canonicalize_and_sweep(true);
+        if self.shared.check().is_err() {
+            return Err(err);
+        }
+        let salvaged = self.extract();
+        if exhausted {
+            self.cur_headroom *= REGROWTH_FACTOR;
+        }
+        self.resync(&salvaged)?;
+        self.recoveries += 1;
         stats.recoveries += 1;
+        stats.regrowths += u64::from(exhausted);
         stats.salvaged_commits += newly_committed;
         if dacpara_obs::is_enabled() {
             dacpara_obs::counter("session.recoveries").incr();
+            if exhausted {
+                dacpara_obs::counter("session.regrowths").incr();
+            }
             dacpara_obs::counter("session.salvaged_commits").add(newly_committed);
         }
+        Ok(())
     }
 
     /// The worklist for the next resident pass: every live AND node on a

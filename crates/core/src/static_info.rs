@@ -48,8 +48,8 @@ impl StaticMode {
 ///
 /// # Errors
 ///
-/// Currently infallible (kept `Result` for interface parity with the
-/// concurrent engines).
+/// Returns [`AigError::InvariantViolation`] if a replacement fails its
+/// certificate (see [`crate::build_replacement`]).
 pub fn rewrite_static(
     aig: &mut Aig,
     cfg: &RewriteConfig,
@@ -123,8 +123,7 @@ pub fn rewrite_static(
                     continue;
                 }
             }
-            let root = build_replacement(aig, &cand, ctx.lib)
-                .expect("the serial builder cannot exhaust an arena");
+            let root = build_replacement(aig, &cand, ctx.lib)?;
             if root.node() != n {
                 aig.replace(n, root);
                 stats.replacements += 1;
@@ -143,28 +142,14 @@ pub fn rewrite_static(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::assert_equiv;
     use dacpara_circuits::{arith, control, mtm, MtmParams};
-    use dacpara_equiv::{check_equivalence, CecConfig, CecResult};
 
     fn cfg() -> RewriteConfig {
         RewriteConfig {
             num_classes: 222,
             threads: 3,
             ..RewriteConfig::rewrite_op()
-        }
-    }
-
-    fn assert_equiv(before: &Aig, after: &Aig) {
-        // Bounded SAT budget: a counterexample is always a failure; an
-        // exhausted budget falls back on the (passing) simulation check.
-        let cfg = CecConfig {
-            sim_rounds: 32,
-            max_conflicts: 100_000,
-            seed: 0xDAC,
-        };
-        match check_equivalence(before, after, &cfg) {
-            CecResult::Equivalent | CecResult::Undecided => {}
-            CecResult::Inequivalent(_) => panic!("rewriting broke equivalence"),
         }
     }
 

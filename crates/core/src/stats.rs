@@ -46,9 +46,9 @@ pub struct RewriteStats {
     /// work and resumed instead of returning `Err` (arena exhaustion and
     /// contained worker panics combined).
     pub recoveries: u64,
-    /// Recoveries that re-homed the graph into a geometrically grown arena
-    /// (the arena-exhaustion subset of [`RewriteStats::recoveries`], bounded
-    /// by [`crate::RewriteConfig::max_regrowths`]).
+    /// Recoveries that re-homed the graph into a geometrically grown arena:
+    /// the arena-exhaustion subset of [`RewriteStats::recoveries`]. Both
+    /// kinds share one fixed session budget of eight recoveries.
     pub regrowths: u64,
     /// Replacements that had committed before a fault and were carried into
     /// the recovered graph rather than discarded.

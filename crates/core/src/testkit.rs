@@ -141,6 +141,21 @@ pub fn run_matrix_point(golden: &Aig, point: &MatrixPoint, budget: &CecBudget) -
     }
 }
 
+/// The engines' unit-test equivalence check: a counterexample always
+/// fails; an exhausted SAT budget falls back on the (passing) simulation
+/// check.
+#[cfg(test)]
+pub(crate) fn assert_equiv(before: &Aig, after: &Aig) {
+    let cfg = dacpara_equiv::CecConfig {
+        sim_rounds: 32,
+        max_conflicts: 100_000,
+        seed: 0xDAC,
+    };
+    if let CecResult::Inequivalent(_) = dacpara_equiv::check_equivalence(before, after, &cfg) {
+        panic!("rewriting broke equivalence");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

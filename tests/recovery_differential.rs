@@ -32,6 +32,11 @@ use dacpara_circuits::{full_suite, Benchmark, Scale};
 use dacpara_equiv::{check_equivalence, random_sim_check, CecConfig, CecResult, SimOutcome};
 use dacpara_fault::{points, FaultPlan};
 
+/// The session's in-pass recovery budget (`MAX_RECOVERIES` in
+/// `crates/core/src/session.rs`), shared by arena exhaustion and contained
+/// panics.
+const MAX_RECOVERIES: u64 = 8;
+
 /// No single engine run on a test-scale circuit takes anywhere near this
 /// long; hitting it means a recovery path deadlocked (the class of bug the
 /// stage-guard seeding race produced) and the test must fail, not hang CI.
@@ -158,7 +163,7 @@ fn assert_recovered_ok(bench: &Benchmark, aig: &Aig, stats: &RewriteStats, label
 }
 
 /// Tentpole acceptance: at `headroom: 1.0` (arena sized to the live graph
-/// plus fixed slack) with the default regrowth budget, both concurrent
+/// plus fixed slack) with the session's recovery budget, both concurrent
 /// engines complete every test-scale circuit at 1/2/4 threads with zero
 /// `Err` and stay CEC-equivalent.
 ///
@@ -182,7 +187,6 @@ fn minimal_headroom_completes_every_circuit_via_regrowth() {
                     ..RewriteConfig::rewrite_op()
                 }
                 .with_threads(threads);
-                let max_regrowths = cfg.max_regrowths as u64;
                 let label = format!("{engine} x{threads} on {}", bench.name);
                 let (aig, result) = run_with_watchdog(&label, bench.aig.clone(), engine, cfg);
                 let stats = result
@@ -197,8 +201,8 @@ fn minimal_headroom_completes_every_circuit_via_regrowth() {
                     stats.summary()
                 );
                 assert!(
-                    stats.regrowths <= max_regrowths,
-                    "{label}: regrowth budget overrun: {}",
+                    stats.regrowths <= MAX_RECOVERIES,
+                    "{label}: recovery budget overrun: {}",
                     stats.summary()
                 );
             }
@@ -220,8 +224,8 @@ fn injected_faults_never_hang_or_break_equivalence() {
         .iter()
         .max_by_key(|b| b.aig.num_ands())
         .expect("non-empty suite");
-    // Rotated per seed; caps keep each plan inside the regrowth/panic
-    // budgets (an uncapped 1/N arena plan would fire on every grown arena
+    // Rotated per seed; caps keep each plan inside the recovery budget
+    // (an uncapped 1/N arena plan would fire on every grown arena
     // too and exhaust the budget by construction).
     const SPECS: [&str; 4] = [
         "arena.alloc=1/40*2",
@@ -240,10 +244,6 @@ fn injected_faults_never_hang_or_break_equivalence() {
         };
         let cfg = RewriteConfig {
             headroom: 1.0,
-            // Injected arena faults stack on top of the real exhaustion the
-            // minimal headroom already causes, so give the sweep more
-            // regrowth budget than the default.
-            max_regrowths: 8,
             ..RewriteConfig::rewrite_op()
         }
         .with_threads(threads);
@@ -304,8 +304,9 @@ fn injected_faults_never_hang_or_break_equivalence() {
 }
 
 /// A single injected operator panic must be contained (no abort, no hung
-/// scope join), validated (invariants + CEC against the pre-pass graph),
-/// and reported through `RewriteStats::recoveries`.
+/// scope join), validated (`check()` + certificates: every commit's root
+/// was certified before it was installed), and reported through
+/// `RewriteStats::recoveries`. The test still CECs the result itself.
 #[test]
 fn contained_panic_is_recovered_and_validated() {
     let _serial = exclusive();
@@ -387,7 +388,7 @@ fn second_run_fault_salvages_the_first_runs_commits() {
     }
 }
 
-/// When every operator invocation panics, the per-session panic-recovery
+/// When every operator invocation panics, the per-session recovery
 /// budget runs out and the pass must surface the contained panic as
 /// `Err(AigError::WorkerPanicked)` — leaving the caller's graph untouched —
 /// rather than aborting the process or spinning forever.
@@ -402,14 +403,20 @@ fn exhausted_panic_budget_surfaces_worker_panicked() {
         .expect("non-empty suite");
     for engine in [Engine::DacPara, Engine::Iccad18] {
         // One worker keeps the firing order deterministic: each round's
-        // first replacement panics, the team bails, recovery re-runs, and
-        // the fifth panic exceeds the budget of four.
+        // first operator activity panics, the team bails, recovery re-runs,
+        // and panic `MAX_RECOVERIES + 1` exceeds the budget.
         let cfg = RewriteConfig::rewrite_op().with_threads(1);
         let label = format!("panic-budget {engine} on {}", bench.name);
         eprintln!("[recov] {label}");
         let plan = FaultPlan::parse("operator.panic=1/1*64", 0).expect("valid spec");
-        let _injection = dacpara_fault::inject(&plan);
+        let injection = dacpara_fault::inject(&plan);
         let (aig, result) = run_with_watchdog(&label, bench.aig.clone(), engine, cfg);
+        assert_eq!(
+            injection.fired(points::OPERATOR_PANIC),
+            MAX_RECOVERIES + 1,
+            "{label}: the panic that surfaces must be the one past the budget"
+        );
+        drop(injection);
         match result {
             Err(AigError::WorkerPanicked { message }) => assert!(
                 message.contains("injected fault"),
