@@ -148,7 +148,7 @@ impl ConcurrentAig {
 
     /// Computes the arena capacity for `live` nodes under a headroom
     /// factor, entirely in checked integer math: the factor is quantized
-    /// once to [`HEADROOM_DENOM`]ths (rounding up), then scaled with
+    /// once to 1024ths (`HEADROOM_DENOM`, rounding up), then scaled with
     /// `checked_mul` so a huge factor or node count errors out instead of
     /// silently wrapping through an `f64 as usize` cast.
     pub fn scale_capacity(live: usize, headroom: f64) -> Result<usize, AigError> {

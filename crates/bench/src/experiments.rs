@@ -367,7 +367,7 @@ pub fn speedup(harness: &Harness) -> Exhibit {
 }
 
 /// All six engines side by side on the MtM set — the extra exhibit beyond
-/// the paper's tables (the partition engine is reference [15], included to
+/// the paper's tables (the partition engine is reference \[15\], included to
 /// contrast coarse-grain with node-level parallelism).
 pub fn engines(harness: &Harness) -> Exhibit {
     let suite = mtm_suite(harness.scale);

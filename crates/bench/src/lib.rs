@@ -9,8 +9,7 @@
 //! ```
 //!
 //! Results are printed as markdown and persisted (markdown + JSON) under
-//! `results/`. Criterion micro-benchmarks for the substrates live under
-//! `benches/`.
+//! `results/`.
 
 pub mod experiments;
 pub mod report;

@@ -115,12 +115,9 @@ pub(crate) fn round(
         for list in worklists {
             // -------- Stage 1: parallel cut enumeration.
             //
-            // Every worker must enter the drain loop even when a teammate
-            // has already reported an error: each worker seeds its own
-            // block of an armed round inside `drive`, so a worker that
-            // skipped the stage wholesale would strand its share as
-            // forever-pending items and the rest of the team would spin on
-            // the drain count. Bailing is per-item instead.
+            // Every worker enters the drain loop even when a teammate has
+            // already reported an error, and bails per item: a skipped
+            // block would only be stolen and drained by the teammates.
             begin_stage(list.len());
             {
                 let _obs = dacpara_obs::span("enumerate");

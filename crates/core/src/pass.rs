@@ -36,8 +36,8 @@ impl Engine {
         Engine::Partition,
     ];
 
-    /// Short name used in reports. [`Engine::from_str`] parses every name
-    /// this returns, so `Engine::from_str(e.name()) == Ok(e)`.
+    /// Short name used in reports. [`str::parse`] parses every name this
+    /// returns, so `e.name().parse::<Engine>() == Ok(e)`.
     pub fn name(self) -> &'static str {
         match self {
             Engine::AbcRewrite => "abc-rewrite",
@@ -62,7 +62,7 @@ impl std::fmt::Display for Engine {
     }
 }
 
-/// An engine name [`Engine::from_str`] did not recognize.
+/// An engine name [`str::parse`] did not recognize as an [`Engine`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseEngineError {
     input: String,

@@ -12,7 +12,7 @@
 //! * [`oracle`] — the differential oracle: every engine × thread count,
 //!   cross-checked with budgeted CEC and the structural
 //!   invariant checker, optionally under `dacpara-fault` injection,
-//! * [`shrink`] — a delta-debugging minimizer that keeps a failure alive
+//! * [`mod@shrink`] — a delta-debugging minimizer that keeps a failure alive
 //!   while the circuit shrinks (cone removal, node bypass, input merging),
 //! * [`corpus`] — replayable one-file entries (seed + AIGER + oracle
 //!   setup) under `fuzz/corpus/`.

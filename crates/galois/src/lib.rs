@@ -11,11 +11,11 @@
 //!   exactly "how much computation do aborts discard" ([`SpecStats`]),
 //! * **worklist execution** — a team of workers draining shared worklists
 //!   ([`run_spmd`], [`parallel_for`]),
-//! * **work stealing with in-round conflict retry** — per-worker Chase-Lev
-//!   deques with adaptive range splitting and per-worker retry queues, so
-//!   an aborted activity is re-tried within the same round instead of
-//!   serializing its worker or waiting for the next pass ([`StealPool`],
-//!   [`StealDeque`], [`SchedStats`]).
+//! * **work stealing with in-round conflict retry** — one packed index
+//!   range per worker, claimed from the front and split by CAS when a
+//!   teammate steals, plus per-worker retry queues, so an aborted activity
+//!   is re-tried within the same round instead of serializing its worker
+//!   or waiting for the next pass ([`StealPool`], [`SchedStats`]).
 //!
 //! # Example
 //!
@@ -39,13 +39,11 @@
 //! assert!(cells.iter().all(|c| c.load(Ordering::Relaxed) == 1));
 //! ```
 
-mod deque;
 mod locks;
 mod sched;
 mod spmd;
 mod stats;
 
-pub use deque::{Steal, StealDeque};
 pub use locks::{LockSet, LockTable};
 pub use sched::{ItemOutcome, SchedSnapshot, SchedStats, StealPool, MAX_SCHED_RETRIES};
 pub use spmd::{parallel_for, run_spmd, Worker};

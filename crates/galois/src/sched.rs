@@ -8,14 +8,15 @@
 //! each stage of both Galois engines, and [`crate::parallel_for`] —
 //! schedules through [`StealPool`] instead:
 //!
-//! * **Per-worker Chase-Lev deques** ([`crate::StealDeque`]). Each worker
-//!   seeds its own deque with one contiguous block of the worklist; idle
-//!   workers steal the oldest (largest) outstanding range from a victim.
-//! * **Adaptive chunk sizing.** A popped or stolen range larger than the
-//!   quantum (`len / (8 × workers)`, clamped to `1..=256`) is halved: the
-//!   tail half goes back on the worker's own deque — where thieves can
-//!   take it — and the head half is halved again, so chunk granularity
-//!   adapts to how much work is left instead of being fixed up front.
+//! * **One packed index range per worker.** [`StealPool::begin`] seeds
+//!   each worker's `[start, end)` word (`start << 32 | end`) with one
+//!   contiguous block of the worklist. The owner claims `chunk_size` items
+//!   from the front with one `fetch_add` on the start half; an idle worker
+//!   CASes a victim's range down to its front half and takes the back half
+//!   as its own range. A range word always names exactly the unclaimed
+//!   items its slot holds, so a CAS that succeeds — against the current
+//!   value, however the slot came to hold it — splits items nobody else
+//!   holds, and a CAS against an outdated value fails.
 //! * **A per-worker conflict retry queue.** An item whose operator reports
 //!   [`ItemOutcome::Retry`] (a Galois lock conflict) is re-enqueued on its
 //!   worker's retry queue with exponential backoff — measured in locally
@@ -25,16 +26,16 @@
 //!
 //! Termination: a round ends when every seeded item has reported
 //! [`ItemOutcome::Done`]. Retried items stay pending, so a worker whose
-//! deque and steal attempts come up empty keeps servicing its retry queue
+//! range and steal attempts come up empty keeps servicing its retry queue
 //! (forcing overdue entries rather than idling) until the global pending
-//! count reaches zero.
+//! count reaches zero. Because `begin` seeds every block, a worker that
+//! never calls [`StealPool::drive`] strands nothing: its teammates steal
+//! its block.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-
-use crate::deque::{Steal, StealDeque};
 
 /// What an operator did with a scheduled item.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -165,10 +166,15 @@ struct RetryEntry {
     not_before: u64,
 }
 
-/// Per-worker scheduler state, padded to its own cache-line neighborhood by
-/// the surrounding allocation order (deque ring dominates the footprint).
+/// Per-worker scheduler state.
 struct WorkerSlot {
-    deque: StealDeque,
+    /// This worker's unclaimed items, packed by [`pack`]. The owner claims
+    /// from the front, thieves CAS the back half away, and a successful
+    /// steal stores the stolen half as the thief's own range. The word
+    /// carries only indices — item data is published by the team's
+    /// barriers and by `pending` — so its acquire/release orderings are
+    /// conservative rather than load-bearing.
+    range: AtomicU64,
     /// Conflict retry queue. Only the owning worker pushes and pops; the
     /// mutex (uncontended in that regime) keeps the slot `Sync` so the pool
     /// can be shared by reference across the SPMD team.
@@ -181,26 +187,31 @@ struct WorkerSlot {
 impl WorkerSlot {
     fn new() -> WorkerSlot {
         WorkerSlot {
-            deque: StealDeque::new(1024),
+            range: AtomicU64::new(0),
             retry: Mutex::new(Vec::new()),
             clock: AtomicU64::new(0),
         }
     }
 }
 
-/// Packs an index range into one deque item. Worklists are bounded by the
-/// `u32` node-id space, so 32+32 bits always fit.
-fn pack(start: usize, end: usize) -> usize {
-    debug_assert!(end <= u32::MAX as usize && start <= end);
-    (start << 32) | end
+/// Packs the index range `start..end` into one word. Worklists are bounded
+/// by the `u32` node-id space; [`StealPool::begin`] keeps them below `2^31`
+/// so the start half has room for the owner's one overshooting claim.
+fn pack(start: usize, end: usize) -> u64 {
+    debug_assert!(start <= end && end <= MAX_ROUND);
+    ((start as u64) << 32) | end as u64
 }
 
-fn unpack(item: usize) -> (usize, usize) {
-    (item >> 32, item & u32::MAX as usize)
+/// The inverse of [`pack`]. A start at or past the end reads as empty.
+fn unpack(range: u64) -> (usize, usize) {
+    ((range >> 32) as usize, range as u32 as usize)
 }
+
+/// The longest round [`StealPool::begin`] accepts.
+const MAX_ROUND: usize = 1 << 31;
 
 /// The splitting quantum for a round of `len` items on `workers` workers:
-/// small enough to balance, large enough to amortize the deque traffic.
+/// small enough to balance, large enough to amortize the claim traffic.
 ///
 /// # Panics
 ///
@@ -247,7 +258,6 @@ pub struct StealPool {
     /// workers' `drive` loops bail out instead of spinning on `pending`
     /// forever; the panic itself propagates through the SPMD scope join.
     poisoned: AtomicBool,
-    len: AtomicUsize,
     quantum: AtomicUsize,
     stats: SchedStats,
 }
@@ -264,7 +274,6 @@ impl StealPool {
             slots: (0..workers).map(|_| WorkerSlot::new()).collect(),
             pending: AtomicUsize::new(0),
             poisoned: AtomicBool::new(false),
-            len: AtomicUsize::new(0),
             quantum: AtomicUsize::new(1),
             stats: SchedStats::default(),
         }
@@ -275,26 +284,26 @@ impl StealPool {
         &self.stats
     }
 
-    /// Re-arms the pool for a round over `0..len`.
+    /// Re-arms the pool for a round over `0..len` and seeds every worker's
+    /// range with its contiguous block (`id*len/w .. (id+1)*len/w`).
     ///
     /// Must be called while no worker is driving — from the leader between
-    /// barriers, or before the team starts. Each worker seeds its own block
-    /// at the top of [`StealPool::drive`], so no cross-thread deque pushes
-    /// happen here.
+    /// barriers, or before the team starts — so nothing else touches the
+    /// ranges while they are stored; the barrier (or the spawn) publishes
+    /// them to the team.
     ///
     /// # Panics
     ///
-    /// Panics (debug) if the previous round did not drain — pending items
-    /// or forgotten retry-queue entries mean `begin` is about to silently
-    /// discard scheduled work.
+    /// Panics if `len` is `2^31` or more. Panics (debug) if the previous
+    /// round did not drain — pending items or forgotten retry-queue entries
+    /// mean `begin` is about to silently discard scheduled work.
     pub fn begin(&self, len: usize) {
+        assert!(len < MAX_ROUND, "a round of {len} items is too long");
         if self.poisoned.swap(false, Ordering::AcqRel) {
             // The previous round was abandoned by an operator panic; discard
             // its leftovers so the pool is reusable once the caller has
-            // handled the panic. `begin` runs single-threaded, so popping
-            // the other workers' deques here is race-free.
+            // handled the panic. The ranges are reseeded below.
             for slot in self.slots.iter() {
-                while slot.deque.pop().is_some() {}
                 slot.retry.lock().clear();
             }
             self.pending.store(0, Ordering::Relaxed);
@@ -309,20 +318,23 @@ impl StealPool {
             self.slots.iter().all(|s| s.retry.lock().is_empty()),
             "StealPool::begin with undrained retry queues"
         );
-        debug_assert!(self.slots.iter().all(|s| s.deque.is_empty()));
-        self.len.store(len, Ordering::Relaxed);
+        let workers = self.slots.len();
+        for (id, slot) in self.slots.iter().enumerate() {
+            let block = pack(id * len / workers, (id + 1) * len / workers);
+            slot.range.store(block, Ordering::Relaxed);
+        }
         let quantum = if len == 0 {
             1
         } else {
-            chunk_size(len, self.slots.len())
+            chunk_size(len, workers)
         };
         self.quantum.store(quantum, Ordering::Relaxed);
         self.pending.store(len, Ordering::Release);
     }
 
-    /// Runs worker `id`'s share of the round: seeds its block, then drains
-    /// local work, steals, and services the conflict retry queue until every
-    /// item of the round is done.
+    /// Runs worker `id`'s share of the round: drains its own range, steals,
+    /// and services the conflict retry queue until every item of the round
+    /// is done.
     ///
     /// `f(item, tries)` executes one item; `tries` is how many times this
     /// item has already been re-enqueued (0 on first execution). Returning
@@ -334,15 +346,7 @@ impl StealPool {
         F: FnMut(usize, u32) -> ItemOutcome,
     {
         let me = &self.slots[id];
-        let workers = self.slots.len();
-        let len = self.len.load(Ordering::Relaxed);
         let quantum = self.quantum.load(Ordering::Relaxed);
-        // Seed this worker's contiguous block of the round.
-        let (start, end) = (id * len / workers, (id + 1) * len / workers);
-        if start < end {
-            // A freshly begun round always has deque space.
-            me.deque.push(pack(start, end)).expect("empty deque");
-        }
         let mut victim = id;
         let mut idle = 0u32;
         loop {
@@ -353,17 +357,20 @@ impl StealPool {
                 idle = 0;
                 continue;
             }
-            // 2. Own deque (newest first: best locality, leaves the oldest
-            // — largest — ranges for thieves).
-            if let Some(range) = me.deque.pop() {
-                self.run_range(me, range, quantum, &mut f);
+            // 2. A chunk from the front of the own range (in order: best
+            // locality, and thieves take from the far end).
+            if let Some((start, end)) = claim(&me.range, quantum) {
+                for item in start..end {
+                    self.run_item(me, item, 0, &mut f);
+                }
                 idle = 0;
                 continue;
             }
-            // 3. Steal a range from someone else.
-            if let Some(range) = self.try_steal(id, &mut victim) {
+            // 3. Steal the back half of someone else's range; it becomes
+            // this worker's range, claimed from the top of the loop.
+            if let Some(stolen) = self.try_steal(id, &mut victim) {
                 self.stats.record_steal();
-                self.run_range(me, range, quantum, &mut f);
+                me.range.store(stolen, Ordering::Release);
                 idle = 0;
                 continue;
             }
@@ -388,7 +395,7 @@ impl StealPool {
                 continue;
             }
             // 5. Nothing local: the round is over when every item is done;
-            // until then other workers may still publish stealable halves.
+            // until then other workers may still hold stealable ranges.
             if self.pending.load(Ordering::Acquire) == 0 {
                 return;
             }
@@ -398,27 +405,6 @@ impl StealPool {
             } else {
                 std::thread::yield_now();
             }
-        }
-    }
-
-    /// Executes `start..end`, halving oversized ranges back onto the local
-    /// deque so other workers can steal the tail while this one works the
-    /// head (lazy binary splitting).
-    fn run_range<F>(&self, me: &WorkerSlot, range: usize, quantum: usize, f: &mut F)
-    where
-        F: FnMut(usize, u32) -> ItemOutcome,
-    {
-        let (start, mut end) = unpack(range);
-        while end - start > quantum {
-            let mid = start + (end - start) / 2;
-            if me.deque.push(pack(mid, end)).is_err() {
-                // Ring full (pathological): just process the whole range.
-                break;
-            }
-            end = mid;
-        }
-        for item in start..end {
-            self.run_item(me, item, 0, f);
         }
     }
 
@@ -474,27 +460,52 @@ impl StealPool {
         Some(queue.swap_remove(best.0))
     }
 
-    /// One round-robin sweep over the other workers' deques.
-    fn try_steal(&self, id: usize, victim: &mut usize) -> Option<usize> {
+    /// One round-robin sweep over the other workers' ranges: CAS the first
+    /// non-empty one down to its front half and return the back half.
+    fn try_steal(&self, id: usize, victim: &mut usize) -> Option<u64> {
         let workers = self.slots.len();
-        for _ in 0..workers.saturating_sub(1) {
+        for _ in 1..workers {
             *victim = (*victim + 1) % workers;
             if *victim == id {
                 *victim = (*victim + 1) % workers;
             }
-            if *victim == id {
-                return None; // single-worker pool
-            }
+            let range = &self.slots[*victim].range;
+            let mut seen = range.load(Ordering::Acquire);
             loop {
-                match self.slots[*victim].deque.steal() {
-                    Steal::Taken(range) => return Some(range),
-                    Steal::Empty => break,
-                    Steal::Retry => std::hint::spin_loop(),
+                let (start, end) = unpack(seen);
+                if start >= end {
+                    break;
+                }
+                let mid = start + (end - start) / 2;
+                match range.compare_exchange_weak(
+                    seen,
+                    pack(start, mid),
+                    Ordering::AcqRel,
+                    Ordering::Acquire,
+                ) {
+                    Ok(_) => return Some(pack(mid, end)),
+                    Err(now) => seen = now,
                 }
             }
         }
         None
     }
+}
+
+/// Claims up to `quantum` items from the front of the owner's `range`.
+///
+/// Only the owner advances a start, and thieves only lower an end, so one
+/// `fetch_add` on the start half suffices: if a thief emptied the range
+/// between the load and the add, the add returns a start at or past the
+/// end, which reads as empty. The load keeps an empty range from being
+/// advanced again, so a start overshoots its end by at most one quantum.
+fn claim(range: &AtomicU64, quantum: usize) -> Option<(usize, usize)> {
+    let (start, end) = unpack(range.load(Ordering::Acquire));
+    if start >= end {
+        return None;
+    }
+    let (start, end) = unpack(range.fetch_add((quantum as u64) << 32, Ordering::AcqRel));
+    (start < end).then(|| (start, end.min(start + quantum)))
 }
 
 impl std::fmt::Debug for StealPool {
@@ -526,7 +537,7 @@ mod tests {
         assert_eq!(
             seen,
             (0..100).collect::<Vec<_>>(),
-            "LIFO halving is in-order"
+            "front claims run in order"
         );
         assert_eq!(pool.stats().steals(), 0);
     }

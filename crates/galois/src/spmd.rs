@@ -6,8 +6,12 @@
 //! per-stage thread-spawn overhead and any `unsafe` lifetime laundering — a
 //! `std::thread::scope` fits naturally because the team lives exactly as
 //! long as the pass.
+//!
+//! A worker that unwinds breaks the team barrier on its way out, so its
+//! teammates panic out of [`Worker::barrier`] instead of waiting for it
+//! forever, and the scope join re-raises the panic.
 
-use std::sync::Barrier;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::sched::{ItemOutcome, StealPool};
 
@@ -17,15 +21,98 @@ pub struct Worker<'a> {
     pub id: usize,
     /// Team size.
     pub num_threads: usize,
-    barrier: &'a Barrier,
+    barrier: &'a TeamBarrier,
 }
 
 impl Worker<'_> {
     /// Blocks until every worker in the team reaches this point. Returns
     /// `true` on exactly one (unspecified) worker — the "leader" for any
     /// serial work that must happen at the synchronization point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a teammate panicked, before or while this worker waits:
+    /// the team can never meet again.
     pub fn barrier(&self) -> bool {
-        self.barrier.wait().is_leader()
+        self.barrier.wait()
+    }
+}
+
+/// A reusable team barrier that a panicking worker can break.
+struct TeamBarrier {
+    state: Mutex<BarrierState>,
+    wake: Condvar,
+    team: usize,
+}
+
+struct BarrierState {
+    /// Workers waiting in the current generation.
+    arrived: usize,
+    /// Bumped each time the whole team has arrived.
+    generation: u64,
+    /// Set when a worker unwound; no generation can complete after that.
+    broken: bool,
+}
+
+impl TeamBarrier {
+    fn new(team: usize) -> TeamBarrier {
+        TeamBarrier {
+            state: Mutex::new(BarrierState {
+                arrived: 0,
+                generation: 0,
+                broken: false,
+            }),
+            wake: Condvar::new(),
+            team,
+        }
+    }
+
+    /// The barrier state. No code panics while holding it, but a poisoned
+    /// lock is still sound to reuse: every update is a single field store.
+    fn state(&self) -> MutexGuard<'_, BarrierState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits for the whole team; the last arrival is the leader.
+    fn wait(&self) -> bool {
+        let mut state = self.state();
+        let generation = state.generation;
+        if !state.broken {
+            state.arrived += 1;
+            if state.arrived == self.team {
+                state.arrived = 0;
+                state.generation += 1;
+                self.wake.notify_all();
+                return true;
+            }
+            while state.generation == generation && !state.broken {
+                state = self
+                    .wake
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+        let passed = state.generation != generation;
+        drop(state);
+        assert!(passed, "an SPMD teammate panicked");
+        false
+    }
+
+    /// Marks the barrier broken and wakes every waiter.
+    fn break_team(&self) {
+        self.state().broken = true;
+        self.wake.notify_all();
+    }
+}
+
+/// Breaks the team barrier if the worker holding it unwinds.
+struct BreakOnUnwind<'a>(&'a TeamBarrier);
+
+impl Drop for BreakOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.break_team();
+        }
     }
 }
 
@@ -53,13 +140,15 @@ impl std::fmt::Debug for Worker<'_> {
 ///
 /// # Panics
 ///
-/// Panics if `num_threads` is zero, or propagates a worker panic.
+/// Panics if `num_threads` is zero, or propagates a worker panic. A worker
+/// panic also breaks the team barrier, so teammates blocked in (or later
+/// reaching) [`Worker::barrier`] panic instead of hanging.
 pub fn run_spmd<F>(num_threads: usize, f: F)
 where
     F: Fn(&Worker<'_>) + Sync,
 {
     assert!(num_threads > 0, "need at least one worker");
-    let barrier = Barrier::new(num_threads);
+    let barrier = TeamBarrier::new(num_threads);
     if num_threads == 1 {
         // Fast path, also keeps single-threaded debugging simple.
         let _obs = dacpara_obs::span_cat("worker", "runtime");
@@ -75,6 +164,7 @@ where
             let barrier = &barrier;
             let f = &f;
             s.spawn(move || {
+                let _break = BreakOnUnwind(barrier);
                 {
                     // One lifetime span per worker: each thread gets its
                     // own lane in the exported trace.
@@ -136,6 +226,8 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn barrier_elects_exactly_one_leader() {
@@ -177,5 +269,37 @@ mod tests {
     fn parallel_for_on_empty_slice_is_fine() {
         let data: Vec<u32> = Vec::new();
         parallel_for(4, &data, |_, _| panic!("must not be called"));
+    }
+
+    #[test]
+    fn a_panic_in_drive_breaks_the_barrier_instead_of_hanging() {
+        // Item 0 is the front of worker 0's block, so worker 0 panics inside
+        // `drive`; worker 1 bails out of the poisoned round and reaches the
+        // barrier, which must break rather than wait for worker 0 forever.
+        let (tx, rx) = mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            let pool = StealPool::new(2);
+            pool.begin(100);
+            let pool = &pool;
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_spmd(2, |w| {
+                    pool.drive(w.id, |i, _| {
+                        assert_ne!(i, 0, "operator bug");
+                        ItemOutcome::Done
+                    });
+                    w.barrier();
+                });
+            }));
+            let _ = tx.send(outcome.is_err());
+        });
+        match rx.recv_timeout(Duration::from_secs(30)) {
+            Ok(panicked) => {
+                handle
+                    .join()
+                    .expect("the team's thread exited after reporting");
+                assert!(panicked, "the worker panic must propagate");
+            }
+            Err(_) => panic!("run_spmd hung at the barrier after a worker panic"),
+        }
     }
 }

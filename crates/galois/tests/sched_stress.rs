@@ -1,17 +1,21 @@
 //! Seeded randomized-interleaving stress for the work-stealing scheduler.
 //!
-//! The unit tests in `sched.rs`/`deque.rs` pin the deterministic contracts;
-//! this suite hammers the concurrent ones: across many seeds, worker
-//! counts, round lengths and injected scheduling jitter, no item may be
-//! lost or duplicated, retry counts must be exact, and one pool/deque must
-//! survive reset-reuse across rounds.
+//! The unit tests in `sched.rs` pin the deterministic contracts; this suite
+//! hammers the concurrent ones: across many seeds, worker counts, round
+//! lengths and injected scheduling jitter, no item may be lost or
+//! duplicated, retry counts must be exact, and one pool must survive
+//! reset-reuse across rounds. Two cases aim at the range CAS paths: a
+//! skewed round whose slow block must be stolen piecemeal, and a worker
+//! that never drives, whose whole block its teammates must steal.
 //!
 //! Everything is derived from explicit seeds (the shim `StdRng` plus a
 //! splitmix hash), so a failure reproduces from its printed seed.
 
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::mpsc;
+use std::time::Duration;
 
-use dacpara_galois::{run_spmd, ItemOutcome, Steal, StealDeque, StealPool};
+use dacpara_galois::{run_spmd, ItemOutcome, StealPool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -87,72 +91,104 @@ fn randomized_rounds_never_lose_or_duplicate_items() {
     }
 }
 
+/// Runs `f` on its own thread and fails the test if it has not returned
+/// within a minute — a hung round is a test failure, not a CI timeout.
+fn with_watchdog<T: Send + 'static>(label: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(out) => {
+            handle
+                .join()
+                .expect("the round's thread exited after reporting");
+            out
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("{label}: round hung"),
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(handle.join().expect_err("no result"))
+        }
+    }
+}
+
 #[test]
-fn deque_survives_randomized_owner_thief_interleavings() {
-    for seed in 0..6u64 {
-        let deque = StealDeque::new(256);
-        let total = 20_000usize;
-        let taken: Vec<AtomicU32> = (0..total).map(|_| AtomicU32::new(0)).collect();
-        let produced = AtomicUsize::new(0);
-        let stop = AtomicU32::new(0);
-        let (deque, taken, produced, stop) = (&deque, &taken, &produced, &stop);
-        std::thread::scope(|s| {
-            // Three thieves steal continuously until the owner is done and
-            // the ring is drained.
-            for t in 0..3u64 {
-                s.spawn(move || {
-                    let mut jitter = StdRng::seed_from_u64(mix(seed, 100 + t));
-                    loop {
-                        match deque.steal() {
-                            Steal::Taken(v) => {
-                                taken[v].fetch_add(1, Ordering::Relaxed);
-                            }
-                            Steal::Empty => {
-                                if stop.load(Ordering::Acquire) == 1 {
-                                    return;
-                                }
-                                std::hint::spin_loop();
-                            }
-                            Steal::Retry => std::hint::spin_loop(),
+fn skewed_rounds_steal_the_slow_block_and_run_every_item_once() {
+    // Worker 0's block is slow: its first item (the front of its range, so
+    // worker 0 runs it) waits until a teammate has run another item of the
+    // block, which only a steal can hand it. The teammates drain their own
+    // blocks and then split worker 0's range by CAS until it is gone.
+    const WORKERS: usize = 3;
+    const LEN: usize = 600;
+    const SLOW: usize = LEN / WORKERS;
+    for seed in 0..4u64 {
+        let (runs, done, steals) = with_watchdog("skewed round", move || {
+            let pool = StealPool::new(WORKERS);
+            let runs: Vec<AtomicU32> = (0..LEN).map(|_| AtomicU32::new(0)).collect();
+            let done: Vec<AtomicU32> = (0..LEN).map(|_| AtomicU32::new(0)).collect();
+            let stolen = AtomicBool::new(false);
+            pool.begin(LEN);
+            let (pool_ref, runs_ref, done_ref, stolen) = (&pool, &runs, &done, &stolen);
+            run_spmd(WORKERS, |w| {
+                pool_ref.drive(w.id, |i, tries| {
+                    runs_ref[i].fetch_add(1, Ordering::Relaxed);
+                    if i < SLOW {
+                        if w.id != 0 {
+                            stolen.store(true, Ordering::Release);
                         }
-                        if jitter.gen_bool(0.01) {
+                        while i == 0 && tries == 0 && !stolen.load(Ordering::Acquire) {
                             std::thread::yield_now();
                         }
+                        std::thread::sleep(Duration::from_micros(20));
+                    }
+                    if tries < scripted_retries(seed, i) {
+                        ItemOutcome::Retry
+                    } else {
+                        done_ref[i].fetch_add(1, Ordering::Relaxed);
+                        ItemOutcome::Done
                     }
                 });
-            }
-            // The owner interleaves seeded bursts of pushes with pops.
-            let mut rng = StdRng::seed_from_u64(seed);
-            while produced.load(Ordering::Relaxed) < total {
-                let burst = rng.gen_range(1..9usize);
-                for _ in 0..burst {
-                    let next = produced.load(Ordering::Relaxed);
-                    if next >= total || deque.push(next).is_err() {
-                        break;
-                    }
-                    produced.store(next + 1, Ordering::Relaxed);
-                }
-                let pops = rng.gen_range(0..4usize);
-                for _ in 0..pops {
-                    if let Some(v) = deque.pop() {
-                        taken[v].fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            while let Some(v) = deque.pop() {
-                taken[v].fetch_add(1, Ordering::Relaxed);
-            }
-            stop.store(1, Ordering::Release);
+            });
+            let steals = pool.stats().steals();
+            (runs, done, steals)
         });
-        for (i, t) in taken.iter().enumerate() {
+        for i in 0..LEN {
             assert_eq!(
-                t.load(Ordering::Relaxed),
-                1,
-                "seed {seed}: item {i} taken != once"
+                runs[i].load(Ordering::Relaxed),
+                1 + scripted_retries(seed, i),
+                "seed {seed} item {i}: wrong run count"
             );
+            assert_eq!(done[i].load(Ordering::Relaxed), 1, "seed {seed} item {i}");
         }
-        assert!(deque.is_empty());
+        assert!(steals > 0, "seed {seed}: no steal was recorded");
     }
+}
+
+#[test]
+fn a_worker_that_never_drives_strands_nothing() {
+    // `begin` seeds every block, so worker 2's share is stolen by the two
+    // workers that do drive and the round still ends.
+    let (hits, steals) = with_watchdog("idle worker", || {
+        let pool = StealPool::new(3);
+        let hits: Vec<AtomicU32> = (0..900).map(|_| AtomicU32::new(0)).collect();
+        pool.begin(hits.len());
+        let (pool_ref, hits_ref) = (&pool, &hits);
+        run_spmd(3, |w| {
+            if w.id == 2 {
+                return;
+            }
+            pool_ref.drive(w.id, |i, _| {
+                hits_ref[i].fetch_add(1, Ordering::Relaxed);
+                ItemOutcome::Done
+            });
+        });
+        let steals = pool.stats().steals();
+        (hits, steals)
+    });
+    for (i, h) in hits.iter().enumerate() {
+        assert_eq!(h.load(Ordering::Relaxed), 1, "item {i}");
+    }
+    assert!(steals > 0, "worker 2's block was never stolen");
 }
 
 #[test]

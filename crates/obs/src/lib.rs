@@ -6,7 +6,7 @@
 //! operators waste less speculative work than fused ones — so every engine
 //! in this workspace is instrumented through this crate:
 //!
-//! * **Spans** ([`span`], [`span!`]) — hierarchical activities recorded
+//! * **Spans** ([`fn@span`], [`span!`]) — hierarchical activities recorded
 //!   into per-thread buffers with nanosecond timestamps. The hot path is a
 //!   single relaxed atomic load when observability is disabled; when
 //!   enabled, recording is a thread-local vector push (flushed in batches).

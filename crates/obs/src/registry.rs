@@ -11,7 +11,7 @@ use crate::histogram::LogHistogram;
 use crate::span::ThreadLog;
 
 /// Process-wide observability state. Obtain it via [`global`]; the free
-/// functions ([`enable`], [`counter`], [`crate::span`], …) all route here.
+/// functions ([`enable`], [`counter`], [`fn@crate::span`], …) all route here.
 pub struct ObsRegistry {
     enabled: AtomicBool,
     epoch: Instant,
