@@ -23,9 +23,9 @@
 //! Replacements performed in parallel do not cascade structural merges (that
 //! would require locking an unbounded fanout frontier mid-mutation).
 //! Instead, fanouts whose fanin pair may have become foldable or duplicated
-//! are queued, and [`ConcurrentAig::canonicalize`] — called serially at the
-//! engine's synchronization points (between level worklists) — restores full
-//! strash canonicity. The graph is functionally correct at every instant
+//! are queued, and [`ConcurrentAig::canonicalize_traced`] — called serially
+//! at the engine's synchronization points (between level worklists) —
+//! restores full strash canonicity. The graph is functionally correct at every instant
 //! either way.
 
 use std::sync::atomic::{AtomicU32, AtomicU8, AtomicUsize, Ordering};
@@ -409,7 +409,8 @@ impl ConcurrentAig {
     /// the paper's replacement operator.
     ///
     /// Structural merges exposed by the edge moves are queued for the next
-    /// [`ConcurrentAig::canonicalize`] instead of cascading immediately.
+    /// [`ConcurrentAig::canonicalize_traced`] instead of cascading
+    /// immediately.
     pub fn replace_locked(&self, old: NodeId, new: Lit) {
         debug_assert_eq!(self.kind(old), NodeKind::And);
         debug_assert!(self.is_alive(new.node()));
@@ -534,22 +535,13 @@ impl ConcurrentAig {
 
     /// Restores strash canonicity by folding/merging every queued node, with
     /// full cascading. **Must be called from a single thread while no
-    /// parallel operators are running** (the engines call it between level
-    /// worklists). Returns the number of nodes eliminated.
-    pub fn canonicalize(&self) -> usize {
-        self.canonicalize_inner(None)
-    }
-
-    /// Like [`ConcurrentAig::canonicalize`], but records into `touched`
+    /// parallel operators are running** (the engines call it at barriers).
+    /// Returns the number of nodes eliminated, and records into `touched`
     /// every node whose cached cut or cost picture may have changed: each
     /// processed pending node, each merge target (its fanout set grew), and
     /// the surviving boundary fanins of any cone deleted by a merge.
     /// Entries may repeat, and some may be dead by the time this returns.
     pub fn canonicalize_traced(&self, touched: &mut Vec<NodeId>) -> usize {
-        self.canonicalize_inner(Some(touched))
-    }
-
-    fn canonicalize_inner(&self, mut touched: Option<&mut Vec<NodeId>>) -> usize {
         let before = self.num_ands();
         loop {
             let batch: Vec<NodeId> = std::mem::take(&mut *self.pending.lock());
@@ -561,9 +553,7 @@ impl ConcurrentAig {
                 if self.kind(f) != NodeKind::And {
                     continue;
                 }
-                if let Some(t) = touched.as_deref_mut() {
-                    t.push(f);
-                }
+                touched.push(f);
                 let a = Lit::from_raw(self.nodes[f.index()].fanin0.load(ORD_LOAD));
                 let b = Lit::from_raw(self.nodes[f.index()].fanin1.load(ORD_LOAD));
                 let target = if let Some(t) = Aig::fold_and(a, b) {
@@ -572,15 +562,13 @@ impl ConcurrentAig {
                     self.find_and_excluding(a, b, f).map(NodeId::lit)
                 };
                 if let Some(t) = target {
-                    if let Some(log) = touched.as_deref_mut() {
-                        log.push(t.node());
-                    }
+                    touched.push(t.node());
                     self.nodes[t.node().index()]
                         .refs
                         .fetch_add(1, Ordering::AcqRel);
                     self.move_fanout_edges(f, t);
                     debug_assert_eq!(self.nodes[f.index()].refs.load(ORD_LOAD), 0);
-                    self.delete_cone_inner(f, touched.as_deref_mut());
+                    self.delete_cone_inner(f, Some(&mut *touched));
                     self.nodes[t.node().index()]
                         .refs
                         .fetch_sub(1, Ordering::AcqRel);
@@ -588,11 +576,6 @@ impl ConcurrentAig {
             }
         }
         before - self.num_ands()
-    }
-
-    /// Number of nodes currently queued for canonicalization.
-    pub fn pending_len(&self) -> usize {
-        self.pending.lock().len()
     }
 
     /// Recomputes every level from scratch. Call from a single thread at a
@@ -605,25 +588,16 @@ impl ConcurrentAig {
         }
     }
 
-    /// Removes every dangling AND node. Call from a single thread.
-    pub fn cleanup(&self) -> usize {
-        self.cleanup_inner(None)
-    }
-
-    /// Like [`ConcurrentAig::cleanup`], but records each *surviving* fanin
-    /// of a deleted node into `boundary` — the nodes whose reference counts
-    /// (and hence MFFC/sharing picture) changed without their own structure
-    /// changing. Entries may repeat.
+    /// Removes every dangling AND node. Call from a single thread. Records
+    /// each *surviving* fanin of a deleted node into `boundary` — the nodes
+    /// whose reference counts (and hence MFFC/sharing picture) changed
+    /// without their own structure changing. Entries may repeat.
     pub fn cleanup_traced(&self, boundary: &mut Vec<NodeId>) -> usize {
-        self.cleanup_inner(Some(boundary))
-    }
-
-    fn cleanup_inner(&self, mut boundary: Option<&mut Vec<NodeId>>) -> usize {
         let before = self.num_ands();
         for i in 0..self.capacity() {
             let n = NodeId::new(i as u32);
             if self.kind(n) == NodeKind::And && self.refs(n) == 0 {
-                self.delete_cone_inner(n, boundary.as_deref_mut());
+                self.delete_cone_inner(n, Some(&mut *boundary));
             }
         }
         before - self.num_ands()
@@ -878,9 +852,10 @@ mod tests {
 
         // Replace bc by ac: the top AND folds to ac, PO must follow.
         shared.replace_locked(sbc, sac.lit());
-        assert!(shared.pending_len() > 0);
-        let merged = shared.canonicalize();
+        let mut touched = Vec::new();
+        let merged = shared.canonicalize_traced(&mut touched);
         assert!(merged >= 1);
+        assert!(!touched.is_empty(), "the replacement queued its fanout");
         shared.check().unwrap();
         assert_eq!(shared.num_ands(), 1);
         assert_eq!(shared.output_lits()[0], sac.lit());
@@ -905,8 +880,9 @@ mod tests {
         let fresh = shared.add_and_locked(!ins[0].lit(), ins[1].lit()).unwrap();
         assert_eq!(fresh.node(), sab);
         assert!(shared.generation(sab) > gen0);
-        shared.canonicalize();
-        shared.cleanup();
+        let mut scratch = Vec::new();
+        shared.canonicalize_traced(&mut scratch);
+        shared.cleanup_traced(&mut scratch);
         shared.check().unwrap();
     }
 

@@ -100,25 +100,27 @@ pub(crate) fn round(
     run_spmd(cfg.threads, |w| {
         let owner = w.id as u32 + 1;
         let bail = || error.is_set();
-        // Each stage opens with a barrier pair: the first waits for the
-        // whole team to leave the previous stage (which orders the stages),
-        // the second publishes the armed round.
-        let begin_stage = |list_len: usize| {
-            if w.barrier() {
-                // A poisoned pass distributes nothing, but still arms the
-                // pool so its drain invariant holds.
-                pool.begin(if error.is_set() { 0 } else { list_len });
-            }
-            w.barrier();
-        };
+        // Each stage opens with one barrier: it waits for the whole team to
+        // leave the previous stage, and its step arms the pool. A poisoned
+        // pass distributes nothing, but still arms the pool so its drain
+        // invariant holds.
+        let arm = |len: usize| pool.begin(if error.is_set() { 0 } else { len });
 
-        for list in worklists {
+        for (k, list) in worklists.iter().enumerate() {
             // -------- Stage 1: parallel cut enumeration.
+            //
+            // The step first restores strash canonicity after the previous
+            // list, tracing the merges into the dirty set.
             //
             // Every worker enters the drain loop even when a teammate has
             // already reported an error, and bails per item: a skipped
             // block would only be stolen and drained by the teammates.
-            begin_stage(list.len());
+            w.barrier(|| {
+                if k > 0 {
+                    sess.canonicalize_and_sweep(false);
+                }
+                arm(list.len());
+            });
             {
                 let _obs = dacpara_obs::span("enumerate");
                 pool.drive(w.id, |i, _| {
@@ -131,7 +133,7 @@ pub(crate) fn round(
             }
 
             // -------- Stage 2: parallel, lock-free evaluation.
-            begin_stage(list.len());
+            w.barrier(|| arm(list.len()));
             {
                 let _obs = dacpara_obs::span("evaluate");
                 pool.drive(w.id, |i, _| {
@@ -157,7 +159,7 @@ pub(crate) fn round(
             // A conflict-aborted commit puts its candidate back into `prep`
             // and yields the node to the retry queue; the retry ceiling
             // eventually forces inline blocking.
-            begin_stage(list.len());
+            w.barrier(|| arm(list.len()));
             {
                 let _obs = dacpara_obs::span("replace");
                 pool.drive(w.id, |i, tries| {
@@ -188,14 +190,9 @@ pub(crate) fn round(
                     outcome
                 });
             }
-
-            // Leader restores strash canonicity between lists, tracing the
-            // merges into the dirty set.
-            if w.barrier() {
-                sess.canonicalize_and_sweep(false);
-            }
-            w.barrier();
         }
+        // The last list's canonicalization has no next stage 1 to ride on.
+        w.barrier(|| sess.canonicalize_and_sweep(false));
     });
 }
 

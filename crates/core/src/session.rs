@@ -383,6 +383,7 @@ impl RewriteSession {
     /// and translate everything either step touched into memo invalidation
     /// + dirty marks so the next pass revisits the affected region.
     pub(crate) fn canonicalize_and_sweep(&self, cleanup: bool) {
+        let _obs = dacpara_obs::span("sweep");
         let mut touched = Vec::new();
         self.shared.canonicalize_traced(&mut touched);
         if cleanup {

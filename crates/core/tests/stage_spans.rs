@@ -33,5 +33,10 @@ fn every_worker_emits_one_span_per_stage_and_worklist() {
             "`{stage}` spans: one per worker per worklist"
         );
     }
+    assert_eq!(
+        count("sweep"),
+        stats.worklists + 1,
+        "one `sweep` span per worklist, plus the pass's closing cleanup"
+    );
     assert_eq!(count("rewrite_dacpara"), 1, "one pass span");
 }

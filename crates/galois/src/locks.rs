@@ -84,9 +84,9 @@ impl LockTable {
     /// On any conflict every lock taken so far is released, the conflict is
     /// recorded in `spec`, and `None` is returned.
     ///
-    /// Re-entrant acquisition by the same owner succeeds (the element stays
-    /// locked until the outermost guard drops — callers must not rely on
-    /// nested guards, which is why `normalize` dedupes).
+    /// Locks are not re-entrant: an element `owner` already holds counts as
+    /// a conflict like any other, so a caller extending its lock set must
+    /// leave out the ids its guard already holds ([`LockSet::ids`]).
     ///
     /// # Panics
     ///
@@ -207,6 +207,16 @@ mod tests {
         let spec = SpecStats::new();
         let g = t.try_acquire(3, vec![1, 1, 1], &spec).unwrap();
         assert_eq!(g.ids(), &[1]);
+    }
+
+    #[test]
+    fn same_owner_reacquisition_conflicts_and_is_counted() {
+        let t = LockTable::new(8);
+        let spec = SpecStats::new();
+        let _g = t.try_acquire(1, vec![3], &spec).unwrap();
+        assert!(t.try_acquire(1, vec![3], &spec).is_none());
+        assert_eq!(spec.conflicts(), 1);
+        assert!(t.is_locked(3), "the failed attempt keeps the held lock");
     }
 
     #[test]

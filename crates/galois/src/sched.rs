@@ -226,9 +226,9 @@ fn chunk_size(len: usize, workers: usize) -> usize {
 
 /// A reusable work-stealing pool for one SPMD team.
 ///
-/// Lifecycle per round: the leader calls [`StealPool::begin`] (between
-/// barriers, or before the team starts), then every worker calls
-/// [`StealPool::drive`] with the same operator closure. `begin` re-arms the
+/// Lifecycle per round: [`StealPool::begin`] runs in a barrier's step (see
+/// [`crate::Worker::barrier`]) or before the team starts, then every worker
+/// calls [`StealPool::drive`] with the same operator closure. `begin` re-arms the
 /// pool, so one pool serves every stage of every worklist of a pass.
 ///
 /// # Example
@@ -287,10 +287,10 @@ impl StealPool {
     /// Re-arms the pool for a round over `0..len` and seeds every worker's
     /// range with its contiguous block (`id*len/w .. (id+1)*len/w`).
     ///
-    /// Must be called while no worker is driving — from the leader between
-    /// barriers, or before the team starts — so nothing else touches the
-    /// ranges while they are stored; the barrier (or the spawn) publishes
-    /// them to the team.
+    /// Must be called while no worker is driving — from a barrier's step,
+    /// or before the team starts — so nothing else touches the ranges while
+    /// they are stored; the barrier's release (or the spawn) publishes them
+    /// to the team.
     ///
     /// # Panics
     ///

@@ -25,16 +25,16 @@ pub struct Worker<'a> {
 }
 
 impl Worker<'_> {
-    /// Blocks until every worker in the team reaches this point. Returns
-    /// `true` on exactly one (unspecified) worker — the "leader" for any
-    /// serial work that must happen at the synchronization point.
+    /// Blocks until every worker in the team reaches this point. The last
+    /// worker to arrive runs `step`, the point's serial work, once, before
+    /// it releases the team; the other workers' steps are dropped unrun.
     ///
     /// # Panics
     ///
     /// Panics if a teammate panicked, before or while this worker waits:
-    /// the team can never meet again.
-    pub fn barrier(&self) -> bool {
-        self.barrier.wait()
+    /// the team can never meet again. A panic in `step` breaks the team.
+    pub fn barrier(&self, step: impl FnOnce()) {
+        self.barrier.wait(step);
     }
 }
 
@@ -67,23 +67,25 @@ impl TeamBarrier {
         }
     }
 
-    /// The barrier state. No code panics while holding it, but a poisoned
-    /// lock is still sound to reuse: every update is a single field store.
+    /// The barrier state. A panicking step poisons the lock, but it is
+    /// still sound to reuse: every update is a single field store.
     fn state(&self) -> MutexGuard<'_, BarrierState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Waits for the whole team; the last arrival is the leader.
-    fn wait(&self) -> bool {
+    /// Waits for the whole team; the last arrival runs `step`, then wakes the
+    /// team.
+    fn wait(&self, step: impl FnOnce()) {
         let mut state = self.state();
         let generation = state.generation;
         if !state.broken {
             state.arrived += 1;
             if state.arrived == self.team {
+                step();
                 state.arrived = 0;
                 state.generation += 1;
                 self.wake.notify_all();
-                return true;
+                return;
             }
             while state.generation == generation && !state.broken {
                 state = self
@@ -95,7 +97,6 @@ impl TeamBarrier {
         let passed = state.generation != generation;
         drop(state);
         assert!(passed, "an SPMD teammate panicked");
-        false
     }
 
     /// Marks the barrier broken and wakes every waiter.
@@ -133,7 +134,7 @@ impl std::fmt::Debug for Worker<'_> {
 /// let sum = AtomicUsize::new(0);
 /// run_spmd(4, |w| {
 ///     sum.fetch_add(w.id, Ordering::Relaxed);
-///     w.barrier();
+///     w.barrier(|| assert_eq!(sum.load(Ordering::Relaxed), 6));
 /// });
 /// assert_eq!(sum.load(Ordering::Relaxed), 0 + 1 + 2 + 3);
 /// ```
@@ -230,17 +231,24 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn barrier_elects_exactly_one_leader() {
-        let leaders = AtomicUsize::new(0);
-        let leaders = &leaders;
-        run_spmd(3, |w| {
-            for _ in 0..5 {
-                if w.barrier() {
-                    leaders.fetch_add(1, Ordering::Relaxed);
-                }
+    fn barrier_step_runs_once_and_every_worker_reads_its_write() {
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 50;
+        let steps = AtomicUsize::new(0);
+        let published = AtomicUsize::new(0);
+        let (steps, published) = (&steps, &published);
+        run_spmd(THREADS, |w| {
+            for round in 1..=ROUNDS {
+                w.barrier(|| {
+                    steps.fetch_add(1, Ordering::Relaxed);
+                    published.store(round, Ordering::Relaxed);
+                });
+                // Relaxed on purpose: the barrier itself must order the
+                // step's write before every worker's read.
+                assert_eq!(published.load(Ordering::Relaxed), round);
             }
         });
-        assert_eq!(leaders.load(Ordering::Relaxed), 5);
+        assert_eq!(steps.load(Ordering::Relaxed), ROUNDS);
     }
 
     #[test]
@@ -248,10 +256,13 @@ mod tests {
         let flag = AtomicUsize::new(0);
         run_spmd(1, |w| {
             assert_eq!(w.id, 0);
-            assert!(w.barrier());
-            flag.store(1, Ordering::Relaxed);
+            w.barrier(|| flag.store(1, Ordering::Relaxed));
+            assert_eq!(
+                flag.load(Ordering::Relaxed),
+                1,
+                "the lone worker runs the step"
+            );
         });
-        assert_eq!(flag.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -287,7 +298,7 @@ mod tests {
                         assert_ne!(i, 0, "operator bug");
                         ItemOutcome::Done
                     });
-                    w.barrier();
+                    w.barrier(|| {});
                 });
             }));
             let _ = tx.send(outcome.is_err());
@@ -300,6 +311,31 @@ mod tests {
                 assert!(panicked, "the worker panic must propagate");
             }
             Err(_) => panic!("run_spmd hung at the barrier after a worker panic"),
+        }
+    }
+
+    #[test]
+    fn a_panic_in_the_step_breaks_the_barrier_instead_of_hanging() {
+        // The step runs under the barrier lock, so its panic poisons that
+        // lock; the two workers waiting on it must still wake and panic.
+        let (tx, rx) = mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(|| {
+                run_spmd(3, |w| {
+                    w.barrier(|| panic!("step bug"));
+                    w.barrier(|| {});
+                });
+            });
+            let _ = tx.send(outcome.is_err());
+        });
+        match rx.recv_timeout(Duration::from_secs(30)) {
+            Ok(panicked) => {
+                handle
+                    .join()
+                    .expect("the team's thread exited after reporting");
+                assert!(panicked, "the step panic must propagate");
+            }
+            Err(_) => panic!("run_spmd hung at the barrier after a step panic"),
         }
     }
 }

@@ -136,8 +136,9 @@ fn concurrent_replacements_on_disjoint_cones() {
             std::thread::yield_now();
         }
     });
-    shared.canonicalize();
-    shared.cleanup();
+    let mut scratch = Vec::new();
+    shared.canonicalize_traced(&mut scratch);
+    shared.cleanup_traced(&mut scratch);
     let back = shared.to_aig();
     back.check().unwrap();
     assert_eq!(back.num_outputs(), 8);
