@@ -36,7 +36,7 @@
 //!
 //! * `--headroom X.Y` — arena slack factor for the concurrent engines
 //!   (default 1.6; must be ≥ 1.0 and finite).
-//! * `--max-regrowths N` is gone. A session recovers in-pass at most
+//! * In-pass recovery has a fixed budget: a session recovers at most
 //!   eight times, arena exhaustion and contained panics combined, and
 //!   each exhaustion doubles the headroom. To avoid regrowths, raise
 //!   `--headroom`; there is no way to turn in-pass recovery off.

@@ -480,14 +480,6 @@ pub fn ablations(harness: &Harness) -> Exhibit {
                 ..base.clone()
             },
         ),
-        (
-            "refined library",
-            bench,
-            RewriteConfig {
-                refined_library: true,
-                ..base.clone()
-            },
-        ),
     ];
 
     let mut t = Table::new(

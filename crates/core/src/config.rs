@@ -82,9 +82,6 @@ pub struct RewriteConfig {
     /// Re-enumerate and match stored cuts whose leaves changed (§4.4).
     /// Disabling this is an ablation: stale results are simply skipped.
     pub revalidate: bool,
-    /// Use the enumeration-refined structure library (slower first-use
-    /// build, slightly better structures; see `dacpara_nst::refine`).
-    pub refined_library: bool,
 }
 
 impl RewriteConfig {
@@ -101,7 +98,6 @@ impl RewriteConfig {
             runs: 1,
             level_partition: true,
             revalidate: true,
-            refined_library: false,
         }
     }
 

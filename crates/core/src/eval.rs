@@ -59,11 +59,7 @@ impl EvalContext {
     /// Builds the context for a configuration.
     pub fn new(cfg: &RewriteConfig) -> EvalContext {
         EvalContext {
-            lib: if cfg.refined_library {
-                NpnLibrary::global_refined()
-            } else {
-                NpnLibrary::global()
-            },
+            lib: NpnLibrary::global(),
             registry: ClassRegistry::global(),
             allowed: cfg.allowed_classes(),
             max_structures: cfg.max_structures,

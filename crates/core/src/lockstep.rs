@@ -24,8 +24,12 @@ use crate::{Engine, RewriteConfig, RewriteStats};
 ///
 /// # Errors
 ///
-/// Returns [`AigError::CapacityExhausted`] if the arena headroom
-/// ([`RewriteConfig::headroom`]) proves insufficient.
+/// Returns the [`crate::ConfigError`] (mapped through [`AigError`]) if `cfg`
+/// fails [`RewriteConfig::validate`]; [`AigError::CapacityExhausted`]
+/// (the arena headroom, [`RewriteConfig::headroom`], proves insufficient)
+/// or [`AigError::WorkerPanicked`] once the session's recovery budget is
+/// spent; or [`AigError::InvariantViolation`] if a replacement fails its
+/// certificate (see [`crate::build_replacement`]).
 pub fn rewrite_lockstep(aig: &mut Aig, cfg: &RewriteConfig) -> Result<RewriteStats, AigError> {
     let mut session = RewriteSession::new(aig, cfg)?;
     let stats = session.run(Engine::Iccad18)?;

@@ -109,7 +109,6 @@ impl RewriteSession {
         cfg.validate()?;
         let shared = ConcurrentAig::from_aig(aig, cfg.headroom)?;
         let store = CutStore::new(shared.capacity(), cfg.cut_config());
-        store.set_dirty_tracking(true);
         let locks = LockTable::new(shared.capacity());
         let prep = (0..shared.capacity()).map(|_| Mutex::new(None)).collect();
         Ok(RewriteSession {
@@ -138,8 +137,11 @@ impl RewriteSession {
     ///
     /// # Errors
     ///
-    /// Propagates engine errors ([`AigError::CapacityExhausted`] when
-    /// [`RewriteConfig::headroom`] proves insufficient).
+    /// Propagates engine errors: [`AigError::CapacityExhausted`] (when
+    /// [`RewriteConfig::headroom`] proves insufficient) or
+    /// [`AigError::WorkerPanicked`] once the recovery budget is spent, and
+    /// [`AigError::InvariantViolation`] if a replacement fails its
+    /// certificate (see [`crate::build_replacement`]).
     pub fn run(&mut self, engine: Engine) -> Result<RewriteStats, AigError> {
         let stats = match engine {
             Engine::DacPara => {

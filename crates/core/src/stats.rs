@@ -40,7 +40,9 @@ pub struct RewriteStats {
     /// Work-stealing scheduler counters (steals/retries/retry-commits) of
     /// the Galois engines (`dacpara`, `iccad18`); all-zero on the others.
     pub sched: SchedSnapshot,
-    /// Number of level worklists processed (DACPara only).
+    /// DACPara: number of non-empty level worklists processed, summed over
+    /// runs. FPGA'17 partition engine: number of regions. Zero on the
+    /// others.
     pub worklists: usize,
     /// In-pass fault recoveries: how many times the pass salvaged committed
     /// work and resumed instead of returning `Err` (arena exhaustion and

@@ -67,13 +67,12 @@ type Slot = RwLock<Option<(u32, Arc<CutSet>)>>;
 pub struct CutStore {
     slots: Vec<Slot>,
     cfg: CutConfig,
-    /// Per-slot dirty flags, maintained only while [`CutStore::set_dirty_tracking`]
-    /// is on. A dirty node is one whose stored cuts *or* whose evaluation
-    /// inputs (reference counts, shareable structures nearby) may have
-    /// changed since the flags were last drained — the seed of the
-    /// incremental worklists in `dacpara-core`'s `RewriteSession`.
+    /// Per-slot dirty flags. A dirty node is one whose stored cuts *or*
+    /// whose evaluation inputs (reference counts, shareable structures
+    /// nearby) may have changed since the flags were last drained — the
+    /// seed of the incremental worklists in `dacpara-core`'s
+    /// `RewriteSession`. One-shot engines never drain them.
     dirty: Vec<AtomicBool>,
-    track_dirty: AtomicBool,
 }
 
 impl CutStore {
@@ -83,7 +82,6 @@ impl CutStore {
             slots: (0..capacity).map(|_| RwLock::new(None)).collect(),
             cfg,
             dirty: (0..capacity).map(|_| AtomicBool::new(false)).collect(),
-            track_dirty: AtomicBool::new(false),
         }
     }
 
@@ -211,9 +209,9 @@ impl CutStore {
 
     /// Clears the cached set of `n`; returns whether one was present.
     ///
-    /// Under dirty tracking the node is also marked dirty (§4.4: an
-    /// invalidated enumeration result must be recomputed — and, across
-    /// passes, the node must be revisited).
+    /// The node is also marked dirty (§4.4: an invalidated enumeration
+    /// result must be recomputed — and, across passes, the node must be
+    /// revisited).
     pub fn invalidate(&self, n: NodeId) -> bool {
         self.mark_dirty(n);
         self.slots[n.index()].write().take().is_some()
@@ -248,10 +246,10 @@ impl CutStore {
     }
 
     /// Resets the store for a fresh graph while preserving its slot
-    /// allocation: every cached set and every dirty flag is dropped, the
-    /// tracking switch is left untouched. Used by `RewriteSession` when it
-    /// re-syncs to an externally mutated graph (the memo keys — node ids —
-    /// are renumbered, so nothing cached can be trusted).
+    /// allocation: every cached set and every dirty flag is dropped. Used
+    /// by `RewriteSession` when it re-syncs to an externally mutated graph
+    /// (the memo keys — node ids — are renumbered, so nothing cached can
+    /// be trusted).
     pub fn reset(&self) {
         self.clear();
         for d in &self.dirty {
@@ -261,24 +259,11 @@ impl CutStore {
 
     // ---- Dirty tracking -------------------------------------------------
 
-    /// Turns dirty tracking on or off. Off (the default) makes every
-    /// marking call a no-op, so the one-shot engines pay nothing.
-    pub fn set_dirty_tracking(&self, on: bool) {
-        self.track_dirty.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether dirty tracking is currently enabled.
-    pub fn dirty_tracking(&self) -> bool {
-        self.track_dirty.load(Ordering::Relaxed)
-    }
-
     /// Marks `n` dirty without touching its cached set (used for nodes
     /// whose *gain* inputs — reference counts, sharing opportunities —
     /// changed while their cut structure did not).
     pub fn mark_dirty(&self, n: NodeId) {
-        if self.track_dirty.load(Ordering::Relaxed) {
-            self.dirty[n.index()].store(true, Ordering::Relaxed);
-        }
+        self.dirty[n.index()].store(true, Ordering::Relaxed);
     }
 
     /// Marks `n` and its transitive fanouts dirty without clearing cached
@@ -287,9 +272,6 @@ impl CutStore {
     /// walk). Cached cuts stay valid — only the evaluation verdict is
     /// suspect — which is what keeps incremental passes memo-hot.
     pub fn mark_dirty_tfo<V: AigRead + ?Sized>(&self, view: &V, n: NodeId) {
-        if !self.track_dirty.load(Ordering::Relaxed) {
-            return;
-        }
         let mut stack = vec![n];
         while let Some(x) = stack.pop() {
             if self.dirty[x.index()].swap(true, Ordering::Relaxed) {
@@ -415,17 +397,11 @@ mod tests {
     }
 
     #[test]
-    fn dirty_tracking_is_opt_in() {
+    fn invalidation_marks_the_cleared_cone_dirty() {
         let (aig, lits) = chain();
         let store = CutStore::new(aig.slot_count(), CutConfig::unlimited());
         let top = lits.last().unwrap().node();
         store.cuts(&aig, top);
-        // Off by default: invalidation marks nothing.
-        store.invalidate_tfo(&aig, lits[0].node());
-        assert_eq!(store.dirty_count(), 0);
-        // On: invalidation marks the cleared cone.
-        store.cuts(&aig, top);
-        store.set_dirty_tracking(true);
         store.invalidate_tfo(&aig, lits[0].node());
         assert!(store.is_dirty(lits[0].node()));
         assert!(store.is_dirty(top));
@@ -440,7 +416,6 @@ mod tests {
         let store = CutStore::new(aig.slot_count(), CutConfig::unlimited());
         let top = lits.last().unwrap().node();
         store.cuts(&aig, top);
-        store.set_dirty_tracking(true);
         store.mark_dirty_tfo(&aig, lits[0].node());
         // Every node upward is marked, but the memo entries survive.
         for l in &lits {
@@ -455,14 +430,12 @@ mod tests {
         let store = CutStore::new(aig.slot_count(), CutConfig::unlimited());
         let top = lits.last().unwrap().node();
         store.cuts(&aig, top);
-        store.set_dirty_tracking(true);
         store.mark_dirty(top);
         let cap = store.capacity();
         store.reset();
         assert_eq!(store.capacity(), cap);
         assert_eq!(store.cached_count(), 0);
         assert_eq!(store.dirty_count(), 0);
-        assert!(store.dirty_tracking(), "reset keeps the tracking switch");
     }
 
     #[test]

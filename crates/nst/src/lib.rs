@@ -32,12 +32,10 @@ mod factor;
 mod forest;
 mod isop;
 mod library;
-mod refine;
 mod shannon;
 
 pub use factor::factor_build;
 pub use forest::{FLit, Forest};
 pub use isop::{isop, Cube};
 pub use library::{NpnLibrary, StructIn, Structure, MAX_STRUCTURE_GATES};
-pub use refine::{refine, seed_from_forest, BestTable, RefineParams};
 pub use shannon::{isop_build, shannon, shannon_split, synthesize_candidates, BuildMemo};

@@ -6,7 +6,6 @@ use std::sync::OnceLock;
 use dacpara_npn::{ClassId, ClassRegistry, Tt4};
 
 use crate::forest::{FLit, Forest};
-use crate::refine::{refine, seed_from_forest, BestTable, RefineParams};
 use crate::shannon::{synthesize_candidates, BuildMemo};
 
 /// Input of a structure gate (or the structure's root).
@@ -191,60 +190,22 @@ impl NpnLibrary {
     /// dependent variable plus both-polarity flat and factored ISOP; see
     /// `DESIGN.md` for how this substitutes ABC's precomputed blob).
     pub fn build() -> NpnLibrary {
-        NpnLibrary::build_inner(None)
-    }
-
-    /// Like [`NpnLibrary::build`], followed by a bounded bottom-up
-    /// enumeration sweep ([`refine`]) that replaces any class's front
-    /// structure when enumeration finds a strictly smaller one.
-    pub fn build_refined(params: &RefineParams) -> NpnLibrary {
-        NpnLibrary::build_inner(Some(params))
-    }
-
-    fn build_inner(refinement: Option<&RefineParams>) -> NpnLibrary {
         let reg = ClassRegistry::global();
         let mut forest = Forest::new();
         let mut memo = BuildMemo::new();
-        let roots: Vec<Vec<FLit>> = reg
+        let per_class = reg
             .representatives()
             .iter()
-            .map(|&rep| synthesize_candidates(&mut forest, rep, &mut memo))
-            .collect();
-
-        let mut extra: Vec<Option<FLit>> = vec![None; roots.len()];
-        if let Some(params) = refinement {
-            let mut table = BestTable::new();
-            seed_from_forest(&forest, &mut table);
-            refine(&mut forest, &mut table, params);
-            for (id, rep) in reg.representatives().iter().enumerate() {
-                if let Some(best) = table.get(*rep) {
-                    let current_min = roots[id]
-                        .first()
-                        .map(|&r| forest.cone_size(r))
-                        .unwrap_or(u32::MAX);
-                    if forest.cone_size(best) < current_min {
-                        extra[id] = Some(best);
-                    }
-                }
-            }
-        }
-
-        let per_class = roots
-            .into_iter()
             .enumerate()
-            .map(|(id, cands)| {
-                let rep = reg.representative(id as ClassId);
-                let mut structures: Vec<Structure> = Vec::with_capacity(cands.len() + 1);
-                if let Some(best) = extra[id] {
-                    let s = Structure::from_forest(&forest, best);
-                    debug_assert_eq!(s.function(), rep);
-                    structures.push(s);
-                }
-                for root in cands {
-                    let s = Structure::from_forest(&forest, root);
-                    debug_assert_eq!(s.function(), rep);
-                    structures.push(s);
-                }
+            .map(|(id, &rep)| {
+                let structures: Vec<Structure> = synthesize_candidates(&mut forest, rep, &mut memo)
+                    .into_iter()
+                    .map(|root| Structure::from_forest(&forest, root))
+                    .collect();
+                debug_assert!(
+                    structures.iter().all(|s| s.function() == rep),
+                    "class {id} has a structure off its representative"
+                );
                 assert!(
                     structures.iter().all(|s| s.size() <= MAX_STRUCTURE_GATES),
                     "class {id} has a structure above MAX_STRUCTURE_GATES"
@@ -259,13 +220,6 @@ impl NpnLibrary {
     pub fn global() -> &'static NpnLibrary {
         static LIB: OnceLock<NpnLibrary> = OnceLock::new();
         LIB.get_or_init(NpnLibrary::build)
-    }
-
-    /// The process-wide *refined* library (default refinement parameters;
-    /// built once on first use — the enumeration sweep takes a few seconds).
-    pub fn global_refined() -> &'static NpnLibrary {
-        static LIB: OnceLock<NpnLibrary> = OnceLock::new();
-        LIB.get_or_init(|| NpnLibrary::build_refined(&RefineParams::default()))
     }
 
     /// The candidate structures of a class, sorted by ascending size.
@@ -310,6 +264,7 @@ mod tests {
         let lib = NpnLibrary::global();
         let reg = ClassRegistry::global();
         assert_eq!(lib.num_classes(), 222);
+        assert_eq!(lib.num_structures(), 1701);
         for id in 0..reg.len() as ClassId {
             assert!(
                 !lib.structures(id).is_empty(),
@@ -337,30 +292,6 @@ mod tests {
             let sizes: Vec<usize> = lib.structures(id).iter().map(Structure::size).collect();
             assert!(sizes.windows(2).all(|w| w[0] <= w[1]), "class {id}");
         }
-    }
-
-    #[test]
-    fn refined_library_is_never_worse_and_sometimes_better() {
-        let base = NpnLibrary::global();
-        let refined = NpnLibrary::build_refined(&crate::refine::RefineParams {
-            rounds: 2,
-            max_operands: 600,
-            ..crate::refine::RefineParams::default()
-        });
-        let reg = ClassRegistry::global();
-        let mut strictly_better = 0;
-        for id in 0..reg.len() as ClassId {
-            let b = base.min_size(id);
-            let r = refined.min_size(id);
-            assert!(r <= b, "class {id}: refined {r} > base {b}");
-            if r < b {
-                strictly_better += 1;
-            }
-            for s in refined.structures(id).iter().take(2) {
-                assert_eq!(s.function(), reg.representative(id), "class {id}");
-            }
-        }
-        assert!(strictly_better > 0, "refinement should win somewhere");
     }
 
     #[test]

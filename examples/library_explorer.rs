@@ -1,11 +1,10 @@
 //! Explore the generated NPN structure library: per-class structure counts
-//! and sizes, and what the bounded-enumeration refinement buys on top of
-//! the decomposition strategies.
+//! and sizes.
 //!
 //! Run with: `cargo run --release --example library_explorer`
 
 use dacpara_npn::{ClassId, ClassRegistry};
-use dacpara_nst::{NpnLibrary, RefineParams};
+use dacpara_nst::NpnLibrary;
 
 fn main() {
     let reg = ClassRegistry::global();
@@ -29,31 +28,6 @@ fn main() {
         );
     }
 
-    // What refinement improves.
-    println!("\nrunning the bounded-enumeration refinement sweep ...");
-    let refined = NpnLibrary::build_refined(&RefineParams::default());
-    let mut wins = Vec::new();
-    for id in 0..reg.len() as ClassId {
-        let (b, r) = (base.min_size(id), refined.min_size(id));
-        if r < b {
-            wins.push((id, b, r));
-        }
-    }
-    println!(
-        "refinement improved {} of {} classes:",
-        wins.len(),
-        reg.len()
-    );
-    for (id, b, r) in wins.iter().take(15) {
-        println!(
-            "  class {id:>3} (rep {}): {b} -> {r} gates",
-            reg.representative(*id)
-        );
-    }
-    if wins.len() > 15 {
-        println!("  ... and {} more", wins.len() - 15);
-    }
-
     // A few well-known functions.
     println!("\nfamiliar functions:");
     for (name, tt) in [
@@ -65,8 +39,8 @@ fn main() {
         let id = reg.class_of(tt);
         println!(
             "  {name:<12} class {id:>3}: best {} gates ({} structures)",
-            refined.min_size(id),
-            refined.structures(id).len()
+            base.min_size(id),
+            base.structures(id).len()
         );
     }
 }
