@@ -37,14 +37,6 @@ use crate::{Aig, AigError, AigRead, Lit, NodeId, NodeKind};
 const ORD_LOAD: Ordering = Ordering::Acquire;
 const ORD_STORE: Ordering = Ordering::Release;
 
-/// Denominator of the rational headroom factor used for capacity sizing.
-const HEADROOM_DENOM: usize = 1024;
-
-/// Flat slack added on top of the scaled capacity: keeps tiny graphs
-/// rewritable even at `headroom = 1.0` (replacements transiently allocate
-/// before the old cone is freed).
-const SLACK_SLOTS: usize = 64;
-
 /// Largest addressable capacity: literals pack `(index << 1) | complement`
 /// into a `u32`.
 const MAX_CAPACITY: usize = (u32::MAX >> 1) as usize;
@@ -93,7 +85,7 @@ impl CNode {
 /// let b = aig.add_input();
 /// let ab = aig.add_and(a, b);
 /// aig.add_output(ab);
-/// let shared = ConcurrentAig::from_aig(&aig, 1.5).unwrap();
+/// let shared = ConcurrentAig::from_aig(&aig, 0).unwrap();
 /// assert_eq!(shared.num_ands(), 1);
 /// let back = shared.to_aig();
 /// assert_eq!(back.num_ands(), 1);
@@ -110,20 +102,20 @@ pub struct ConcurrentAig {
 }
 
 impl ConcurrentAig {
-    /// Builds a concurrent copy of `aig` with `headroom >= 1.0` times its
-    /// slot count reserved (rewriting transiently allocates new nodes before
-    /// deleting the old cone, so some slack is required).
+    /// Builds a concurrent copy of `aig` with `spare` free slots beyond its
+    /// live nodes. Rewriting allocates a replacement's gates before it
+    /// frees the old cone, so the caller sizes `spare` to the most slots
+    /// that can be in flight at once (see `docs/ARCHITECTURE.md` §12).
     ///
     /// Live nodes are renumbered compactly: constant, inputs, then ANDs in
     /// topological order.
     ///
     /// # Errors
     ///
-    /// Returns [`AigError::InvalidHeadroom`] when `headroom` is non-finite
-    /// or below `1.0`, and [`AigError::CapacityOverflow`] when the scaled
-    /// capacity does not fit the node-id space.
-    pub fn from_aig(aig: &Aig, headroom: f64) -> Result<ConcurrentAig, AigError> {
-        let capacity = Self::required_capacity(aig, headroom)?;
+    /// Returns [`AigError::CapacityOverflow`] when the capacity does not
+    /// fit the node-id space.
+    pub fn from_aig(aig: &Aig, spare: usize) -> Result<ConcurrentAig, AigError> {
+        let capacity = Self::capacity_for(aig, spare)?;
         let nodes: Box<[CNode]> = (0..capacity).map(|_| CNode::free()).collect();
         let fanouts: Box<[RwLock<Vec<NodeId>>]> =
             (0..capacity).map(|_| RwLock::new(Vec::new())).collect();
@@ -141,40 +133,14 @@ impl ConcurrentAig {
         Ok(shared)
     }
 
-    fn required_capacity(aig: &Aig, headroom: f64) -> Result<usize, AigError> {
+    /// The arena capacity for `aig` plus `spare` slots, in checked integer
+    /// math: a sum that overflows `usize` or passes the packed-literal id
+    /// space is an error, never a wrapped value.
+    fn capacity_for(aig: &Aig, spare: usize) -> Result<usize, AigError> {
         let live = 1 + aig.num_inputs() + aig.num_ands();
-        Self::scale_capacity(live, headroom)
-    }
-
-    /// Computes the arena capacity for `live` nodes under a headroom
-    /// factor, entirely in checked integer math: the factor is quantized
-    /// once to 1024ths (`HEADROOM_DENOM`, rounding up), then scaled with
-    /// `checked_mul` so a huge factor or node count errors out instead of
-    /// silently wrapping through an `f64 as usize` cast.
-    pub fn scale_capacity(live: usize, headroom: f64) -> Result<usize, AigError> {
-        if !headroom.is_finite() || headroom < 1.0 {
-            return Err(AigError::InvalidHeadroom {
-                headroom: format!("{headroom}"),
-            });
-        }
-        let num = (headroom * HEADROOM_DENOM as f64).ceil();
-        // Saturate the quantized numerator so absurd factors fail through
-        // checked_mul below rather than wrapping in the float-to-int cast.
-        let num = if num >= usize::MAX as f64 {
-            usize::MAX
-        } else {
-            num as usize
-        };
-        let capacity = live
-            .checked_mul(num)
-            .map(|scaled| scaled / HEADROOM_DENOM)
-            .and_then(|scaled| scaled.checked_add(SLACK_SLOTS))
-            .ok_or(AigError::CapacityOverflow { live })?
-            .max(live + SLACK_SLOTS);
-        if capacity > MAX_CAPACITY {
-            return Err(AigError::CapacityOverflow { live });
-        }
-        Ok(capacity)
+        live.checked_add(spare)
+            .filter(|&capacity| capacity <= MAX_CAPACITY)
+            .ok_or(AigError::CapacityOverflow { live })
     }
 
     /// Re-initializes this arena from a (possibly mutated) serial graph,
@@ -191,10 +157,10 @@ impl ConcurrentAig {
     ///
     /// # Errors
     ///
-    /// Returns [`AigError::InvalidHeadroom`] or [`AigError::CapacityOverflow`]
-    /// like [`ConcurrentAig::from_aig`]; the arena is left untouched on error.
-    pub fn resync_from(&mut self, aig: &Aig, headroom: f64) -> Result<(), AigError> {
-        let capacity = Self::required_capacity(aig, headroom)?;
+    /// Returns [`AigError::CapacityOverflow`] like
+    /// [`ConcurrentAig::from_aig`]; the arena is left untouched on error.
+    pub fn resync_from(&mut self, aig: &Aig, spare: usize) -> Result<(), AigError> {
+        let capacity = Self::capacity_for(aig, spare)?;
         if capacity > self.nodes.len() {
             self.nodes = (0..capacity).map(|_| CNode::free()).collect();
             self.fanouts = (0..capacity).map(|_| RwLock::new(Vec::new())).collect();
@@ -305,12 +271,10 @@ impl ConcurrentAig {
         aig
     }
 
+    /// Pops a freed slot, or takes a fresh one only when none is free.
+    /// A full arena means the caller's sizing bound was wrong, so it is an
+    /// invariant violation rather than a condition to recover from.
     fn alloc_slot(&self) -> Result<NodeId, AigError> {
-        if dacpara_fault::point(dacpara_fault::points::ARENA_ALLOC) {
-            return Err(AigError::CapacityExhausted {
-                capacity: self.nodes.len(),
-            });
-        }
         if let Some(id) = self.free.lock().pop() {
             return Ok(id);
         }
@@ -318,9 +282,10 @@ impl ConcurrentAig {
         if slot >= self.nodes.len() {
             // Undo so repeated failures don't wrap.
             self.next_fresh.fetch_sub(1, Ordering::Relaxed);
-            return Err(AigError::CapacityExhausted {
-                capacity: self.nodes.len(),
-            });
+            return Err(AigError::InvariantViolation(format!(
+                "concurrent aig arena is full at {} slots",
+                self.nodes.len()
+            )));
         }
         Ok(NodeId::new(slot as u32))
     }
@@ -371,7 +336,7 @@ impl ConcurrentAig {
     ///
     /// # Errors
     ///
-    /// Returns [`AigError::CapacityExhausted`] when the arena is full.
+    /// Returns [`AigError::InvariantViolation`] when the arena is full.
     pub fn add_and_locked(&self, a: Lit, b: Lit) -> Result<Lit, AigError> {
         let (a, b) = if a <= b { (a, b) } else { (b, a) };
         if let Some(l) = Aig::fold_and(a, b) {
@@ -743,7 +708,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_structure() {
         let (aig, ..) = sample();
-        let shared = ConcurrentAig::from_aig(&aig, 1.5).unwrap();
+        let shared = ConcurrentAig::from_aig(&aig, 8).unwrap();
         shared.check().unwrap();
         let back = shared.to_aig();
         back.check().unwrap();
@@ -755,7 +720,7 @@ mod tests {
     #[test]
     fn check_catches_fanout_list_and_output_count_drift() {
         let (aig, ..) = sample();
-        let shared = ConcurrentAig::from_aig(&aig, 1.5).unwrap();
+        let shared = ConcurrentAig::from_aig(&aig, 8).unwrap();
         let input = shared.input_ids()[0];
         // A fanout entry without a matching reference.
         shared.fanouts[input.index()].write().push(input);
@@ -788,7 +753,7 @@ mod tests {
         }
         aig.add_output(ab);
         aig.add_output(a);
-        let shared = ConcurrentAig::from_aig(&aig, 1.5).unwrap();
+        let shared = ConcurrentAig::from_aig(&aig, 8).unwrap();
         let ins = shared.input_ids();
         let (sa, sb) = (ins[0], ins[1]);
         assert_eq!(shared.fanout_count(sa), 4);
@@ -804,7 +769,7 @@ mod tests {
     #[test]
     fn decentralized_lookup_matches_serial() {
         let (aig, ..) = sample();
-        let shared = ConcurrentAig::from_aig(&aig, 1.5).unwrap();
+        let shared = ConcurrentAig::from_aig(&aig, 8).unwrap();
         for i in 0..shared.capacity() {
             let n = NodeId::new(i as u32);
             if shared.kind(n) == NodeKind::And {
@@ -818,7 +783,7 @@ mod tests {
     #[test]
     fn add_and_locked_reuses_and_creates() {
         let (aig, ..) = sample();
-        let shared = ConcurrentAig::from_aig(&aig, 2.0).unwrap();
+        let shared = ConcurrentAig::from_aig(&aig, 8).unwrap();
         let ins = shared.input_ids();
         let (a, b) = (ins[0].lit(), ins[1].lit());
         let before = shared.num_ands();
@@ -842,7 +807,7 @@ mod tests {
         let bc = aig.add_and(b, c);
         let top = aig.add_and(ac, bc);
         aig.add_output(top);
-        let shared = ConcurrentAig::from_aig(&aig, 2.0).unwrap();
+        let shared = ConcurrentAig::from_aig(&aig, 8).unwrap();
 
         // Find the concurrent ids of ac/bc via lookup.
         let ins = shared.input_ids();
@@ -868,7 +833,7 @@ mod tests {
         let b = aig.add_input();
         let ab = aig.add_and(a, b);
         aig.add_output(ab);
-        let shared = ConcurrentAig::from_aig(&aig, 2.0).unwrap();
+        let shared = ConcurrentAig::from_aig(&aig, 8).unwrap();
         let ins = shared.input_ids();
         let sab = shared.find_and(ins[0].lit(), ins[1].lit()).unwrap();
         let gen0 = shared.generation(sab);
@@ -889,7 +854,7 @@ mod tests {
     #[test]
     fn resync_reuses_allocation_and_matches_from_aig() {
         let (aig, ..) = sample();
-        let mut shared = ConcurrentAig::from_aig(&aig, 2.0).unwrap();
+        let mut shared = ConcurrentAig::from_aig(&aig, 8).unwrap();
         let cap = shared.capacity();
 
         // Mutate the arena so stale state would show through a sloppy reset.
@@ -903,7 +868,7 @@ mod tests {
         let b = small.add_input();
         let ab = small.add_and(a, b);
         small.add_output(!ab);
-        shared.resync_from(&small, 2.0).unwrap();
+        shared.resync_from(&small, 8).unwrap();
 
         assert_eq!(shared.capacity(), cap, "allocation must be reused");
         shared.check().unwrap();
@@ -924,7 +889,7 @@ mod tests {
         let b = tiny.add_input();
         let tab = tiny.add_and(a, b);
         tiny.add_output(tab);
-        let mut shared = ConcurrentAig::from_aig(&tiny, 1.0).unwrap();
+        let mut shared = ConcurrentAig::from_aig(&tiny, 0).unwrap();
         let cap = shared.capacity();
 
         let mut big = Aig::new();
@@ -934,7 +899,7 @@ mod tests {
             lit = big.add_and(lit, other);
         }
         big.add_output(lit);
-        shared.resync_from(&big, 1.5).unwrap();
+        shared.resync_from(&big, 8).unwrap();
         assert!(shared.capacity() > cap);
         shared.check().unwrap();
         assert_eq!(shared.num_ands(), big.num_ands());
@@ -950,7 +915,7 @@ mod tests {
         let bc = aig.add_and(b, c);
         let top = aig.add_and(ac, bc);
         aig.add_output(top);
-        let shared = ConcurrentAig::from_aig(&aig, 2.0).unwrap();
+        let shared = ConcurrentAig::from_aig(&aig, 8).unwrap();
         let ins = shared.input_ids();
         let (ca, cb, cc) = (ins[0].lit(), ins[1].lit(), ins[2].lit());
         let sac = shared.find_and(ca, cc).unwrap();
@@ -977,7 +942,7 @@ mod tests {
         let ab = aig.add_and(a, b);
         let _abc = aig.add_and(ab, c); // dangling: only ab is an output
         aig.add_output(ab);
-        let shared = ConcurrentAig::from_aig(&aig, 2.0).unwrap();
+        let shared = ConcurrentAig::from_aig(&aig, 8).unwrap();
         let ins = shared.input_ids();
         let sab = shared.find_and(ins[0].lit(), ins[1].lit()).unwrap();
         let sabc = shared.find_and(sab.lit(), ins[2].lit()).unwrap();
@@ -1002,97 +967,52 @@ mod tests {
         let b = aig.add_input();
         let ab = aig.add_and(a, b);
         aig.add_output(ab);
-        let shared = ConcurrentAig::from_aig(&aig, 1.0).unwrap();
+        let shared = ConcurrentAig::from_aig(&aig, 2).unwrap();
         let ins = shared.input_ids();
-        // Fill the tiny headroom until exhaustion.
+        // Fill the two spare slots; the third fresh gate finds the arena
+        // full, which is an error, not a panic or a wrapped index.
         let mut lit = ins[0].lit();
-        let mut saw_exhaustion = false;
-        for i in 0..200u32 {
+        let mut built = 0;
+        for i in 0..8u32 {
+            // Alternate the polarity so no gate already exists or folds.
             let other = if i % 2 == 0 {
-                ins[1].lit()
-            } else {
                 !ins[1].lit()
+            } else {
+                ins[1].lit()
             };
             match shared.add_and_locked(lit, other) {
-                Ok(l) => lit = l,
-                Err(AigError::CapacityExhausted { .. }) => {
-                    saw_exhaustion = true;
+                Ok(l) => {
+                    lit = l;
+                    built += 1;
+                }
+                Err(AigError::InvariantViolation(msg)) => {
+                    assert!(msg.contains("full"), "{msg}");
                     break;
                 }
                 Err(e) => panic!("unexpected error {e}"),
             }
         }
-        assert!(saw_exhaustion);
-    }
-
-    #[test]
-    fn bad_headroom_is_an_error_not_a_panic() {
-        let (aig, ..) = sample();
-        for bad in [0.0, 0.99, -3.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            assert!(
-                matches!(
-                    ConcurrentAig::from_aig(&aig, bad),
-                    Err(AigError::InvalidHeadroom { .. })
-                ),
-                "headroom {bad} must be rejected"
-            );
-        }
-        let mut shared = ConcurrentAig::from_aig(&aig, 1.5).unwrap();
-        let cap = shared.capacity();
-        assert!(matches!(
-            shared.resync_from(&aig, f64::NAN),
-            Err(AigError::InvalidHeadroom { .. })
-        ));
-        // The failed resync must leave the arena untouched.
-        assert_eq!(shared.capacity(), cap);
+        assert_eq!(built, 2);
+        assert_eq!(shared.capacity(), 1 + 2 + 1 + 2);
         shared.check().unwrap();
     }
 
     #[test]
-    fn scale_capacity_uses_checked_integer_math() {
-        // headroom = 1.0 reserves the live count plus flat slack.
-        assert_eq!(ConcurrentAig::scale_capacity(1000, 1.0).unwrap(), 1064);
-        // The quantized factor rounds up, never down.
-        assert!(ConcurrentAig::scale_capacity(1000, 1.5).unwrap() >= 1564);
-        // Values that would wrap the old `f64 as usize` cast now error.
+    fn capacity_for_uses_checked_integer_math() {
+        let (aig, ..) = sample();
+        let live = 1 + aig.num_inputs() + aig.num_ands();
+        assert_eq!(ConcurrentAig::capacity_for(&aig, 0).unwrap(), live);
+        assert_eq!(ConcurrentAig::capacity_for(&aig, 66).unwrap(), live + 66);
+        // A sum that would wrap `usize` errors out.
         assert!(matches!(
-            ConcurrentAig::scale_capacity(usize::MAX / 2, 2.0),
-            Err(AigError::CapacityOverflow { .. })
-        ));
-        assert!(matches!(
-            ConcurrentAig::scale_capacity(1 << 40, 1e300),
+            ConcurrentAig::capacity_for(&aig, usize::MAX),
             Err(AigError::CapacityOverflow { .. })
         ));
         // Anything past the packed-literal id space is refused even when
-        // the multiplication itself does not overflow.
+        // the addition itself does not overflow.
         assert!(matches!(
-            ConcurrentAig::scale_capacity((u32::MAX >> 1) as usize, 1.5),
+            ConcurrentAig::capacity_for(&aig, (u32::MAX >> 1) as usize),
             Err(AigError::CapacityOverflow { .. })
         ));
-    }
-
-    #[test]
-    fn injected_alloc_fault_reports_exhaustion() {
-        let mut aig = Aig::new();
-        let a = aig.add_input();
-        let b = aig.add_input();
-        let ab = aig.add_and(a, b);
-        aig.add_output(ab);
-        let shared = ConcurrentAig::from_aig(&aig, 4.0).unwrap();
-        let ins = shared.input_ids();
-        // A pair that is neither foldable nor already strashed, so the
-        // lookup falls through to the allocator.
-        let fresh = (ins[0].lit(), !ins[1].lit());
-        let plan = dacpara_fault::FaultPlan::parse("arena.alloc=@1", 0).unwrap();
-        {
-            let _inj = dacpara_fault::inject(&plan);
-            assert!(matches!(
-                shared.add_and_locked(fresh.0, fresh.1),
-                Err(AigError::CapacityExhausted { .. })
-            ));
-        }
-        // Disarmed, the same call succeeds: the arena was not corrupted.
-        shared.add_and_locked(fresh.0, fresh.1).unwrap();
-        shared.check().unwrap();
     }
 }

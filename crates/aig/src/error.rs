@@ -5,17 +5,6 @@ use std::fmt;
 pub enum AigError {
     /// The structural invariant checker found a violation.
     InvariantViolation(String),
-    /// A fixed-capacity (concurrent) AIG ran out of node slots.
-    CapacityExhausted {
-        /// Number of slots the arena was created with.
-        capacity: usize,
-    },
-    /// A headroom factor outside `[1.0, ∞)` (or a non-finite one) was
-    /// supplied to a fixed-capacity arena constructor.
-    InvalidHeadroom {
-        /// Human-readable rendering of the offending factor.
-        headroom: String,
-    },
     /// The requested arena capacity does not fit the packed node-id space
     /// (or overflows `usize` during sizing).
     CapacityOverflow {
@@ -39,15 +28,6 @@ impl fmt::Display for AigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             AigError::InvariantViolation(msg) => write!(f, "aig invariant violation: {msg}"),
-            AigError::CapacityExhausted { capacity } => write!(
-                f,
-                "concurrent aig arena exhausted its {capacity} node slots; \
-                 rebuild it with a larger headroom factor"
-            ),
-            AigError::InvalidHeadroom { headroom } => write!(
-                f,
-                "arena headroom factor must be a finite value >= 1.0, got {headroom}"
-            ),
             AigError::CapacityOverflow { live } => write!(
                 f,
                 "required arena capacity for {live} live nodes does not fit \

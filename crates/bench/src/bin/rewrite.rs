@@ -4,7 +4,6 @@
 //! ```text
 //! rewrite [--engine NAME] [--threads N] [--passes N]
 //!         [--runs N] [--zeros] [--classes 134|222] [--check]
-//!         [--headroom X.Y]
 //!         [--trace FILE.json] [--metrics FILE.jsonl]
 //!         [--in FILE.{aag,aig,blif}|--bench NAME[:scale]]
 //!         [--out FILE.{aag,aig,blif,v,dot}]
@@ -34,14 +33,12 @@
 //!
 //! Fault tolerance (see `docs/ARCHITECTURE.md` §12):
 //!
-//! * `--headroom X.Y` — arena slack factor for the concurrent engines
-//!   (default 1.6; must be ≥ 1.0 and finite).
-//! * In-pass recovery has a fixed budget: a session recovers at most
-//!   eight times, arena exhaustion and contained panics combined, and
-//!   each exhaustion doubles the headroom. To avoid regrowths, raise
-//!   `--headroom`; there is no way to turn in-pass recovery off.
+//! * The concurrent engines size their arena to the live graph plus a
+//!   proven per-thread bound; it cannot run out, so there is no knob.
+//! * In-pass recovery from contained worker panics has a fixed budget: a
+//!   session recovers at most eight times; there is no way to turn it off.
 //! * `DACPARA_FAULT_SPEC` / `DACPARA_FAULT_SEED` — arm the deterministic
-//!   fault-injection harness (e.g. `arena.alloc=1/64*2`); the armed plan is
+//!   fault-injection harness (e.g. `operator.panic=1/64*2`); the armed plan is
 //!   echoed to stderr. See the `dacpara-fault` crate docs for the grammar.
 
 use std::path::PathBuf;
@@ -107,9 +104,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--classes" => {
                 cfg.num_classes = parse_num("--classes", it.next())?;
-            }
-            "--headroom" => {
-                cfg.headroom = parse_num("--headroom", it.next())?;
             }
             "--zeros" => cfg.use_zeros = true,
             "--check" => check = true,
@@ -219,7 +213,6 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: rewrite [--engine NAME] [--threads N] [--passes N] \
                  [--runs N] [--zeros] [--classes 134|222] [--check] \
-                 [--headroom X.Y] \
                  [--trace FILE.json] [--metrics FILE.jsonl] \
                  (--in FILE.aag | --bench NAME[:test|small|medium]) [--out FILE.aag]"
             );

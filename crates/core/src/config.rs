@@ -15,12 +15,6 @@ pub enum ConfigError {
     ZeroRuns,
     /// `num_classes` must be at least 1.
     ZeroClasses,
-    /// `headroom` must be at least 1.0 (the arena cannot shrink below the
-    /// live graph).
-    HeadroomTooSmall {
-        /// The rejected headroom value.
-        headroom: f64,
-    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -29,9 +23,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroThreads => f.write_str("threads must be >= 1"),
             ConfigError::ZeroRuns => f.write_str("runs must be >= 1"),
             ConfigError::ZeroClasses => f.write_str("num_classes must be >= 1"),
-            ConfigError::HeadroomTooSmall { headroom } => {
-                write!(f, "headroom must be >= 1.0 (got {headroom})")
-            }
         }
     }
 }
@@ -71,8 +62,6 @@ pub struct RewriteConfig {
     /// Reject replacements that increase the node's level (ABC `rewrite`
     /// preserves levels by default).
     pub preserve_level: bool,
-    /// Arena headroom factor for the concurrent engines.
-    pub headroom: f64,
     /// How many times the whole pass is run (the GPU comparisons execute
     /// the program twice).
     pub runs: usize,
@@ -94,7 +83,6 @@ impl RewriteConfig {
             num_classes: 134,
             use_zeros: false,
             preserve_level: true,
-            headroom: 1.6,
             runs: 1,
             level_partition: true,
             revalidate: true,
@@ -145,14 +133,6 @@ impl RewriteConfig {
         }
         if self.num_classes == 0 {
             return Err(ConfigError::ZeroClasses);
-        }
-        // NaN must be rejected, and it fails every ordered comparison, so
-        // plain `< 1.0` would wave it through: require the finite check
-        // first and the positive comparison second.
-        if !self.headroom.is_finite() || self.headroom < 1.0 {
-            return Err(ConfigError::HeadroomTooSmall {
-                headroom: self.headroom,
-            });
         }
         Ok(())
     }
@@ -236,26 +216,7 @@ mod tests {
                 },
                 ConfigError::ZeroClasses,
             ),
-            (
-                RewriteConfig {
-                    headroom: 0.5,
-                    ..RewriteConfig::rewrite_op()
-                },
-                ConfigError::HeadroomTooSmall { headroom: 0.5 },
-            ),
         ];
-        // NaN and infinities are rejected too (they would previously slip
-        // past `< 1.0` and abort deep inside the arena constructor).
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let cfg = RewriteConfig {
-                headroom: bad,
-                ..RewriteConfig::rewrite_op()
-            };
-            assert!(
-                matches!(cfg.validate(), Err(ConfigError::HeadroomTooSmall { .. })),
-                "headroom {bad} must be rejected"
-            );
-        }
         for (cfg, want) in cases {
             assert_eq!(cfg.validate(), Err(want));
         }

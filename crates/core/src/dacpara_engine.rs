@@ -21,15 +21,13 @@
 
 use std::sync::atomic::Ordering;
 
-use dacpara_aig::concurrent::ConcurrentAig;
 use dacpara_aig::{Aig, AigError, AigRead, NodeId};
-use dacpara_cut::CutStore;
-use dacpara_galois::{run_spmd, ItemOutcome, LockTable};
+use dacpara_galois::{run_spmd, ItemOutcome};
 use dacpara_npn::canon;
 
-use crate::eval::{evaluate_node, reevaluate_structure, Candidate, EvalContext};
+use crate::eval::{evaluate_node, reevaluate_structure, Candidate};
 use crate::session::{Pass, RewriteSession};
-use crate::speculate::{commit_replacement, speculate, Attempt};
+use crate::speculate::{lock_shared_and_commit, speculate, Attempt};
 use crate::validity::{cut_cover, verify_cut};
 use crate::{Engine, RewriteConfig, RewriteStats};
 
@@ -38,11 +36,11 @@ use crate::{Engine, RewriteConfig, RewriteStats};
 /// # Errors
 ///
 /// Returns the [`crate::ConfigError`] (mapped through [`AigError`]) if `cfg`
-/// fails [`RewriteConfig::validate`]; [`AigError::CapacityExhausted`]
-/// (the arena headroom, [`RewriteConfig::headroom`], proves insufficient)
-/// or [`AigError::WorkerPanicked`] once the session's recovery budget is
-/// spent; or [`AigError::InvariantViolation`] if a replacement fails its
-/// certificate (see [`crate::build_replacement`]).
+/// fails [`RewriteConfig::validate`]; [`AigError::WorkerPanicked`] once
+/// the session's recovery budget is spent; or
+/// [`AigError::InvariantViolation`] if a replacement fails its certificate
+/// (see [`crate::build_replacement`]) or the arena runs out of slots, which
+/// its sizing bound rules out.
 ///
 /// # Example
 ///
@@ -72,13 +70,7 @@ pub(crate) fn round(
     stats: &mut RewriteStats,
 ) {
     let cfg = &sess.cfg;
-    let (shared, store, locks, prep, ctx) = (
-        &sess.shared,
-        &sess.store,
-        &sess.locks,
-        &sess.prep,
-        &sess.ctx,
-    );
+    let (shared, store, prep, ctx) = (&sess.shared, &sess.store, &sess.prep, &sess.ctx);
 
     // --- Node dividing (Fig. 1): one worklist per initial level (or a
     // single global worklist under the ablation flag).
@@ -175,18 +167,7 @@ pub(crate) fn round(
                     // on the first try.
                     let mut revalidation_counted = tries > 0;
                     let outcome = speculate(pass, tries, || {
-                        replace_operator(
-                            shared,
-                            store,
-                            locks,
-                            ctx,
-                            n,
-                            &cand,
-                            owner,
-                            pass,
-                            cfg.revalidate,
-                            &mut revalidation_counted,
-                        )
+                        replace_operator(sess, pass, owner, n, &cand, &mut revalidation_counted)
                     });
                     if outcome == ItemOutcome::Retry {
                         *prep[n.index()].lock() = Some(cand);
@@ -204,19 +185,15 @@ pub(crate) fn round(
 /// candidate. [`speculate`] drives the attempts; a lock conflict leaves the
 /// candidate untouched so a retry revalidates it against the then-current
 /// graph.
-#[allow(clippy::too_many_arguments)]
 fn replace_operator(
-    shared: &ConcurrentAig,
-    store: &CutStore,
-    locks: &LockTable,
-    ctx: &EvalContext,
+    sess: &RewriteSession,
+    pass: &Pass,
+    owner: u32,
     n: NodeId,
     cand: &Candidate,
-    owner: u32,
-    pass: &Pass,
-    revalidate: bool,
     revalidation_counted: &mut bool,
 ) -> Result<Attempt, AigError> {
+    let (shared, store, ctx) = (&sess.shared, &sess.store, &sess.ctx);
     let stale = || {
         pass.stale_skipped.fetch_add(1, Ordering::Relaxed);
         Ok(Attempt::Done)
@@ -232,7 +209,7 @@ fn replace_operator(
         .zip(&cand.leaf_gens)
         .all(|(&l, &g)| shared.is_alive(l) && shared.generation(l) == g);
     if !leaves_fresh {
-        if !revalidate {
+        if !sess.cfg.revalidate {
             return stale();
         }
         if !*revalidation_counted {
@@ -264,7 +241,7 @@ fn replace_operator(
     region.extend(cand.leaves.iter().map(|l| l.raw()));
     region.extend(cover_hint.iter().map(|c| c.raw()));
     region.extend(shared.fanout_ids(n).iter().map(|f| f.raw()));
-    let Some(guard) = locks.try_acquire(owner, region, &pass.spec) else {
+    let Some(guard) = sess.locks.try_acquire(owner, region, &pass.spec) else {
         return Ok(Attempt::Conflict);
     };
 
@@ -300,30 +277,9 @@ fn replace_operator(
         return stale();
     }
 
-    // ---- Phase-2 locks: nodes the new structure will share.
-    let extra: Vec<u32> = re
-        .shared_nodes
-        .iter()
-        .map(|s| s.raw())
-        .filter(|id| guard.ids().binary_search(id).is_err())
-        .collect();
-    let _extra_guard = if extra.is_empty() {
-        None
-    } else {
-        match locks.try_acquire(owner, extra, &pass.spec) {
-            Some(g) => Some(g),
-            None => return Ok(Attempt::Conflict),
-        }
-    };
-
-    // ---- Apply.
-    if commit_replacement(shared, store, ctx, n, &live, &re.freed)? {
-        pass.replacements.fetch_add(1, Ordering::Relaxed);
-        if dacpara_obs::is_enabled() {
-            dacpara_obs::histogram("rewrite.replacement_gain").record(re.gain.max(0) as u64);
-        }
-    }
-    Ok(Attempt::Done)
+    // ---- Phase-2 locks on the nodes the new structure will share, then
+    // apply.
+    lock_shared_and_commit(sess, pass, owner, &guard, n, &live, &re)
 }
 
 #[cfg(test)]

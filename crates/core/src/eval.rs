@@ -350,7 +350,9 @@ fn best_on_cut<V: AigRead + ?Sized>(
 ///
 /// Returns `None` as soon as more than `max_added` nodes would be added.
 /// When `shared` is given, it collects the existing nodes the structure
-/// would share (the parallel engines must lock these before building).
+/// would share, each with its generation (the parallel engines lock these
+/// before building, and a changed generation under the locks means the
+/// build could allocate a gate this mapping did not count).
 #[allow(clippy::too_many_arguments)]
 fn map_structure<V: AigRead + ?Sized>(
     view: &V,
@@ -361,7 +363,7 @@ fn map_structure<V: AigRead + ?Sized>(
     count_sharing: bool,
     max_added: u32,
     memo: &mut ProbeMemo,
-    mut shared: Option<&mut Vec<NodeId>>,
+    mut shared: Option<&mut Vec<(NodeId, u32)>>,
 ) -> Option<Mapping> {
     let (wiring, out_neg) = transform.wire();
     let leaf_val = |var: usize| -> (MVal, u32) {
@@ -401,19 +403,25 @@ fn map_structure<V: AigRead + ?Sized>(
                 if let Some(f) = Aig::fold_and(x, y) {
                     (MVal::Real(f), view.level(f.node()))
                 } else {
-                    let existing = if count_sharing {
+                    let mut existing = if count_sharing {
                         memo.find_and(view, x, y)
                             .filter(|&g| view.is_and(g) && !freed.contains(&g))
                     } else {
                         None
                     };
-                    match existing {
-                        Some(g) => {
-                            if let Some(shared) = shared.as_deref_mut() {
-                                shared.push(g);
-                            }
-                            (MVal::Real(g.lit()), view.level(g))
+                    if let (Some(g), Some(shared)) = (existing, shared.as_deref_mut()) {
+                        // Read the generation first, then confirm `g` still
+                        // is AND(x, y): an unchanged generation later proves
+                        // it has not changed since.
+                        let gen = view.generation(g);
+                        if view.is_and(g) && view.fanins(g) == [x, y] {
+                            shared.push((g, gen));
+                        } else {
+                            existing = None;
                         }
+                    }
+                    match existing {
+                        Some(g) => (MVal::Real(g.lit()), view.level(g)),
                         None => {
                             added += 1;
                             (MVal::Virt(added as u16, false), 1 + la.max(lb))
@@ -457,8 +465,9 @@ pub struct Reevaluation {
     pub gain: i32,
     /// Nodes that would be deleted (the cut-bounded MFFC, root first).
     pub freed: Vec<NodeId>,
-    /// Existing nodes the structure build would reuse.
-    pub shared_nodes: Vec<NodeId>,
+    /// Existing nodes the structure build would reuse, each with its
+    /// generation at re-evaluation.
+    pub shared_nodes: Vec<(NodeId, u32)>,
     /// `Some` when the whole structure already exists as a literal.
     pub root: Option<Lit>,
     /// Level of the new root.
@@ -516,7 +525,8 @@ pub trait AndBuilder {
     ///
     /// # Errors
     ///
-    /// The concurrent implementation reports arena exhaustion.
+    /// The concurrent implementation reports a full arena as an
+    /// invariant violation.
     fn and(&mut self, a: Lit, b: Lit) -> Result<Lit, AigError>;
 
     /// Read access to the graph being built on.
@@ -570,9 +580,9 @@ fn lit_tt<V: AigRead + ?Sized>(view: &V, lit: Lit, leaves: &[NodeId]) -> Option<
 ///
 /// # Errors
 ///
-/// Propagates arena exhaustion from the concurrent builder, and returns
-/// [`AigError::InvariantViolation`] when the built root does not compute
-/// `cand.tt` over the leaves.
+/// Returns [`AigError::InvariantViolation`] when the built root does not
+/// compute `cand.tt` over the leaves, and propagates the concurrent
+/// builder's full-arena error.
 pub fn build_replacement<B: AndBuilder>(
     builder: &mut B,
     cand: &Candidate,
@@ -707,7 +717,7 @@ mod tests {
                 CecResult::Equivalent
             );
 
-            let shared = ConcurrentAig::from_aig(&aig, 2.0).unwrap();
+            let shared = ConcurrentAig::from_aig(&aig, 64).unwrap();
             let err = build_replacement(&mut &shared, &bad, NpnLibrary::global());
             assert!(
                 matches!(err, Err(AigError::InvariantViolation(_))),

@@ -9,14 +9,12 @@
 
 use std::sync::atomic::Ordering;
 
-use dacpara_aig::concurrent::ConcurrentAig;
 use dacpara_aig::{Aig, AigError, AigRead, NodeId};
-use dacpara_cut::CutStore;
-use dacpara_galois::{run_spmd, LockTable};
+use dacpara_galois::run_spmd;
 
-use crate::eval::{evaluate_node, reevaluate_structure, EvalContext};
+use crate::eval::{evaluate_node, reevaluate_structure};
 use crate::session::{Pass, RewriteSession};
-use crate::speculate::{commit_replacement, speculate, Attempt};
+use crate::speculate::{lock_shared_and_commit, speculate, Attempt};
 use crate::validity::{cut_cover, verify_cut};
 use crate::{Engine, RewriteConfig, RewriteStats};
 
@@ -25,11 +23,11 @@ use crate::{Engine, RewriteConfig, RewriteStats};
 /// # Errors
 ///
 /// Returns the [`crate::ConfigError`] (mapped through [`AigError`]) if `cfg`
-/// fails [`RewriteConfig::validate`]; [`AigError::CapacityExhausted`]
-/// (the arena headroom, [`RewriteConfig::headroom`], proves insufficient)
-/// or [`AigError::WorkerPanicked`] once the session's recovery budget is
-/// spent; or [`AigError::InvariantViolation`] if a replacement fails its
-/// certificate (see [`crate::build_replacement`]).
+/// fails [`RewriteConfig::validate`]; [`AigError::WorkerPanicked`] once
+/// the session's recovery budget is spent; or
+/// [`AigError::InvariantViolation`] if a replacement fails its certificate
+/// (see [`crate::build_replacement`]) or the arena runs out of slots, which
+/// its sizing bound rules out.
 pub fn rewrite_lockstep(aig: &mut Aig, cfg: &RewriteConfig) -> Result<RewriteStats, AigError> {
     let mut session = RewriteSession::new(aig, cfg)?;
     let stats = session.run(Engine::Iccad18)?;
@@ -48,14 +46,13 @@ pub(crate) fn round(
     order: Vec<NodeId>,
     _stats: &mut RewriteStats,
 ) {
-    let (shared, store, locks, ctx) = (&sess.shared, &sess.store, &sess.locks, &sess.ctx);
     let order = &order;
     pass.pool.begin(order.len());
     run_spmd(sess.cfg.threads, |w| {
         let owner = w.id as u32 + 1;
         pass.pool.drive(w.id, |i, tries| {
             speculate(pass, tries, || {
-                combined_operator(shared, store, locks, ctx, order[i], owner, pass)
+                combined_operator(sess, pass, owner, order[i])
             })
         });
     });
@@ -67,14 +64,12 @@ pub(crate) fn round(
 /// the retry recomputes enumeration and evaluation from scratch, exactly
 /// the waste the paper's Fig. 2 charges this scheme.
 fn combined_operator(
-    shared: &ConcurrentAig,
-    store: &CutStore,
-    locks: &LockTable,
-    ctx: &EvalContext,
-    n: NodeId,
-    owner: u32,
+    sess: &RewriteSession,
     pass: &Pass,
+    owner: u32,
+    n: NodeId,
 ) -> Result<Attempt, AigError> {
+    let (shared, store, ctx) = (&sess.shared, &sess.store, &sess.ctx);
     if !shared.is_and(n) || shared.refs(n) == 0 {
         return Ok(Attempt::Done);
     }
@@ -109,7 +104,7 @@ fn combined_operator(
     if usable.is_empty() {
         return Ok(Attempt::Done);
     }
-    let Some(guard) = locks.try_acquire(owner, region, &pass.spec) else {
+    let Some(guard) = sess.locks.try_acquire(owner, region, &pass.spec) else {
         return Ok(Attempt::Conflict);
     };
 
@@ -135,29 +130,10 @@ fn combined_operator(
         return Ok(Attempt::Done);
     }
 
-    // Shared (reused) nodes must be locked before mutation.
-    let extra: Vec<u32> = re
-        .shared_nodes
-        .iter()
-        .map(|s| s.raw())
-        .filter(|id| guard.ids().binary_search(id).is_err())
-        .collect();
-    let _extra_guard = if extra.is_empty() {
-        None
-    } else {
-        match locks.try_acquire(owner, extra, &pass.spec) {
-            Some(g) => Some(g),
-            // Everything — enumeration AND evaluation — is lost.
-            None => return Ok(Attempt::Conflict),
-        }
-    };
-
-    // Stage C: replacement.
+    // Stage C: lock the shared (reused) nodes, then replace. A conflict
+    // here loses everything — enumeration AND evaluation.
     let _obs = dacpara_obs::span("replace");
-    if commit_replacement(shared, store, ctx, n, &cand, &re.freed)? {
-        pass.replacements.fetch_add(1, Ordering::Relaxed);
-    }
-    Ok(Attempt::Done)
+    lock_shared_and_commit(sess, pass, owner, &guard, n, &cand, &re)
 }
 
 #[cfg(test)]

@@ -108,11 +108,11 @@ impl std::str::FromStr for Engine {
 /// # Errors
 ///
 /// Returns the [`crate::ConfigError`] (mapped through [`AigError`]) if `cfg`
-/// fails [`RewriteConfig::validate`];
-/// [`AigError::CapacityExhausted`] or [`AigError::WorkerPanicked`] from
+/// fails [`RewriteConfig::validate`]; [`AigError::WorkerPanicked`] from
 /// the concurrent engines once the session's recovery budget is spent; or
 /// [`AigError::InvariantViolation`] if a replacement fails its certificate
-/// (see [`crate::build_replacement`]).
+/// (see [`crate::build_replacement`]) or a concurrent arena runs out of
+/// slots, which its sizing bound rules out.
 ///
 /// # Example
 ///

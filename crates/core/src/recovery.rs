@@ -10,7 +10,7 @@
 //! drives recovery. [`panic_message`] renders a `catch_unwind` payload for
 //! [`dacpara_aig::AigError::WorkerPanicked`].
 //!
-//! The recovery *policy* (salvage, regrowth, validation) lives on
+//! The recovery *policy* (salvage, validation, the budget) lives on
 //! [`crate::RewriteSession`]; see `session.rs` and ARCHITECTURE §12.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -105,15 +105,15 @@ mod tests {
     fn first_error_wins_and_later_ones_are_counted() {
         let slot = FirstError::default();
         assert!(!slot.is_set());
-        slot.record(AigError::CapacityExhausted { capacity: 1 });
-        slot.record(AigError::CapacityExhausted { capacity: 2 });
+        let first = |message: &str| AigError::WorkerPanicked {
+            message: message.into(),
+        };
+        slot.record(first("one"));
+        slot.record(first("two"));
         slot.record(AigError::Io("x".into()));
         assert!(slot.is_set());
         assert_eq!(slot.superseded(), 2);
-        assert_eq!(
-            slot.take(),
-            Some(AigError::CapacityExhausted { capacity: 1 })
-        );
+        assert_eq!(slot.take(), Some(first("one")));
         assert!(!slot.is_set());
     }
 

@@ -38,6 +38,7 @@ use dacpara_aig::concurrent::ConcurrentAig;
 use dacpara_aig::{Aig, AigError, AigRead, NodeId};
 use dacpara_cut::CutStore;
 use dacpara_galois::{LockTable, SpecStats, StealPool};
+use dacpara_nst::MAX_STRUCTURE_GATES;
 use parking_lot::Mutex;
 
 use crate::eval::{Candidate, EvalContext};
@@ -77,25 +78,25 @@ pub struct RewriteSession {
     fresh: bool,
     converged: bool,
     passes_run: usize,
-    /// Effective arena headroom: starts at [`RewriteConfig::headroom`] and
-    /// grows geometrically on each exhaustion recovery, persisting across
-    /// passes so a session that needed headroom once keeps it.
-    cur_headroom: f64,
     /// In-pass recoveries performed, bounded by [`MAX_RECOVERIES`] over the
     /// session lifetime.
     recoveries: u64,
 }
 
-/// Headroom multiplier applied on each arena-exhaustion recovery.
-const REGROWTH_FACTOR: f64 = 2.0;
-
-/// Session-lifetime bound on in-pass recoveries, arena exhaustion and
-/// contained panics alike. A fixed backstop rather than a tunable: each
-/// exhaustion doubles the headroom, so a few recoveries cover any real
-/// shortfall, and a persistently failing operator must eventually surface
-/// its error ([`AigError::CapacityExhausted`] or
-/// [`AigError::WorkerPanicked`]) instead of looping.
+/// Session-lifetime bound on in-pass recoveries from contained panics. A
+/// fixed backstop rather than a tunable: a persistently panicking operator
+/// must eventually surface its [`AigError::WorkerPanicked`] instead of
+/// looping.
 const MAX_RECOVERIES: u64 = 8;
+
+/// Spare arena slots for a pass at `threads` workers: each worker's
+/// in-flight commit allocates at most [`MAX_STRUCTURE_GATES`] gates before
+/// it frees the old cone, and holds at most one more slot between marking
+/// it free and pushing it on the free list. Every commit's net change is
+/// `-gain <= 0`, so the live graph never needs more (ARCHITECTURE.md §12).
+fn spare_slots(threads: usize) -> usize {
+    threads * (MAX_STRUCTURE_GATES + 1)
+}
 
 impl RewriteSession {
     /// Builds a session over a copy of `aig`, allocating the concurrent
@@ -107,13 +108,12 @@ impl RewriteSession {
     /// `cfg` fails [`RewriteConfig::validate`].
     pub fn new(aig: &Aig, cfg: &RewriteConfig) -> Result<RewriteSession, AigError> {
         cfg.validate()?;
-        let shared = ConcurrentAig::from_aig(aig, cfg.headroom)?;
+        let shared = ConcurrentAig::from_aig(aig, spare_slots(cfg.threads))?;
         let store = CutStore::new(shared.capacity(), cfg.cut_config());
         let locks = LockTable::new(shared.capacity());
         let prep = (0..shared.capacity()).map(|_| Mutex::new(None)).collect();
         Ok(RewriteSession {
             ctx: EvalContext::new(cfg),
-            cur_headroom: cfg.headroom,
             cfg: cfg.clone(),
             shared,
             store,
@@ -137,11 +137,10 @@ impl RewriteSession {
     ///
     /// # Errors
     ///
-    /// Propagates engine errors: [`AigError::CapacityExhausted`] (when
-    /// [`RewriteConfig::headroom`] proves insufficient) or
-    /// [`AigError::WorkerPanicked`] once the recovery budget is spent, and
-    /// [`AigError::InvariantViolation`] if a replacement fails its
-    /// certificate (see [`crate::build_replacement`]).
+    /// Propagates engine errors: [`AigError::WorkerPanicked`] once the
+    /// recovery budget is spent, and [`AigError::InvariantViolation`] if a
+    /// replacement fails its certificate (see [`crate::build_replacement`])
+    /// or the arena runs out of slots, which the sizing bound rules out.
     pub fn run(&mut self, engine: Engine) -> Result<RewriteStats, AigError> {
         let stats = match engine {
             Engine::DacPara => {
@@ -194,18 +193,18 @@ impl RewriteSession {
         self.extract()
     }
 
-    /// Re-homes the session onto `aig` at the current effective headroom,
-    /// reusing every allocation that is still large enough — after an
-    /// external mutation, and after an in-pass recovery. The cut memo is
-    /// reset (node ids were renumbered) and the next pass processes the
-    /// whole graph again.
+    /// Re-homes the session onto `aig`, reusing every allocation that is
+    /// still large enough — after an external mutation, and after an
+    /// in-pass recovery. The cut memo is reset (node ids were renumbered)
+    /// and the next pass processes the whole graph again.
     ///
     /// # Errors
     ///
     /// Propagates [`ConcurrentAig::resync_from`] sizing errors; the session
     /// keeps its previous graph on error.
     pub fn resync(&mut self, aig: &Aig) -> Result<(), AigError> {
-        self.shared.resync_from(aig, self.cur_headroom)?;
+        self.shared
+            .resync_from(aig, spare_slots(self.cfg.threads))?;
         let cap = self.shared.capacity();
         self.store.grow(cap);
         self.store.reset();
@@ -295,21 +294,20 @@ impl RewriteSession {
         Ok(stats)
     }
 
-    /// Attempts in-pass recovery from `err`, salvaging every committed
-    /// rewrite. On `Ok(())` the session has been re-homed onto the salvaged
-    /// graph and the interrupted pass should redo its current run from a
-    /// full worklist (resync renumbers nodes, so the pre-fault dirty set is
-    /// not translatable — the full list is its superset). On `Err` the
-    /// caller must propagate: the fault is either not recoverable, over the
-    /// [`MAX_RECOVERIES`] budget, or the salvaged graph failed
+    /// Attempts in-pass recovery from a contained panic, salvaging every
+    /// committed rewrite. On `Ok(())` the session has been re-homed onto
+    /// the salvaged graph and the interrupted pass should redo its current
+    /// run from a full worklist (resync renumbers nodes, so the pre-fault
+    /// dirty set is not translatable — the full list is its superset). On
+    /// `Err` the caller must propagate: the error is not a panic, the
+    /// [`MAX_RECOVERIES`] budget is spent, or the salvaged graph failed
     /// [`ConcurrentAig::check`].
     ///
-    /// Arena exhaustion and contained panics take the same path. Every
-    /// commit installed a root that passed its certificate (see
+    /// Every commit installed a root that passed its certificate (see
     /// [`crate::build_replacement`]), so whatever point the team stopped
     /// at, the salvaged graph is function-equivalent to the pass input, or
     /// structurally broken in a way `check()` rejects (ARCHITECTURE.md
-    /// §12). Only exhaustion doubles the headroom.
+    /// §12).
     ///
     /// `newly_committed` is the number of replacements committed since the
     /// last salvage point; it feeds [`RewriteStats::salvaged_commits`].
@@ -319,12 +317,7 @@ impl RewriteSession {
         stats: &mut RewriteStats,
         newly_committed: u64,
     ) -> Result<(), AigError> {
-        let exhausted = match err {
-            AigError::CapacityExhausted { .. } => true,
-            AigError::WorkerPanicked { .. } => false,
-            other => return Err(other),
-        };
-        if self.recoveries >= MAX_RECOVERIES {
+        if !matches!(err, AigError::WorkerPanicked { .. }) || self.recoveries >= MAX_RECOVERIES {
             return Err(err);
         }
         // Restore canonicity and drop the dangling cones a failed or
@@ -334,19 +327,12 @@ impl RewriteSession {
             return Err(err);
         }
         let salvaged = self.extract();
-        if exhausted {
-            self.cur_headroom *= REGROWTH_FACTOR;
-        }
         self.resync(&salvaged)?;
         self.recoveries += 1;
         stats.recoveries += 1;
-        stats.regrowths += u64::from(exhausted);
         stats.salvaged_commits += newly_committed;
         if dacpara_obs::is_enabled() {
             dacpara_obs::counter("session.recoveries").incr();
-            if exhausted {
-                dacpara_obs::counter("session.regrowths").incr();
-            }
             dacpara_obs::counter("session.salvaged_commits").add(newly_committed);
         }
         Ok(())
@@ -474,6 +460,24 @@ mod tests {
             ..cfg()
         };
         assert!(RewriteSession::new(&aig, &bad).is_err());
+    }
+
+    #[test]
+    fn arena_holds_the_live_graph_plus_a_per_thread_bound() {
+        let aig = control::voter(15);
+        for threads in [1, 2, 8] {
+            let mut sess = RewriteSession::new(&aig, &cfg().with_threads(threads)).unwrap();
+            let want = 1 + aig.num_inputs() + aig.num_ands() + threads * (MAX_STRUCTURE_GATES + 1);
+            assert_eq!(sess.shared.capacity(), want);
+            assert_eq!(sess.locks.len(), want);
+            assert_eq!(sess.prep.len(), want);
+            // A pass never takes the arena past its bound, and a re-sync
+            // onto the smaller result keeps the allocation.
+            sess.run(Engine::DacPara).unwrap();
+            let out = sess.extract();
+            sess.resync(&out).unwrap();
+            assert_eq!(sess.shared.capacity(), want);
+        }
     }
 
     #[test]

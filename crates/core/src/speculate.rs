@@ -6,19 +6,27 @@
 //! error bail-out, panic containment, the Galois attempt/commit/abort
 //! accounting, the choice between yielding a conflicted item back to the
 //! work-stealing scheduler and retrying it inline, the backoff, and the
-//! mapping to the scheduler's [`ItemOutcome`]. Both operators apply a
-//! validated structure through [`commit_replacement`].
+//! mapping to the scheduler's [`ItemOutcome`]. Both operators finish a
+//! re-evaluated candidate through [`lock_shared_and_commit`], which applies
+//! it with [`commit_replacement`].
 
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use dacpara_aig::concurrent::ConcurrentAig;
-use dacpara_aig::{AigError, NodeId};
-use dacpara_cut::CutStore;
-use dacpara_galois::{ItemOutcome, MAX_SCHED_RETRIES};
+use dacpara_aig::{AigError, AigRead, NodeId};
+use dacpara_galois::{ItemOutcome, LockSet, MAX_SCHED_RETRIES};
+use dacpara_obs::LogHistogram;
 
-use crate::eval::{build_replacement, Candidate, EvalContext};
+use crate::eval::{build_replacement, Candidate, Reevaluation};
 use crate::recovery::contain_panic;
-use crate::session::Pass;
+use crate::session::{Pass, RewriteSession};
+
+/// The cached `rewrite.replacement_gain` histogram handle.
+fn gain_histogram() -> &'static LogHistogram {
+    static HANDLE: OnceLock<Arc<LogHistogram>> = OnceLock::new();
+    HANDLE.get_or_init(|| dacpara_obs::histogram("rewrite.replacement_gain"))
+}
 
 /// What one speculative attempt did.
 pub(crate) enum Attempt {
@@ -52,8 +60,8 @@ fn backoff(spins: &mut u32) {
 ///
 /// Errors and panics end the item: the first error lands in `pass.error`,
 /// and once any error is recorded the remaining items finish as no-ops so
-/// the round drains. A panic is contained here, at the item boundary, so
-/// the pool never sees an unwind and is not poisoned.
+/// the round drains. A panic is contained here, so the pool never sees an
+/// unwind and is not poisoned; one inside an attempt counts as its abort.
 pub(crate) fn speculate(
     pass: &Pass,
     tries: u32,
@@ -73,7 +81,7 @@ pub(crate) fn speculate(
         loop {
             let start = Instant::now();
             spec.record_attempt();
-            match attempt() {
+            match contain_panic(&mut attempt) {
                 Ok(Attempt::Done) => {
                     spec.record_commit(start.elapsed());
                     if tries > 0 {
@@ -101,10 +109,55 @@ pub(crate) fn speculate(
     })
 }
 
+/// Phase 2 of a commit, shared by both Galois operators. `re` re-evaluated
+/// `cand` at `n` under `held`, the phase-1 locks on the node, its fanouts
+/// and the cut cone. Locks the nodes the build will share, then checks
+/// that each is still the node `re` counted on: one that died or changed
+/// generation in between would make the build allocate a gate the gain
+/// did not count, so that is a conflict. Then commits, counting the
+/// replacement.
+pub(crate) fn lock_shared_and_commit(
+    sess: &RewriteSession,
+    pass: &Pass,
+    owner: u32,
+    held: &LockSet<'_>,
+    n: NodeId,
+    cand: &Candidate,
+    re: &Reevaluation,
+) -> Result<Attempt, AigError> {
+    let shared = &sess.shared;
+    let extra: Vec<u32> = re
+        .shared_nodes
+        .iter()
+        .map(|(s, _)| s.raw())
+        .filter(|id| held.ids().binary_search(id).is_err())
+        .collect();
+    let _extra_guard = if extra.is_empty() {
+        None
+    } else {
+        match sess.locks.try_acquire(owner, extra, &pass.spec) {
+            Some(g) => Some(g),
+            None => return Ok(Attempt::Conflict),
+        }
+    };
+    if re
+        .shared_nodes
+        .iter()
+        .any(|&(s, gen)| !shared.is_and(s) || shared.generation(s) != gen)
+    {
+        return Ok(Attempt::Conflict);
+    }
+    if commit_replacement(sess, n, cand, re)? {
+        pass.replacements.fetch_add(1, Ordering::Relaxed);
+    }
+    Ok(Attempt::Done)
+}
+
 /// Builds `cand`'s structure and installs it at `n`, under the caller's
 /// locks on the node, its fanouts, the cut cone and every shared node.
 /// Returns whether the graph changed; a rebuild that resolves to `n` itself
-/// is a no-op.
+/// is a no-op. A real change records `re.gain` in the
+/// `rewrite.replacement_gain` histogram.
 ///
 /// Invalidation happens only on a real change (a no-op must not re-dirty
 /// the fanout cone, or a session would never converge), and the TFO walk
@@ -112,19 +165,22 @@ pub(crate) fn speculate(
 /// whose evaluation could have changed — the cone interior, the new
 /// structure, shared nodes and all downstream users — lies in the
 /// transitive fanout of the cut leaves.
-pub(crate) fn commit_replacement(
-    shared: &ConcurrentAig,
-    store: &CutStore,
-    ctx: &EvalContext,
+fn commit_replacement(
+    sess: &RewriteSession,
     n: NodeId,
     cand: &Candidate,
-    freed: &[NodeId],
+    re: &Reevaluation,
 ) -> Result<bool, AigError> {
-    let root = build_replacement(&mut &*shared, cand, ctx.lib)?;
+    let (shared, store) = (&sess.shared, &sess.store);
+    let root = build_replacement(&mut &*shared, cand, sess.ctx.lib)?;
     if root.node() == n {
         return Ok(false);
     }
-    for &f in freed {
+    // The in-commit site: the new gates exist, but nothing is rewired yet.
+    if dacpara_fault::point(dacpara_fault::points::OPERATOR_PANIC) {
+        panic!("injected fault: operator.panic");
+    }
+    for &f in &re.freed {
         store.invalidate(f);
     }
     store.invalidate_tfo(shared, n);
@@ -134,6 +190,9 @@ pub(crate) fn commit_replacement(
     shared.replace_locked(n, if corrupt { !root } else { root });
     for &l in &cand.leaves {
         store.mark_dirty_tfo(shared, l);
+    }
+    if dacpara_obs::is_enabled() {
+        gain_histogram().record(re.gain.max(0) as u64);
     }
     Ok(true)
 }

@@ -45,13 +45,9 @@ pub struct RewriteStats {
     /// others.
     pub worklists: usize,
     /// In-pass fault recoveries: how many times the pass salvaged committed
-    /// work and resumed instead of returning `Err` (arena exhaustion and
-    /// contained worker panics combined).
+    /// work after a contained worker panic and resumed instead of returning
+    /// `Err`, within one fixed session budget of eight.
     pub recoveries: u64,
-    /// Recoveries that re-homed the graph into a geometrically grown arena:
-    /// the arena-exhaustion subset of [`RewriteStats::recoveries`]. Both
-    /// kinds share one fixed session budget of eight recoveries.
-    pub regrowths: u64,
     /// Replacements that had committed before a fault and were carried into
     /// the recovered graph rather than discarded.
     pub salvaged_commits: u64,
@@ -97,8 +93,8 @@ impl RewriteStats {
         );
         if self.recoveries > 0 || self.errors_observed > 0 {
             line.push_str(&format!(
-                " [recov {} regrow {} salvaged {} superseded {}]",
-                self.recoveries, self.regrowths, self.salvaged_commits, self.errors_observed
+                " [recov {} salvaged {} superseded {}]",
+                self.recoveries, self.salvaged_commits, self.errors_observed
             ));
         }
         line

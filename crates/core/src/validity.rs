@@ -113,11 +113,19 @@ pub fn cut_tt<V: AigRead + ?Sized>(
 
 /// One-call verification: the cover if `leaves` still cut `n`, plus the
 /// freshly recomputed truth table.
+///
+/// A dead leaf fails the check even when the cone no longer reaches it: a
+/// replacement built on the cut could reuse the leaf's slot for one of its
+/// own gates, which the commit certificate would then read as a cut
+/// variable.
 pub fn verify_cut<V: AigRead + ?Sized>(
     view: &V,
     n: NodeId,
     leaves: &[NodeId],
 ) -> Option<(Vec<NodeId>, Tt4)> {
+    if !leaves.iter().all(|&l| view.is_alive(l)) {
+        return None;
+    }
     let cover = cut_cover(view, n, leaves)?;
     let tt = cut_tt(view, n, leaves, &cover);
     Some((cover, tt))
@@ -194,6 +202,21 @@ mod tests {
             None => {} // no longer a cut: correctly rejected
             Some((_, tt_after)) => assert_ne!(tt_after, tt_before),
         }
+    }
+
+    #[test]
+    fn dead_leaf_fails_even_when_unreached() {
+        // `top` no longer reaches the dangling `ac`, so the leaf set still
+        // cuts it; once `ac` is swept, its slot is free for the next gate
+        // and the cut must be refused.
+        let (mut aig, root, mut leaves) = mux_cone();
+        let (a, c) = (leaves[0].lit(), leaves[2].lit());
+        let ac = aig.add_and(a, c);
+        leaves.push(ac.node());
+        assert!(verify_cut(&aig, root, &leaves).is_some());
+        aig.cleanup();
+        assert!(!aig.is_alive(ac.node()));
+        assert!(verify_cut(&aig, root, &leaves).is_none());
     }
 
     #[test]

@@ -136,7 +136,7 @@ fn configs() -> Vec<(&'static str, RewriteConfig)> {
 }
 
 fn check_circuit(name: &str, aig: &Aig) {
-    let shared = ConcurrentAig::from_aig(aig, 1.5).unwrap();
+    let shared = ConcurrentAig::from_aig(aig, 0).unwrap();
     for (cfg_name, cfg) in configs() {
         let serial = sweep(aig, &cfg, &format!("{name} / Aig / {cfg_name}"));
         let concurrent = sweep(

@@ -125,8 +125,8 @@ fn check_engine(engine: Engine) {
         );
     }
 
-    // 4. Recovery counters, fault-free: a comfortable-headroom run with no
-    // injected faults must report no recoveries anywhere — stats and obs
+    // 4. Recovery counters, fault-free: a run with no injected faults must
+    // report no recoveries anywhere — stats and obs
     // agree on zero.
     assert_eq!(stats.recoveries, 0, "fault-free run recovered: {stats}");
     assert_eq!(
@@ -135,7 +135,6 @@ fn check_engine(engine: Engine) {
     );
     let recovery_counters = [
         "session.recoveries",
-        "session.regrowths",
         "session.salvaged_commits",
         "pass.errors_observed",
     ];
@@ -143,11 +142,10 @@ fn check_engine(engine: Engine) {
         assert_eq!(counter(name), 0, "{name} drifted on a fault-free run");
     }
 
-    // 5. Recovery counters, faulted: re-run the same circuit at minimal
-    // headroom (real exhaustion → regrowth) with one injected operator
-    // panic (→ panic recovery). Both feed the same session-level leaves as
-    // the stats fields, so the counter deltas must equal the new run's
-    // stats exactly.
+    // 5. Recovery counters, faulted: re-run the same circuit with one
+    // injected operator panic (→ panic recovery). It feeds the same
+    // session-level leaves as the stats fields, so the counter deltas must
+    // equal the new run's stats exactly.
     let base: Vec<u64> = recovery_counters.iter().map(|&n| counter(n)).collect();
     dacpara_obs::enable();
     let mut faulted = mtm(&MtmParams {
@@ -156,11 +154,7 @@ fn check_engine(engine: Engine) {
         outputs: 16,
         seed: 7,
     });
-    let faulted_cfg = RewriteConfig {
-        headroom: 1.0,
-        ..RewriteConfig::rewrite_op()
-    }
-    .with_threads(4);
+    let faulted_cfg = RewriteConfig::rewrite_op().with_threads(4);
     let plan = FaultPlan::parse("operator.panic=@3*1", 0x0B5).expect("valid spec");
     let faulted_stats = {
         let _inj = dacpara_fault::inject(&plan);
@@ -169,7 +163,7 @@ fn check_engine(engine: Engine) {
     dacpara_obs::disable();
     faulted.check().expect("recovered graph is sound");
     assert!(
-        faulted_stats.recoveries > faulted_stats.regrowths,
+        faulted_stats.recoveries > 0,
         "the injected panic must be recovered: {faulted_stats}"
     );
     let delta = |i: usize| counter(recovery_counters[i]) - base[i];
@@ -178,15 +172,14 @@ fn check_engine(engine: Engine) {
         delta(0),
         "session.recoveries drift"
     );
-    assert_eq!(faulted_stats.regrowths, delta(1), "session.regrowths drift");
     assert_eq!(
         faulted_stats.salvaged_commits,
-        delta(2),
+        delta(1),
         "session.salvaged_commits drift"
     );
     assert_eq!(
         faulted_stats.errors_observed,
-        delta(3),
+        delta(2),
         "pass.errors_observed drift"
     );
 }

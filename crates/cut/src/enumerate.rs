@@ -237,7 +237,7 @@ mod tests {
         let a = aig.add_input();
         let b = aig.add_input();
         let _ab = aig.add_and(a, b);
-        let shared = dacpara_aig::concurrent::ConcurrentAig::from_aig(&aig, 1.5).unwrap();
+        let shared = dacpara_aig::concurrent::ConcurrentAig::from_aig(&aig, 0).unwrap();
         let and_node = (0..shared.capacity())
             .map(|i| NodeId::new(i as u32))
             .find(|&n| shared.kind(n) == NodeKind::And)

@@ -2,11 +2,11 @@
 //!
 //! Robust recovery code is only trustworthy if every path through it can be
 //! exercised on demand. This crate provides named *fault points* — call sites
-//! like the concurrent arena allocator or the speculative lock table ask
+//! like the replacement operators or the speculative lock table ask
 //! [`point`] whether an injected fault should fire here, and otherwise run
 //! normally. The crate is std-only and dependency-free, mirroring
 //! `dacpara-obs`: when no plan is armed the entire check is one relaxed
-//! atomic load, so the points can live on allocator- and lock-acquire-hot
+//! atomic load, so the points can live on lock-acquire- and commit-hot
 //! paths permanently.
 //!
 //! # Determinism
@@ -27,7 +27,9 @@
 //! * `name=@K` — fires on exactly the `K`-th hit (1-based);
 //! * either form may append `*L` to cap the total number of firings at `L`.
 //!
-//! Example: `arena.alloc=1/64*3,operator.panic=@200,lock.acquire=1/32*10`.
+//! Example: `operator.panic=@200,lock.acquire=1/32*10`. Every name must be
+//! one of [`points::ALL`], so a typo is a parse error rather than a plan
+//! that silently never fires.
 //!
 //! # Wiring
 //!
@@ -45,18 +47,19 @@ use std::sync::{Mutex, MutexGuard, OnceLock, RwLock};
 /// Canonical fault-point names used by the workspace, so call sites and
 /// specs cannot drift apart silently.
 pub mod points {
-    /// Concurrent arena slot allocation (`ConcurrentAig::alloc_slot`); an
-    /// injected fault reports `CapacityExhausted`.
-    pub const ARENA_ALLOC: &str = "arena.alloc";
     /// Speculative lock acquisition (`LockTable::try_acquire`); an injected
     /// fault reports a conflict (all-or-nothing acquisition fails).
     pub const LOCK_ACQUIRE: &str = "lock.acquire";
-    /// Replacement operator entry; an injected fault panics the worker.
+    /// Replacement operator entry, and again inside a commit between
+    /// building the new structure and rewiring; an injected fault panics
+    /// the worker.
     pub const OPERATOR_PANIC: &str = "operator.panic";
     /// A committed replacement in the Galois engines; an injected fault
     /// installs the complemented root — a planted miscompile that the
     /// fuzzer self-test must convict.
     pub const REPLACE_CORRUPT: &str = "replace.corrupt";
+    /// Every point above: the names a plan may use.
+    pub const ALL: [&str; 3] = [LOCK_ACQUIRE, OPERATOR_PANIC, REPLACE_CORRUPT];
 }
 
 /// Fast-path switch: `false` means no plan is armed and [`point`] returns
@@ -125,8 +128,8 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`FaultSpecError`] on empty entries, missing `=`, malformed
-    /// numbers, zero rates, or zero `@` indices.
+    /// Returns [`FaultSpecError`] on empty entries, missing `=`, names not in
+    /// [`points::ALL`], malformed numbers, zero rates, or zero `@` indices.
     pub fn parse(spec: &str, seed: u64) -> Result<FaultPlan, FaultSpecError> {
         let mut specs = Vec::new();
         for entry in spec.split(',') {
@@ -140,6 +143,12 @@ impl FaultPlan {
             let name = name.trim();
             if name.is_empty() {
                 return Err(FaultSpecError(format!("`{entry}` has an empty point name")));
+            }
+            if !points::ALL.contains(&name) {
+                return Err(FaultSpecError(format!(
+                    "`{name}` is not a fault point (known: {})",
+                    points::ALL.join(", ")
+                )));
             }
             let expr = expr.trim();
             let (expr, limit) = match expr.split_once('*') {
@@ -411,32 +420,54 @@ pub fn arm_from_env() -> Result<Option<FaultPlan>, String> {
 mod tests {
     use super::*;
 
+    /// The point the plan-semantics tests drive by hand.
+    const P: &str = points::LOCK_ACQUIRE;
+
     #[test]
     fn disarmed_points_never_fire() {
-        assert!(!point("arena.alloc"));
-        assert_eq!(hits("arena.alloc"), 0);
+        assert!(!point(P));
+        assert_eq!(hits(P), 0);
     }
 
     #[test]
     fn parse_rejects_garbage() {
         assert!(FaultPlan::parse("", 0).is_err());
-        assert!(FaultPlan::parse("arena.alloc", 0).is_err());
-        assert!(FaultPlan::parse("arena.alloc=2/3", 0).is_err());
-        assert!(FaultPlan::parse("arena.alloc=1/0", 0).is_err());
-        assert!(FaultPlan::parse("arena.alloc=@0", 0).is_err());
+        assert!(FaultPlan::parse("lock.acquire", 0).is_err());
+        assert!(FaultPlan::parse("lock.acquire=2/3", 0).is_err());
+        assert!(FaultPlan::parse("lock.acquire=1/0", 0).is_err());
+        assert!(FaultPlan::parse("lock.acquire=@0", 0).is_err());
         assert!(FaultPlan::parse("=1/4", 0).is_err());
-        assert!(FaultPlan::parse("a=1/4*x", 0).is_err());
+        assert!(FaultPlan::parse("lock.acquire=1/4*x", 0).is_err());
+        // Names outside `points::ALL`: a typo, and a placeholder.
+        for unknown in ["lock.aquire=1/4", "a=@1"] {
+            let err = FaultPlan::parse(unknown, 0).unwrap_err();
+            assert!(err.to_string().contains("not a fault point"), "{err}");
+        }
+        for name in points::ALL {
+            assert!(FaultPlan::parse(&format!("{name}=@1"), 0).is_ok());
+        }
     }
 
     #[test]
     fn parse_roundtrips_through_display() {
-        let plan = FaultPlan::parse("a=1/64*3, b=@200, c=1/1", 7).unwrap();
-        assert_eq!(format!("{plan}"), "a=1/64*3,b=@200,c=1/1 (seed 7)");
+        let plan = FaultPlan::parse(
+            "lock.acquire=1/64*3, operator.panic=@200, replace.corrupt=1/1",
+            7,
+        )
+        .unwrap();
+        assert_eq!(
+            format!("{plan}"),
+            "lock.acquire=1/64*3,operator.panic=@200,replace.corrupt=1/1 (seed 7)"
+        );
     }
 
     #[test]
     fn spec_string_round_trips_through_parse() {
-        let plan = FaultPlan::parse("a=1/64*3, b=@200,c=1/1", 7).unwrap();
+        let plan = FaultPlan::parse(
+            "lock.acquire=1/64*3, operator.panic=@200,replace.corrupt=1/1",
+            7,
+        )
+        .unwrap();
         assert_eq!(plan.seed(), 7);
         let reparsed = FaultPlan::parse(&plan.spec_string(), plan.seed()).unwrap();
         assert_eq!(reparsed, plan);
@@ -444,24 +475,24 @@ mod tests {
 
     #[test]
     fn at_mode_fires_exactly_once_at_the_index() {
-        let plan = FaultPlan::parse("p=@3", 0).unwrap();
+        let plan = FaultPlan::parse("lock.acquire=@3", 0).unwrap();
         let inj = inject(&plan);
-        let fires: Vec<bool> = (0..6).map(|_| point("p")).collect();
+        let fires: Vec<bool> = (0..6).map(|_| point(P)).collect();
         assert_eq!(fires, [false, false, true, false, false, false]);
-        assert_eq!(inj.fired("p"), 1);
-        assert_eq!(inj.hits("p"), 6);
+        assert_eq!(inj.fired(P), 1);
+        assert_eq!(inj.hits(P), 6);
     }
 
     #[test]
     fn rate_mode_is_deterministic_in_the_seed() {
-        let plan = FaultPlan::parse("p=1/4", 42).unwrap();
+        let plan = FaultPlan::parse("lock.acquire=1/4", 42).unwrap();
         let first: Vec<bool> = {
             let _inj = inject(&plan);
-            (0..256).map(|_| point("p")).collect()
+            (0..256).map(|_| point(P)).collect()
         };
         let second: Vec<bool> = {
             let _inj = inject(&plan);
-            (0..256).map(|_| point("p")).collect()
+            (0..256).map(|_| point(P)).collect()
         };
         assert_eq!(first, second);
         let n = first.iter().filter(|f| **f).count();
@@ -472,40 +503,40 @@ mod tests {
     #[test]
     fn different_seeds_fire_different_indices() {
         let a: Vec<bool> = {
-            let _inj = inject(&FaultPlan::parse("p=1/8", 1).unwrap());
-            (0..512).map(|_| point("p")).collect()
+            let _inj = inject(&FaultPlan::parse("lock.acquire=1/8", 1).unwrap());
+            (0..512).map(|_| point(P)).collect()
         };
         let b: Vec<bool> = {
-            let _inj = inject(&FaultPlan::parse("p=1/8", 2).unwrap());
-            (0..512).map(|_| point("p")).collect()
+            let _inj = inject(&FaultPlan::parse("lock.acquire=1/8", 2).unwrap());
+            (0..512).map(|_| point(P)).collect()
         };
         assert_ne!(a, b);
     }
 
     #[test]
     fn limit_caps_total_firings() {
-        let plan = FaultPlan::parse("p=1/1*2", 0).unwrap();
+        let plan = FaultPlan::parse("lock.acquire=1/1*2", 0).unwrap();
         let inj = inject(&plan);
-        let n = (0..10).filter(|_| point("p")).count();
+        let n = (0..10).filter(|_| point(P)).count();
         assert_eq!(n, 2);
-        assert_eq!(inj.fired("p"), 2);
+        assert_eq!(inj.fired(P), 2);
     }
 
     #[test]
     fn unknown_points_do_not_fire_and_injection_disarms_on_drop() {
         {
-            let _inj = inject(&FaultPlan::parse("p=1/1", 0).unwrap());
-            assert!(!point("other"));
-            assert!(point("p"));
+            let _inj = inject(&FaultPlan::parse("lock.acquire=1/1", 0).unwrap());
+            assert!(!point(points::OPERATOR_PANIC));
+            assert!(point(P));
         }
-        assert!(!point("p"));
+        assert!(!point(P));
     }
 
     #[test]
     fn firing_set_is_independent_of_interleaving() {
         // Hammer one point from 4 threads, collect the total fired count,
         // and compare with a serial replay of the same number of hits.
-        let plan = FaultPlan::parse("p=1/16", 9).unwrap();
+        let plan = FaultPlan::parse("lock.acquire=1/16", 9).unwrap();
         let total_hits = 4 * 1000u64;
         let parallel_fired = {
             let inj = inject(&plan);
@@ -513,19 +544,19 @@ mod tests {
                 for _ in 0..4 {
                     s.spawn(|| {
                         for _ in 0..1000 {
-                            point("p");
+                            point(P);
                         }
                     });
                 }
             });
-            inj.fired("p")
+            inj.fired(P)
         };
         let serial_fired = {
             let inj = inject(&plan);
             for _ in 0..total_hits {
-                point("p");
+                point(P);
             }
-            inj.fired("p")
+            inj.fired(P)
         };
         assert_eq!(parallel_fired, serial_fired);
     }

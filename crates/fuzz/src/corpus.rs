@@ -222,7 +222,7 @@ mod tests {
         let entry = CorpusEntry {
             seed: 17,
             threads: vec![1, 2],
-            fault: Some(("arena.alloc=1/64*2".into(), 9)),
+            fault: Some(("operator.panic=1/64*2".into(), 9)),
             expect_fail: true,
             note: "round-trip test".into(),
             aig,

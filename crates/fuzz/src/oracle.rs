@@ -116,7 +116,7 @@ mod tests {
     #[test]
     fn fault_injected_sweep_tolerates_clean_errors() {
         let golden = generate(&GenConfig::small(), 6);
-        let plan = FaultPlan::parse("arena.alloc=1/40*4", 11).unwrap();
+        let plan = FaultPlan::parse("operator.panic=1/40*4", 11).unwrap();
         let cfg = OracleConfig {
             points: engine_matrix(&[1, 2]),
             fault: Some(plan),

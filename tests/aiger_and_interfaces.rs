@@ -81,7 +81,7 @@ fn shared_types_are_send_and_sync() {
 fn error_type_is_std_error() {
     fn assert_error<T: std::error::Error + Send + Sync + 'static>() {}
     assert_error::<dacpara_aig::AigError>();
-    let e = dacpara_aig::AigError::CapacityExhausted { capacity: 16 };
+    let e = dacpara_aig::AigError::CapacityOverflow { live: 16 };
     assert!(e.to_string().contains("16"));
 }
 

@@ -31,7 +31,7 @@ fn speculative_ref_bumps_are_exclusive() {
     // Many workers "process" nodes by locking {node, fanins} and touching
     // shared per-node counters; the counters must come out exact.
     let aig = diamond_chain(64);
-    let shared = ConcurrentAig::from_aig(&aig, 1.2).unwrap();
+    let shared = ConcurrentAig::from_aig(&aig, 0).unwrap();
     let nodes: Vec<_> = dacpara_aig::topo_ands(&shared);
     let touched: Vec<AtomicU64> = (0..shared.capacity()).map(|_| AtomicU64::new(0)).collect();
     let locks = LockTable::new(shared.capacity());
@@ -69,11 +69,12 @@ fn concurrent_structural_additions_are_consistent() {
     let inputs: Vec<_> = (0..32).map(|_| aig.add_input()).collect();
     let keep = aig.add_and(inputs[0], inputs[1]);
     aig.add_output(keep);
-    let shared = ConcurrentAig::from_aig(&aig, 8.0).unwrap();
+    // One spare slot per item: every item adds at most one gate.
+    let items: Vec<usize> = (0..300).collect();
+    let shared = ConcurrentAig::from_aig(&aig, items.len()).unwrap();
     let locks = LockTable::new(shared.capacity());
     let spec = SpecStats::new();
     let ins = shared.input_ids();
-    let items: Vec<usize> = (0..300).collect();
 
     parallel_for(4, &items, |w, &i| {
         let owner = w.id as u32 + 1;
@@ -86,7 +87,9 @@ fn concurrent_structural_additions_are_consistent() {
             if let Some(_g) = locks.try_acquire(owner, vec![a.raw(), b.raw()], &spec) {
                 let la = a.lit().xor(i % 3 == 0);
                 let lb = b.lit().xor(i % 5 == 0);
-                shared.add_and_locked(la, lb).expect("headroom suffices");
+                shared
+                    .add_and_locked(la, lb)
+                    .expect("one spare slot per item");
                 break;
             }
             std::thread::yield_now();
@@ -112,7 +115,7 @@ fn concurrent_replacements_on_disjoint_cones() {
         aig.add_output(m);
         tops.push(m.node());
     }
-    let shared = ConcurrentAig::from_aig(&aig, 2.0).unwrap();
+    let shared = ConcurrentAig::from_aig(&aig, 64).unwrap();
     let locks = LockTable::new(shared.capacity());
     let spec = SpecStats::new();
     let outputs = shared.output_lits();

@@ -118,7 +118,7 @@ proptest! {
     #[test]
     fn concurrent_roundtrip((n_in, ops, n_out) in recipe()) {
         let aig = build_from_recipe(n_in, &ops, n_out);
-        let shared = dacpara_aig::concurrent::ConcurrentAig::from_aig(&aig, 1.25).unwrap();
+        let shared = dacpara_aig::concurrent::ConcurrentAig::from_aig(&aig, 0).unwrap();
         shared.check().unwrap();
         let back = shared.to_aig();
         prop_assert_eq!(back.num_ands(), aig.num_ands());

@@ -1,17 +1,15 @@
 //! Recovery differential suite: the fault-tolerant concurrent engines must
-//! absorb arena exhaustion, injected allocator/lock faults, and contained
-//! worker panics — completing with a CEC-equivalent graph instead of
-//! returning `Err`, and never hanging (every engine run is under a
-//! watchdog).
+//! absorb injected lock faults and contained worker panics — completing
+//! with a CEC-equivalent graph instead of returning `Err`, and never
+//! hanging (every engine run is under a watchdog).
 //!
-//! Three fault sources are exercised:
+//! Three behaviours are exercised:
 //!
-//! * **real exhaustion** — `headroom: 1.0` sizes the arena to the live
-//!   graph plus fixed slack, so any circuit with enough rewrite activity
-//!   exhausts it and must recover by salvage + regrowth;
-//! * **injected faults** — `dacpara_fault` plans firing at the arena
-//!   allocator, the speculative lock table, and the replacement operators,
-//!   swept over ≥16 seeds across thread counts and engines;
+//! * **an exact arena** — the session sizes the arena to the live graph
+//!   plus a per-thread bound, so fault-free runs never recover;
+//! * **injected faults** — `dacpara_fault` plans firing at the speculative
+//!   lock table and at both `operator.panic` sites (operator entry and
+//!   mid-commit), swept over ≥16 seeds across thread counts and engines;
 //! * **panic budgets** — a persistently panicking operator must surface as
 //!   `AigError::WorkerPanicked` once the recovery budget is exhausted,
 //!   never as a process abort or a hung scope join.
@@ -32,9 +30,8 @@ use dacpara_circuits::{full_suite, Benchmark, Scale};
 use dacpara_equiv::{check_equivalence, random_sim_check, CecConfig, CecResult, SimOutcome};
 use dacpara_fault::{points, FaultPlan};
 
-/// The session's in-pass recovery budget (`MAX_RECOVERIES` in
-/// `crates/core/src/session.rs`), shared by arena exhaustion and contained
-/// panics.
+/// The session's in-pass recovery budget for contained panics
+/// (`MAX_RECOVERIES` in `crates/core/src/session.rs`).
 const MAX_RECOVERIES: u64 = 8;
 
 /// No single engine run on a test-scale circuit takes anywhere near this
@@ -142,17 +139,12 @@ fn assert_recovered_ok(bench: &Benchmark, aig: &Aig, stats: &RewriteStats, label
         .unwrap_or_else(|e| panic!("{label}: recovered graph is corrupt: {e}"));
     assert_equiv(&bench.aig, aig, label);
     assert!(
-        stats.recoveries >= stats.regrowths,
-        "{label}: regrowths without recoveries: {}",
-        stats.summary()
-    );
-    assert!(
         stats.salvaged_commits <= stats.replacements,
         "{label}: salvaged more commits than were made: {}",
         stats.summary()
     );
     // Every attempt ends in exactly one commit or abort, including the ones
-    // an injected fault or an exhausted arena cut short.
+    // an injected fault cut short.
     assert_eq!(
         stats.spec.attempts,
         stats.spec.commits + stats.spec.aborts,
@@ -162,59 +154,35 @@ fn assert_recovered_ok(bench: &Benchmark, aig: &Aig, stats: &RewriteStats, label
     stats.recoveries
 }
 
-/// Tentpole acceptance: at `headroom: 1.0` (arena sized to the live graph
-/// plus fixed slack) with the session's recovery budget, both concurrent
-/// engines complete every test-scale circuit at 1/2/4 threads with zero
-/// `Err` and stay CEC-equivalent.
-///
-/// Because the arena reuses freed slots and rewriting only shrinks the
-/// graph, a live-sized arena normally never exhausts — the transient
-/// allocate-before-delete peak stays inside the fixed slack — so this test
-/// pins that minimal capacity is *sufficient*, while any recoveries that
-/// do happen must be budgeted regrowths. If the allocator ever loses slot
-/// reuse, these runs start exhausting for real and must then complete via
-/// recovery (or fail here, loudly). The guaranteed-exhaustion recovery pin
-/// is the injected `arena.alloc` sweep below.
+/// The arena holds the live graph plus `threads × (MAX_STRUCTURE_GATES +
+/// 1)` slots, and rewriting never grows the live graph past that
+/// (ARCHITECTURE.md §12). So both concurrent engines complete every
+/// test-scale circuit at 1/2/4/8 threads without a single recovery — a run
+/// that found the arena full would return `Err` here, since a full arena
+/// is an invariant violation that recovery never retries.
 #[test]
-fn minimal_headroom_completes_every_circuit_via_regrowth() {
+fn exact_arena_completes_every_circuit_without_recovery() {
     let _serial = exclusive();
     for bench in &full_suite(Scale::Test) {
         for engine in [Engine::DacPara, Engine::Iccad18] {
-            for threads in [1, 2, 4] {
+            for threads in [1, 2, 4, 8] {
                 eprintln!("[recov] {} {engine} x{threads}", bench.name);
-                let cfg = RewriteConfig {
-                    headroom: 1.0,
-                    ..RewriteConfig::rewrite_op()
-                }
-                .with_threads(threads);
+                let cfg = RewriteConfig::rewrite_op().with_threads(threads);
                 let label = format!("{engine} x{threads} on {}", bench.name);
                 let (aig, result) = run_with_watchdog(&label, bench.aig.clone(), engine, cfg);
-                let stats = result
-                    .unwrap_or_else(|e| panic!("{label}: recovery did not absorb exhaustion: {e}"));
-                assert_recovered_ok(bench, &aig, &stats, &label);
-                // No panics are injected here, so every recovery is an
-                // exhaustion regrowth, and the budget bounds them.
-                assert_eq!(
-                    stats.recoveries,
-                    stats.regrowths,
-                    "{label}: unexplained non-regrowth recovery: {}",
-                    stats.summary()
-                );
-                assert!(
-                    stats.regrowths <= MAX_RECOVERIES,
-                    "{label}: recovery budget overrun: {}",
-                    stats.summary()
-                );
+                let stats = result.unwrap_or_else(|e| panic!("{label}: {e}"));
+                let recoveries = assert_recovered_ok(bench, &aig, &stats, &label);
+                assert_eq!(recoveries, 0, "{label}: {}", stats.summary());
             }
         }
     }
 }
 
-/// Injected-fault sweep: ≥16 seeds spread across all three fault points,
-/// both engines, and 1/2/4 threads, on the largest
-/// test-scale circuit at minimal headroom. Every run must complete
-/// (recovering as needed), stay equivalent, and never hang; across the
-/// sweep every fault point must actually fire.
+/// Injected-fault sweep: ≥16 seeds spread across both recoverable fault
+/// points, both engines, and 1/2/4 threads, on the largest test-scale
+/// circuit. Every run must complete (recovering as needed), stay
+/// equivalent, and never hang; across the sweep every fault point must
+/// actually fire.
 #[test]
 fn injected_faults_never_hang_or_break_equivalence() {
     let _serial = exclusive();
@@ -224,16 +192,14 @@ fn injected_faults_never_hang_or_break_equivalence() {
         .iter()
         .max_by_key(|b| b.aig.num_ands())
         .expect("non-empty suite");
-    // Rotated per seed; caps keep each plan inside the recovery budget
-    // (an uncapped 1/N arena plan would fire on every grown arena
-    // too and exhaust the budget by construction).
+    // Rotated per seed; caps keep each plan inside the recovery budget.
     const SPECS: [&str; 4] = [
-        "arena.alloc=1/40*2",
+        "operator.panic=1/40*2",
         "operator.panic=@3*1",
         "lock.acquire=1/20*50",
-        "arena.alloc=1/60*2,operator.panic=@5*1,lock.acquire=1/50*20",
+        "operator.panic=1/60*3,lock.acquire=1/50*20",
     ];
-    let mut fired = [0u64; 3];
+    let mut fired = [0u64; 2];
     for seed in 0..16u64 {
         let spec = SPECS[(seed % 4) as usize];
         let threads = [1, 2, 4][(seed % 3) as usize];
@@ -242,18 +208,13 @@ fn injected_faults_never_hang_or_break_equivalence() {
         } else {
             Engine::Iccad18
         };
-        let cfg = RewriteConfig {
-            headroom: 1.0,
-            ..RewriteConfig::rewrite_op()
-        }
-        .with_threads(threads);
+        let cfg = RewriteConfig::rewrite_op().with_threads(threads);
         let label = format!("seed {seed} [{spec}] {engine} x{threads} on {}", bench.name);
         eprintln!("[recov] {label}");
         let plan = FaultPlan::parse(spec, seed).expect("valid sweep spec");
         let injection = dacpara_fault::inject(&plan);
         let (aig, result) = run_with_watchdog(&label, bench.aig.clone(), engine, cfg);
         let run_fired = [
-            injection.fired(points::ARENA_ALLOC),
             injection.fired(points::LOCK_ACQUIRE),
             injection.fired(points::OPERATOR_PANIC),
         ];
@@ -261,30 +222,19 @@ fn injected_faults_never_hang_or_break_equivalence() {
         let stats =
             result.unwrap_or_else(|e| panic!("{label}: recovery did not absorb the fault: {e}"));
         assert_recovered_ok(bench, &aig, &stats, &label);
-        // Lock faults are absorbed as ordinary conflicts; arena and panic
-        // faults end the round with an error that a successful run can only
-        // have survived through recovery.
-        if run_fired[0] + run_fired[2] > 0 {
+        // Lock faults are absorbed as ordinary conflicts; a panic ends the
+        // round with an error that a successful run can only have survived
+        // through recovery.
+        if run_fired[1] > 0 {
             assert!(
                 stats.recoveries > 0,
-                "{label}: injected fault(s) fired but no recovery was recorded: {}",
-                stats.summary()
-            );
-        }
-        // With no panic in the mix the surviving error is exhaustion, so
-        // recovery must have regrown (a panic can supersede the arena error
-        // in combined plans, making the recovery panic-typed instead).
-        if run_fired[0] > 0 && run_fired[2] == 0 {
-            assert!(
-                stats.regrowths > 0,
-                "{label}: injected exhaustion without a regrowth: {}",
+                "{label}: injected panic(s) fired but no recovery was recorded: {}",
                 stats.summary()
             );
         }
         for (name, n) in [
-            (points::ARENA_ALLOC, run_fired[0]),
-            (points::LOCK_ACQUIRE, run_fired[1]),
-            (points::OPERATOR_PANIC, run_fired[2]),
+            (points::LOCK_ACQUIRE, run_fired[0]),
+            (points::OPERATOR_PANIC, run_fired[1]),
         ] {
             if n > 0 {
                 eprintln!("[recov]   {name} fired {n}x: {}", stats.summary());
@@ -292,15 +242,55 @@ fn injected_faults_never_hang_or_break_equivalence() {
         }
         fired[0] += run_fired[0];
         fired[1] += run_fired[1];
-        fired[2] += run_fired[2];
     }
     // Aggregate, not per-seed: a rate-mode plan is free to never select a
     // firing index for one particular seed, but across 16 seeds a silent
     // point means the sweep is not testing what it claims to.
-    let [alloc, lock, panic] = fired;
-    assert!(alloc > 0, "no arena.alloc fault ever fired");
+    let [lock, panic] = fired;
     assert!(lock > 0, "no lock.acquire fault ever fired");
     assert!(panic > 0, "no operator.panic fault ever fired");
+}
+
+/// `operator.panic` also fires inside `commit_replacement`, after the new
+/// structure is built and before anything is rewired. With one worker the
+/// hit order is deterministic, so sweeping `@k` over the first hits lands
+/// on both sites; a panic at the in-commit site is the only way a
+/// one-worker, lock-fault-free run can record an abort (the attempt it cut
+/// short). Every run must salvage a graph that passes `check()` and CEC,
+/// and the sweep stops once three panics have landed mid-commit.
+#[test]
+fn mid_commit_panic_salvages_an_equivalent_graph() {
+    const HITS: u64 = 400;
+    let _serial = exclusive();
+    silence_injected_panics();
+    let suite = full_suite(Scale::Test);
+    let bench = suite
+        .iter()
+        .min_by_key(|b| b.aig.num_ands())
+        .expect("non-empty suite");
+    for engine in [Engine::DacPara, Engine::Iccad18] {
+        let mut mid_commit = 0;
+        for k in 1..=HITS {
+            if mid_commit == 3 {
+                break;
+            }
+            let cfg = RewriteConfig::rewrite_op().with_threads(1);
+            let label = format!("panic @{k} {engine} on {}", bench.name);
+            let plan = FaultPlan::parse(&format!("operator.panic=@{k}*1"), 0).expect("valid");
+            let injection = dacpara_fault::inject(&plan);
+            let (aig, result) = run_with_watchdog(&label, bench.aig.clone(), engine, cfg);
+            let fired = injection.fired(points::OPERATOR_PANIC);
+            drop(injection);
+            let stats = result.unwrap_or_else(|e| panic!("{label}: panic was not recovered: {e}"));
+            assert_recovered_ok(bench, &aig, &stats, &label);
+            assert_eq!(stats.recoveries, fired, "{label}: {}", stats.summary());
+            mid_commit += stats.spec.aborts;
+        }
+        assert_eq!(
+            mid_commit, 3,
+            "{engine}: too few of the first {HITS} hits landed mid-commit"
+        );
+    }
 }
 
 /// A single injected operator panic must be contained (no abort, no hung
@@ -332,7 +322,7 @@ fn contained_panic_is_recovered_and_validated() {
         let stats = result.unwrap_or_else(|e| panic!("{label}: panic was not recovered: {e}"));
         assert_recovered_ok(bench, &aig, &stats, &label);
         assert!(
-            stats.recoveries > stats.regrowths,
+            stats.recoveries > 0,
             "{label}: no panic recovery was recorded: {}",
             stats.summary()
         );
@@ -364,8 +354,12 @@ fn second_run_fault_salvages_the_first_runs_commits() {
         assert!(first.replacements > 0, "{label}: run 1 must commit");
         assert_eq!(first.spec.aborts, 0, "{label}: one worker never conflicts");
         // The first operator activity of run 2 panics, so every commit the
-        // recovery carries over was made by run 1.
-        let spec = format!("operator.panic=@{}*1", first.spec.attempts + 1);
+        // recovery carries over was made by run 1. Run 1 hits the point
+        // once per activity and once more inside each commit.
+        let spec = format!(
+            "operator.panic=@{}*1",
+            first.spec.attempts + first.replacements + 1
+        );
         let plan = FaultPlan::parse(&spec, 0).expect("valid spec");
         let injection = dacpara_fault::inject(&plan);
         let cfg = RewriteConfig { runs: 2, ..one_run };
