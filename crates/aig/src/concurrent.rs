@@ -6,7 +6,10 @@
 //! * **Lock-free reads everywhere** — every node field is an atomic, and the
 //!   per-node fanout lists sit behind lightweight reader/writer locks, so
 //!   the evaluation stage (§4.3 of the paper, >90% of the runtime) runs with
-//!   *no exclusive locks at all*.
+//!   *no exclusive locks at all*. In the *read-only phase*
+//!   ([`ConcurrentAig::begin_read_only`]), which DACPara holds over the
+//!   enumeration and evaluation stages of a level list, structural probes
+//!   read the fanout lists without touching their lock words either.
 //! * **Decentralized structural hashing** — [`ConcurrentAig::find_and`]
 //!   scans the fanout list of one fanin instead of probing a global hash
 //!   table, the scheme adopted from ICCAD'18.
@@ -28,9 +31,11 @@
 //! restores full strash canonicity. The graph is functionally correct at every instant
 //! either way.
 
-use std::sync::atomic::{AtomicU32, AtomicU8, AtomicUsize, Ordering};
+use std::cell::UnsafeCell;
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, AtomicUsize, Ordering};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::{Aig, AigError, AigRead, Lit, NodeId, NodeKind};
 
@@ -69,6 +74,146 @@ impl CNode {
     }
 }
 
+/// One node's fanout list: the ids of the AND gates it feeds, guarded by
+/// `lock` — except in the read-only phase, see [`FanoutLists`].
+struct FanoutList {
+    lock: RwLock<()>,
+    ids: UnsafeCell<Vec<NodeId>>,
+}
+
+// SAFETY: `lock` is `Sync` itself. `ids` holds plain `NodeId`s (`Send`
+// and `Sync`) and is reached only through `FanoutLists`, which writes it
+// under the write lock and reads it under the read lock or in the
+// read-only phase, when no thread writes any list (see `FanoutLists::read`).
+unsafe impl Sync for FanoutList {}
+
+/// The per-node fanout lists, and the read-only phase in which they are
+/// read without their locks.
+///
+/// Outside the phase every read takes the list's read lock and every write
+/// its write lock. [`ConcurrentAig::begin_read_only`] turns the phase on
+/// for a span in which nobody writes the graph — DACPara's enumeration and
+/// evaluation stages — and [`FanoutLists::read`] then skips the lock word,
+/// so a structural probe writes no shared memory. Debug builds check the
+/// other half of the contract in [`FanoutLists::write`].
+struct FanoutLists {
+    lists: Box<[FanoutList]>,
+    /// Whether the read-only phase is on. Accessed `Relaxed`: the flag
+    /// publishes no data itself; the synchronization its contract requires
+    /// around `begin_read_only`/`end_read_only` (barrier steps) orders it
+    /// against every reader and writer.
+    read_only: AtomicBool,
+}
+
+/// A borrowed fanout list; holds the read lock outside the read-only
+/// phase.
+struct ListRead<'a> {
+    _lock: Option<RwLockReadGuard<'a, ()>>,
+    ids: &'a [NodeId],
+}
+
+impl Deref for ListRead<'_> {
+    type Target = [NodeId];
+
+    fn deref(&self) -> &[NodeId] {
+        self.ids
+    }
+}
+
+/// A fanout list borrowed for writing, under its write lock.
+struct ListWrite<'a> {
+    _lock: RwLockWriteGuard<'a, ()>,
+    ids: &'a mut Vec<NodeId>,
+}
+
+impl Deref for ListWrite<'_> {
+    type Target = Vec<NodeId>;
+
+    fn deref(&self) -> &Vec<NodeId> {
+        self.ids
+    }
+}
+
+impl DerefMut for ListWrite<'_> {
+    fn deref_mut(&mut self) -> &mut Vec<NodeId> {
+        self.ids
+    }
+}
+
+impl FanoutLists {
+    fn new(capacity: usize) -> FanoutLists {
+        FanoutLists {
+            lists: (0..capacity)
+                .map(|_| FanoutList {
+                    lock: RwLock::new(()),
+                    ids: UnsafeCell::new(Vec::new()),
+                })
+                .collect(),
+            read_only: AtomicBool::new(false),
+        }
+    }
+
+    /// Reads the fanout list of `n`.
+    fn read(&self, n: NodeId) -> ListRead<'_> {
+        let list = &self.lists[n.index()];
+        if self.read_only.load(Ordering::Relaxed) {
+            // SAFETY: the phase is on, so by the contract of
+            // `ConcurrentAig::begin_read_only` every earlier write
+            // happens-before this read (through the synchronization that
+            // turned the phase on, a barrier step in DACPara), and this read
+            // happens-before every later write (through the one that turns
+            // it off). `ListRead` is private and lives for one probe, so the
+            // borrow ends inside the phase: nothing mutates the list while
+            // it is borrowed.
+            ListRead {
+                _lock: None,
+                ids: unsafe { &*list.ids.get() },
+            }
+        } else {
+            let lock = list.lock.read();
+            // SAFETY: the read lock excludes writers while `ListRead`
+            // holds it, and `ids` is only reachable through that guard.
+            ListRead {
+                ids: unsafe { &*list.ids.get() },
+                _lock: Some(lock),
+            }
+        }
+    }
+
+    /// Writes the fanout list of `n`.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, panics if the read-only phase is on.
+    fn write(&self, n: NodeId) -> ListWrite<'_> {
+        debug_assert!(
+            !self.read_only.load(Ordering::Relaxed),
+            "fanout list of {n:?} written during the read-only phase"
+        );
+        let list = &self.lists[n.index()];
+        let lock = list.lock.write();
+        // SAFETY: the write lock excludes every locked reader and writer
+        // while `ListWrite` holds it, and the read-only phase, which
+        // readers would skip the lock in, is off (see `read`).
+        ListWrite {
+            ids: unsafe { &mut *list.ids.get() },
+            _lock: lock,
+        }
+    }
+
+    /// The fanout list of `n`, through exclusive access to every list.
+    fn get_mut(&mut self, n: NodeId) -> &mut Vec<NodeId> {
+        self.lists[n.index()].ids.get_mut()
+    }
+
+    /// Empties every list.
+    fn clear(&mut self) {
+        for list in self.lists.iter_mut() {
+            list.ids.get_mut().clear();
+        }
+    }
+}
+
 /// Shared-memory AIG for the parallel rewriting engines.
 ///
 /// Create one from a serial graph with [`ConcurrentAig::from_aig`], run a
@@ -92,7 +237,7 @@ impl CNode {
 /// ```
 pub struct ConcurrentAig {
     nodes: Box<[CNode]>,
-    fanouts: Box<[RwLock<Vec<NodeId>>]>,
+    fanouts: FanoutLists,
     inputs: Vec<NodeId>,
     outputs: Mutex<Vec<Lit>>,
     free: Mutex<Vec<NodeId>>,
@@ -116,12 +261,9 @@ impl ConcurrentAig {
     /// fit the node-id space.
     pub fn from_aig(aig: &Aig, spare: usize) -> Result<ConcurrentAig, AigError> {
         let capacity = Self::capacity_for(aig, spare)?;
-        let nodes: Box<[CNode]> = (0..capacity).map(|_| CNode::free()).collect();
-        let fanouts: Box<[RwLock<Vec<NodeId>>]> =
-            (0..capacity).map(|_| RwLock::new(Vec::new())).collect();
         let mut shared = ConcurrentAig {
-            nodes,
-            fanouts,
+            nodes: (0..capacity).map(|_| CNode::free()).collect(),
+            fanouts: FanoutLists::new(capacity),
             inputs: Vec::new(),
             outputs: Mutex::new(Vec::new()),
             free: Mutex::new(Vec::new()),
@@ -163,7 +305,7 @@ impl ConcurrentAig {
         let capacity = Self::capacity_for(aig, spare)?;
         if capacity > self.nodes.len() {
             self.nodes = (0..capacity).map(|_| CNode::free()).collect();
-            self.fanouts = (0..capacity).map(|_| RwLock::new(Vec::new())).collect();
+            self.fanouts = FanoutLists::new(capacity);
         } else {
             for node in self.nodes.iter_mut() {
                 node.kind.store(NodeKind::Free.to_u8(), ORD_STORE);
@@ -175,9 +317,7 @@ impl ConcurrentAig {
                 node.flags.store(0, Ordering::Relaxed);
                 node.gen.fetch_add(1, Ordering::Relaxed);
             }
-            for f in self.fanouts.iter_mut() {
-                f.get_mut().clear();
-            }
+            self.fanouts.clear();
         }
         self.inputs.clear();
         self.outputs.get_mut().clear();
@@ -222,7 +362,7 @@ impl ConcurrentAig {
             let level = 1 + self.level(ma.node()).max(self.level(mb.node()));
             node.level.store(level, Ordering::Relaxed);
             for l in [ma, mb] {
-                self.fanouts[l.node().index()].get_mut().push(id);
+                self.fanouts.get_mut(l.node()).push(id);
                 self.nodes[l.node().index()]
                     .refs
                     .fetch_add(1, Ordering::Relaxed);
@@ -290,6 +430,41 @@ impl ConcurrentAig {
         Ok(NodeId::new(slot as u32))
     }
 
+    /// Turns the read-only phase on: until [`ConcurrentAig::end_read_only`],
+    /// structural probes ([`AigRead::find_and`],
+    /// [`ConcurrentAig::find_and_excluding`]) and every other fanout-list
+    /// read skip the list's lock. Idempotent.
+    ///
+    /// DACPara enters the phase in the barrier step that opens a level
+    /// list's enumeration stage and leaves it in the one that opens its
+    /// replacement stage (see `docs/ARCHITECTURE.md` §4).
+    ///
+    /// # Safety
+    ///
+    /// Until the phase ends, no thread may write the graph — call
+    /// [`ConcurrentAig::add_and_locked`], [`ConcurrentAig::replace_locked`],
+    /// [`ConcurrentAig::delete_cone`] or the serial maintenance passes —
+    /// while another thread may be reading it. The call itself, and the
+    /// matching `end_read_only`, must be ordered against every thread that
+    /// reads in between (as a barrier orders its team), so that earlier
+    /// writes happen-before the unlocked reads and those reads
+    /// happen-before later writes. Debug builds assert on a fanout write
+    /// while the phase is on.
+    pub unsafe fn begin_read_only(&self) {
+        self.fanouts.read_only.store(true, Ordering::Relaxed);
+    }
+
+    /// Turns the read-only phase off; fanout reads take their locks again.
+    /// Idempotent, and safe: ending the phase only restores locking.
+    pub fn end_read_only(&self) {
+        self.fanouts.read_only.store(false, Ordering::Relaxed);
+    }
+
+    /// Whether the read-only phase is on.
+    pub fn is_read_only(&self) -> bool {
+        self.fanouts.read_only.load(Ordering::Relaxed)
+    }
+
     /// Like [`AigRead::find_and`] but never returns `exclude` — needed when
     /// probing whether a node duplicates *another* node.
     pub fn find_and_excluding(&self, f0: Lit, f1: Lit, exclude: NodeId) -> Option<NodeId> {
@@ -298,14 +473,13 @@ impl ConcurrentAig {
         // nodes would otherwise dominate the decentralized lookup cost). A
         // list holds one entry per fanin edge, so its length is the atomic
         // `refs - po_refs` (an invariant `check` verifies) and only the
-        // scanned list is locked.
+        // scanned list is locked (none in the read-only phase).
         let scan = if self.fanout_count(a.node()) <= self.fanout_count(b.node()) {
             a.node()
         } else {
             b.node()
         };
-        let guard = self.fanouts[scan.index()].read();
-        for &cand in guard.iter() {
+        for &cand in self.fanouts.read(scan).iter() {
             if cand == exclude || self.kind(cand) != NodeKind::And {
                 continue;
             }
@@ -356,7 +530,7 @@ impl ConcurrentAig {
         node.gen.fetch_add(1, Ordering::AcqRel);
         node.kind.store(NodeKind::And.to_u8(), ORD_STORE);
         for l in [a, b] {
-            self.fanouts[l.node().index()].write().push(id);
+            self.fanouts.write(l.node()).push(id);
             self.nodes[l.node().index()]
                 .refs
                 .fetch_add(1, Ordering::AcqRel);
@@ -398,8 +572,7 @@ impl ConcurrentAig {
     fn move_fanout_edges(&self, o: NodeId, t: Lit) {
         loop {
             let f = {
-                let mut guard = self.fanouts[o.index()].write();
-                match guard.pop() {
+                match self.fanouts.write(o).pop() {
                     Some(f) => f,
                     None => break,
                 }
@@ -419,7 +592,7 @@ impl ConcurrentAig {
             node.fanin0.store(a.raw(), Ordering::Relaxed);
             node.fanin1.store(b.raw(), Ordering::Relaxed);
             node.gen.fetch_add(1, Ordering::AcqRel);
-            self.fanouts[t.node().index()].write().push(f);
+            self.fanouts.write(t.node()).push(f);
             self.nodes[t.node().index()]
                 .refs
                 .fetch_add(1, Ordering::AcqRel);
@@ -477,7 +650,7 @@ impl ConcurrentAig {
             for l in [f0, f1] {
                 let v = l.node();
                 {
-                    let mut guard = self.fanouts[v.index()].write();
+                    let mut guard = self.fanouts.write(v);
                     let pos = guard
                         .iter()
                         .position(|&x| x == n)
@@ -617,7 +790,7 @@ impl ConcurrentAig {
                     "{n:?}: stored po_refs {stored_po} but {want_po} output uses"
                 )));
             }
-            let listed = self.fanouts[i].read().len();
+            let listed = self.fanouts.read(n).len();
             if listed != (want - want_po) as usize {
                 return Err(AigError::InvariantViolation(format!(
                     "{n:?}: fanout list holds {listed} entries for {} fanin uses",
@@ -675,7 +848,7 @@ impl AigRead for ConcurrentAig {
     }
 
     fn fanout_ids(&self, n: NodeId) -> Vec<NodeId> {
-        self.fanouts[n.index()].read().clone()
+        self.fanouts.read(n).to_vec()
     }
 }
 
@@ -723,10 +896,10 @@ mod tests {
         let shared = ConcurrentAig::from_aig(&aig, 8).unwrap();
         let input = shared.input_ids()[0];
         // A fanout entry without a matching reference.
-        shared.fanouts[input.index()].write().push(input);
+        shared.fanouts.write(input).push(input);
         let err = shared.check().unwrap_err();
         assert!(format!("{err}").contains("fanout list"), "{err}");
-        shared.fanouts[input.index()].write().pop();
+        shared.fanouts.write(input).pop();
         shared.check().unwrap();
         // An output count that disagrees with the outputs.
         shared.nodes[input.index()]
@@ -778,6 +951,49 @@ mod tests {
                 assert_eq!(shared.find_and(b, a), Some(n));
             }
         }
+    }
+
+    #[test]
+    fn read_only_probes_match_locked_probes() {
+        let (aig, ..) = sample();
+        let shared = ConcurrentAig::from_aig(&aig, 8).unwrap();
+        let ands: Vec<NodeId> = (0..shared.capacity())
+            .map(|i| NodeId::new(i as u32))
+            .filter(|&n| shared.kind(n) == NodeKind::And)
+            .collect();
+        let probe = |shared: &ConcurrentAig| -> Vec<_> {
+            ands.iter()
+                .map(|&n| {
+                    let [a, b] = shared.fanins(n);
+                    let fanouts = shared.fanout_ids(a.node());
+                    (shared.find_and(b, a), shared.find_and(!a, b), fanouts)
+                })
+                .collect()
+        };
+        let locked = probe(&shared);
+        // SAFETY: this thread is the only one using the graph.
+        unsafe { shared.begin_read_only() };
+        assert!(shared.is_read_only());
+        assert_eq!(probe(&shared), locked);
+        shared.end_read_only();
+        assert!(!shared.is_read_only());
+        // Writers work again once the phase is over.
+        let ins = shared.input_ids();
+        shared.add_and_locked(ins[0].lit(), ins[1].lit()).unwrap();
+        shared.check().unwrap();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "written during the read-only phase")]
+    fn fanout_writer_panics_in_the_read_only_phase() {
+        let (aig, ..) = sample();
+        let shared = ConcurrentAig::from_aig(&aig, 8).unwrap();
+        let ins = shared.input_ids();
+        // SAFETY: this thread is the only one using the graph, so the write
+        // below races no reader; the assertion refuses it before it writes.
+        unsafe { shared.begin_read_only() };
+        let _ = shared.add_and_locked(ins[0].lit(), ins[1].lit());
     }
 
     #[test]

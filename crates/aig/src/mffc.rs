@@ -10,15 +10,32 @@
 use crate::{AigRead, NodeId, NodeKind};
 
 /// Result of a simulated dereference of a cone.
+///
+/// A `ConeDeref` is also reusable scratch: [`ConeDeref::simulate`] recomputes
+/// it in place, keeping the capacity of its lists, so an evaluation loop
+/// that keeps one per thread allocates nothing per cone.
 #[derive(Debug, Clone, Default)]
 pub struct ConeDeref {
     /// Nodes whose (simulated) reference count dropped to zero — the nodes
     /// that would be deleted if the root were replaced. Always contains the
     /// root itself first.
     pub freed: Vec<NodeId>,
+    /// Simulated reference counts of the touched nodes.
+    local: Vec<(NodeId, u32)>,
+    /// Freed nodes whose fanins are still to be dereferenced.
+    stack: Vec<NodeId>,
 }
 
 impl ConeDeref {
+    /// An empty result, for use as scratch.
+    pub const fn new() -> ConeDeref {
+        ConeDeref {
+            freed: Vec::new(),
+            local: Vec::new(),
+            stack: Vec::new(),
+        }
+    }
+
     /// Number of AND nodes that would be removed ("nodes saved").
     pub fn saved(&self) -> usize {
         self.freed.len()
@@ -27,6 +44,45 @@ impl ConeDeref {
     /// Whether `n` is among the would-be-deleted nodes.
     pub fn contains(&self, n: NodeId) -> bool {
         self.freed.contains(&n)
+    }
+
+    /// Recomputes `self` as [`simulate_deref`]`(view, root, is_leaf)`,
+    /// reusing its allocations.
+    pub fn simulate<V, F>(&mut self, view: &V, root: NodeId, is_leaf: F)
+    where
+        V: AigRead + ?Sized,
+        F: Fn(NodeId) -> bool,
+    {
+        debug_assert_eq!(view.kind(root), NodeKind::And);
+        let ConeDeref {
+            freed,
+            local,
+            stack,
+        } = self;
+        local.clear();
+        freed.clear();
+        freed.push(root);
+        stack.clear();
+        stack.push(root);
+        while let Some(n) = stack.pop() {
+            for l in view.fanins(n) {
+                let v = l.node();
+                if view.kind(v) != NodeKind::And || is_leaf(v) {
+                    continue;
+                }
+                let i = local.iter().position(|&(x, _)| x == v).unwrap_or_else(|| {
+                    local.push((v, view.refs(v)));
+                    local.len() - 1
+                });
+                let r = &mut local[i].1;
+                debug_assert!(*r > 0, "cone node with zero refs");
+                *r -= 1;
+                if *r == 0 {
+                    freed.push(v);
+                    stack.push(v);
+                }
+            }
+        }
     }
 }
 
@@ -60,30 +116,9 @@ where
     V: AigRead + ?Sized,
     F: Fn(NodeId) -> bool,
 {
-    debug_assert_eq!(view.kind(root), NodeKind::And);
-    let mut local: Vec<(NodeId, u32)> = Vec::new();
-    let mut freed = vec![root];
-    let mut stack = vec![root];
-    while let Some(n) = stack.pop() {
-        for l in view.fanins(n) {
-            let v = l.node();
-            if view.kind(v) != NodeKind::And || is_leaf(v) {
-                continue;
-            }
-            let i = local.iter().position(|&(x, _)| x == v).unwrap_or_else(|| {
-                local.push((v, view.refs(v)));
-                local.len() - 1
-            });
-            let r = &mut local[i].1;
-            debug_assert!(*r > 0, "cone node with zero refs");
-            *r -= 1;
-            if *r == 0 {
-                freed.push(v);
-                stack.push(v);
-            }
-        }
-    }
-    ConeDeref { freed }
+    let mut cone = ConeDeref::new();
+    cone.simulate(view, root, is_leaf);
+    cone
 }
 
 /// The classic MFFC of `root` (boundary at primary inputs/constants only).
@@ -131,6 +166,27 @@ mod tests {
         assert_eq!(full.saved(), 2);
         let bounded = mffc_with_cut(&aig, abc.node(), &[ab.node(), c.node()]);
         assert_eq!(bounded.saved(), 1);
+    }
+
+    #[test]
+    fn reused_scratch_matches_a_fresh_cone() {
+        let mut aig = Aig::new();
+        let a = aig.add_input();
+        let b = aig.add_input();
+        let c = aig.add_input();
+        let ab = aig.add_and(a, b);
+        let abc = aig.add_and(ab, c);
+        let other = aig.add_and(ab, !c);
+        aig.add_output(abc);
+        aig.add_output(other);
+        let mut cone = ConeDeref::new();
+        for root in [abc, other, abc] {
+            for leaves in [&[][..], &[ab.node(), c.node()][..]] {
+                cone.simulate(&aig, root.node(), |n| leaves.contains(&n));
+                let fresh = mffc_with_cut(&aig, root.node(), leaves);
+                assert_eq!(cone.freed, fresh.freed);
+            }
+        }
     }
 
     #[test]

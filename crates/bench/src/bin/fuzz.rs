@@ -91,6 +91,9 @@ fn usage() {
 }
 
 fn main() -> ExitCode {
+    // `--fault` plans inject panics that the engines contain and recover;
+    // keep them off stderr, where only real panics belong.
+    dacpara_fault::silence_injected_panics();
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         usage();

@@ -229,10 +229,14 @@ fn main() -> ExitCode {
     };
     let golden = if args.check { Some(aig.clone()) } else { None };
     // Arm the deterministic fault harness if the env knobs ask for it; a
-    // malformed spec is a hard error, not a silently fault-free run.
+    // malformed spec is a hard error, not a silently fault-free run. The
+    // engines contain and recover injected panics, so they stay off stderr.
     match dacpara_fault::arm_from_env() {
         Ok(None) => {}
-        Ok(Some(plan)) => eprintln!("faults: {plan}"),
+        Ok(Some(plan)) => {
+            dacpara_fault::silence_injected_panics();
+            eprintln!("faults: {plan}");
+        }
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;

@@ -10,6 +10,8 @@
 //! 2. **Parallel evaluation** (§4.3) — completely lock-free: each worker
 //!    evaluates nodes against thread-local MFFC scratch and the
 //!    decentralized structural hash, storing the best result in `prepInfo`.
+//!    Stages 1–2 run in the graph's *read-only phase*, so the structural
+//!    probes read fanout lists without taking their locks.
 //! 3. **Parallel replacement** (§4.4) — based on *dynamic global
 //!    information*: each stored result is validated against the latest
 //!    graph (leaf liveness + generation stamps, re-enumeration with
@@ -21,6 +23,7 @@
 
 use std::sync::atomic::Ordering;
 
+use dacpara_aig::concurrent::ConcurrentAig;
 use dacpara_aig::{Aig, AigError, AigRead, NodeId};
 use dacpara_galois::{run_spmd, ItemOutcome};
 use dacpara_npn::canon;
@@ -93,6 +96,11 @@ pub(crate) fn round(
 
     let (pool, error) = (&pass.pool, &pass.error);
     let worklists = &worklists;
+    // The barrier steps enter the read-only phase for stages 1–2 of each
+    // list and leave it for stage 3. This guard ends it on every other exit
+    // from the round — an unwind through a broken barrier included — so
+    // the session's sweep and recovery write under the usual locks.
+    let _phase = EndReadOnly(shared);
     run_spmd(cfg.threads, |w| {
         let owner = w.id as u32 + 1;
         let bail = || error.is_set();
@@ -106,7 +114,8 @@ pub(crate) fn round(
             // -------- Stage 1: parallel cut enumeration.
             //
             // The step first restores strash canonicity after the previous
-            // list, tracing the merges into the dirty set.
+            // list, tracing the merges into the dirty set, then enters the
+            // read-only phase.
             //
             // Every worker enters the drain loop even when a teammate has
             // already reported an error, and bails per item: a skipped
@@ -115,6 +124,13 @@ pub(crate) fn round(
                 if k > 0 {
                     sess.canonicalize_and_sweep(false);
                 }
+                // SAFETY: stages 1–2 write no graph state (enumeration
+                // writes the cut memo, evaluation `prep`). This step runs
+                // after every worker left the previous stage and after the
+                // sweep above, and releases the team only when it returns;
+                // the stage-3 barrier's step ends the phase before anyone
+                // writes again, and `_phase` ends it if the team unwinds.
+                unsafe { shared.begin_read_only() };
                 arm(list.len());
             });
             {
@@ -154,8 +170,12 @@ pub(crate) fn round(
             //
             // A conflict-aborted commit puts its candidate back into `prep`
             // and yields the node to the retry queue; the retry ceiling
-            // eventually forces inline blocking.
-            w.barrier(|| arm(list.len()));
+            // eventually forces inline blocking. The step ends the
+            // read-only phase: commits write the graph.
+            w.barrier(|| {
+                shared.end_read_only();
+                arm(list.len());
+            });
             {
                 let _obs = dacpara_obs::span("replace");
                 pool.drive(w.id, |i, tries| {
@@ -179,6 +199,15 @@ pub(crate) fn round(
         // The last list's canonicalization has no next stage 1 to ride on.
         w.barrier(|| sess.canonicalize_and_sweep(false));
     });
+}
+
+/// Ends the graph's read-only phase when dropped.
+struct EndReadOnly<'a>(&'a ConcurrentAig);
+
+impl Drop for EndReadOnly<'_> {
+    fn drop(&mut self) {
+        self.0.end_read_only();
+    }
 }
 
 /// One attempt of the §4.4 replacement operator for node `n` and its stored

@@ -8,10 +8,11 @@
 //! Structures are mapped only as far as they can still win (see
 //! ARCHITECTURE.md §14).
 
+use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 
 use dacpara_aig::concurrent::ConcurrentAig;
-use dacpara_aig::mffc::mffc_with_cut;
+use dacpara_aig::mffc::{mffc_with_cut, ConeDeref};
 use dacpara_aig::{Aig, AigError, AigRead, Lit, NodeId};
 use dacpara_cut::Cut;
 use dacpara_npn::{canon, ClassId, ClassRegistry, NpnTransform, Tt4};
@@ -134,15 +135,28 @@ impl MVal {
 /// fixed array; once [`ProbeMemo::LIMIT`] pairs are stored, new pairs go to
 /// the graph uncached.
 ///
+/// Each thread keeps one memo ([`EvalScratch`]) and empties it per node in
+/// O(1): a slot holds the epoch it was written in, and [`ProbeMemo::reset`]
+/// starts a new epoch, so every older slot reads as empty.
+///
 /// Caching is exact because nothing writes the graph while DACPara's
 /// evaluation stage runs; the ICCAD'18 operator holds every cut leaf's
 /// lock, so its leaf-pair answers are stable too (ARCHITECTURE.md §14).
 /// The answer is cached raw; whether it may be shared depends on the cut,
 /// so the caller filters it at every use.
 struct ProbeMemo {
-    keys: [u64; ProbeMemo::SLOTS],
-    vals: [u32; ProbeMemo::SLOTS],
+    slots: [Probe; ProbeMemo::SLOTS],
+    /// The epoch of the current node; slots stamped otherwise are empty.
+    epoch: u32,
     len: usize,
+}
+
+/// One memo slot: a literal pair, its answer, and the epoch that wrote it.
+#[derive(Copy, Clone)]
+struct Probe {
+    key: u64,
+    val: u32,
+    epoch: u32,
 }
 
 impl ProbeMemo {
@@ -150,45 +164,118 @@ impl ProbeMemo {
     const SLOTS: usize = 128;
     /// Stored pairs at most, keeping linear probe runs short.
     const LIMIT: usize = Self::SLOTS * 3 / 4;
-    /// Key of an empty slot: a pair of equal literals, which `fold_and`
-    /// folds before any probe.
-    const EMPTY: u64 = u64::MAX;
+    /// An empty slot: stamped with epoch 0, which `reset` never starts.
+    const VACANT: Probe = Probe {
+        key: 0,
+        val: 0,
+        epoch: 0,
+    };
     /// Value of a pair `find_and` found no node for.
     const ABSENT: u32 = u32::MAX;
 
-    fn new() -> ProbeMemo {
+    const fn new() -> ProbeMemo {
         ProbeMemo {
-            keys: [Self::EMPTY; Self::SLOTS],
-            vals: [0; Self::SLOTS],
+            slots: [Self::VACANT; Self::SLOTS],
+            epoch: 1,
             len: 0,
         }
     }
 
+    /// Empties the memo by starting a new epoch.
+    fn reset(&mut self) {
+        self.len = 0;
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Once every 2^32 resets: clear the stamps, so no slot of an
+            // old epoch can read as current once the counter wraps.
+            self.slots = [Self::VACANT; Self::SLOTS];
+            self.epoch = 1;
+        }
+    }
+
     /// `view.find_and(x, y)` for `x <= y`, answered from the memo when the
-    /// pair was probed before.
+    /// pair was probed before in this epoch.
     fn find_and<V: AigRead + ?Sized>(&mut self, view: &V, x: Lit, y: Lit) -> Option<NodeId> {
         let key = u64::from(x.raw()) << 32 | u64::from(y.raw());
         let shift = 64 - Self::SLOTS.trailing_zeros();
         let mut i = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
-        loop {
-            match self.keys[i] {
-                k if k == key => {
-                    return match self.vals[i] {
-                        Self::ABSENT => None,
-                        raw => Some(NodeId::new(raw)),
-                    };
-                }
-                Self::EMPTY => break,
-                _ => i = (i + 1) % Self::SLOTS,
+        while self.slots[i].epoch == self.epoch {
+            if self.slots[i].key == key {
+                return match self.slots[i].val {
+                    Self::ABSENT => None,
+                    raw => Some(NodeId::new(raw)),
+                };
             }
+            i = (i + 1) % Self::SLOTS;
         }
         let found = view.find_and(x, y);
         if self.len < Self::LIMIT {
-            self.keys[i] = key;
-            self.vals[i] = found.map_or(Self::ABSENT, NodeId::raw);
+            self.slots[i] = Probe {
+                key,
+                val: found.map_or(Self::ABSENT, NodeId::raw),
+                epoch: self.epoch,
+            };
             self.len += 1;
         }
         found
+    }
+}
+
+/// Per-thread evaluation scratch: the probe memo, and the MFFC lists that
+/// every cut recomputes in place. Evaluating a node allocates nothing but
+/// the candidate it returns.
+struct EvalScratch {
+    memo: ProbeMemo,
+    cone: ConeDeref,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<EvalScratch> = const {
+        RefCell::new(EvalScratch {
+            memo: ProbeMemo::new(),
+            cone: ConeDeref::new(),
+        })
+    };
+}
+
+/// Runs `f` on this thread's evaluation scratch, its memo emptied.
+fn with_scratch<R>(f: impl FnOnce(&mut ProbeMemo, &mut ConeDeref) -> R) -> R {
+    SCRATCH.with(|scratch| {
+        let EvalScratch { memo, cone } = &mut *scratch.borrow_mut();
+        memo.reset();
+        f(memo, cone)
+    })
+}
+
+/// The cut leaves as the inputs of one NPN transform's structures, with
+/// their levels: structure input `y_j` is `inputs[j]`, and the output is
+/// complemented when `out_neg` is set. Built once per cut and shared by
+/// every structure mapped on it.
+struct Wiring {
+    /// `None` for an input the transform maps past the cut's leaves; no
+    /// structure of the cut's class reads it.
+    inputs: [Option<(Lit, u32)>; 4],
+    out_neg: bool,
+}
+
+impl Wiring {
+    fn new<V: AigRead + ?Sized>(view: &V, transform: &NpnTransform, leaves: &[NodeId]) -> Wiring {
+        let (wiring, out_neg) = transform.wire();
+        Wiring {
+            inputs: wiring.map(|(idx, neg)| {
+                leaves
+                    .get(idx)
+                    .map(|&id| (Lit::new(id, neg), view.level(id)))
+            }),
+            out_neg,
+        }
+    }
+
+    /// Structure input `var` and its level.
+    fn input(&self, var: u8) -> (MVal, u32) {
+        let (lit, level) =
+            self.inputs[var as usize].expect("a structure reads only its cut's leaves");
+        (MVal::Real(lit), level)
     }
 }
 
@@ -207,18 +294,19 @@ pub fn evaluate_node<V: AigRead + ?Sized>(
     cuts: &[Cut],
     ctx: &EvalContext,
 ) -> Option<Candidate> {
-    let mut memo = ProbeMemo::new();
-    let mut best: Option<Candidate> = None;
-    for cut in cuts {
-        if cut.len() < 2 {
-            continue;
+    with_scratch(|memo, cone| {
+        let mut best: Option<Candidate> = None;
+        for cut in cuts {
+            if cut.len() < 2 {
+                continue;
+            }
+            let floor = best.as_ref().map_or(base_floor(ctx), |b| b.gain);
+            if let Some(cand) = best_on_cut(view, n, cut, ctx, floor, memo, cone) {
+                best = Some(cand);
+            }
         }
-        let floor = best.as_ref().map_or(base_floor(ctx), |b| b.gain);
-        if let Some(cand) = best_on_cut(view, n, cut, ctx, floor, &mut memo) {
-            best = Some(cand);
-        }
-    }
-    best
+        best
+    })
 }
 
 /// The gain a candidate must strictly exceed to pass the threshold:
@@ -244,7 +332,7 @@ pub fn evaluate_cut<V: AigRead + ?Sized>(
     cut: &Cut,
     ctx: &EvalContext,
 ) -> Option<Candidate> {
-    best_on_cut(view, n, cut, ctx, base_floor(ctx), &mut ProbeMemo::new())
+    with_scratch(|memo, cone| best_on_cut(view, n, cut, ctx, base_floor(ctx), memo, cone))
 }
 
 /// Structures scanned out of `available` for one class, under a
@@ -259,7 +347,7 @@ fn structure_budget(max_structures: usize, available: usize) -> usize {
 
 /// [`evaluate_cut`] restricted to structures whose gain is strictly greater
 /// than `floor` (at least [`base_floor`]); `memo` holds the probes of
-/// earlier cuts of the same node.
+/// earlier cuts of the same node, and `cone` is scratch for the cut's MFFC.
 fn best_on_cut<V: AigRead + ?Sized>(
     view: &V,
     n: NodeId,
@@ -267,6 +355,7 @@ fn best_on_cut<V: AigRead + ?Sized>(
     ctx: &EvalContext,
     floor: i32,
     memo: &mut ProbeMemo,
+    cone: &mut ConeDeref,
 ) -> Option<Candidate> {
     debug_assert!(cut.len() >= 2);
     debug_assert!(floor >= base_floor(ctx));
@@ -276,13 +365,13 @@ fn best_on_cut<V: AigRead + ?Sized>(
     if !ctx.allowed[class as usize] {
         return None;
     }
-    let freed = mffc_with_cut(view, n, leaves);
+    cone.simulate(view, n, |x| leaves.contains(&x));
     if dacpara_obs::is_enabled() {
-        eval_obs().mffc_size.record(freed.freed.len() as u64);
+        eval_obs().mffc_size.record(cone.saved() as u64);
     }
     // `gain = saved - added <= saved`: a cut that frees no more than the
     // floor cannot beat it.
-    let saved = freed.saved() as i32;
+    let saved = cone.saved() as i32;
     if saved <= floor {
         return None;
     }
@@ -290,6 +379,7 @@ fn best_on_cut<V: AigRead + ?Sized>(
     let max_added = (saved - floor - 1) as u32;
     let (rep, transform) = canon(tt);
     debug_assert_eq!(rep, ctx.registry.representative(class));
+    let wiring = Wiring::new(view, &transform, leaves);
 
     let structures = ctx.lib.structures(class);
     let budget = structure_budget(ctx.max_structures, structures.len());
@@ -300,9 +390,8 @@ fn best_on_cut<V: AigRead + ?Sized>(
         let Some(m) = map_structure(
             view,
             s,
-            &transform,
-            leaves,
-            &freed.freed,
+            &wiring,
+            &cone.freed,
             ctx.count_sharing,
             max_added,
             memo,
@@ -357,28 +446,20 @@ fn best_on_cut<V: AigRead + ?Sized>(
 fn map_structure<V: AigRead + ?Sized>(
     view: &V,
     structure: &Structure,
-    transform: &NpnTransform,
-    leaves: &[NodeId],
+    wiring: &Wiring,
     freed: &[NodeId],
     count_sharing: bool,
     max_added: u32,
     memo: &mut ProbeMemo,
     mut shared: Option<&mut Vec<(NodeId, u32)>>,
 ) -> Option<Mapping> {
-    let (wiring, out_neg) = transform.wire();
-    let leaf_val = |var: usize| -> (MVal, u32) {
-        let (idx, neg) = wiring[var];
-        let id = leaves[idx];
-        (MVal::Real(Lit::new(id, neg)), view.level(id))
-    };
-
     let mut added = 0u32;
     let mut vals = [(MVal::Real(Lit::FALSE), 0u32); MAX_STRUCTURE_GATES];
     let resolve = |input: StructIn, vals: &[(MVal, u32)]| -> (MVal, u32) {
         match input {
             StructIn::Const(b) => (MVal::Real(Lit::FALSE.xor(b)), 0),
             StructIn::Leaf { var, neg } => {
-                let (v, lvl) = leaf_val(var as usize);
+                let (v, lvl) = wiring.input(var);
                 (v.xor(neg), lvl)
             }
             StructIn::Gate { idx, neg } => {
@@ -448,7 +529,7 @@ fn map_structure<V: AigRead + ?Sized>(
     }
 
     let (root, level) = resolve(structure.root(), &vals);
-    let root = match root.xor(out_neg) {
+    let root = match root.xor(wiring.out_neg) {
         MVal::Real(l) => Some(l),
         MVal::Virt(..) => None,
     };
@@ -487,18 +568,20 @@ pub fn reevaluate_structure<V: AigRead + ?Sized>(
     let freed = mffc_with_cut(view, n, &cand.leaves);
     let saved = freed.saved() as i32;
     let structure = &ctx.lib.structures(cand.class)[cand.struct_idx];
+    let wiring = Wiring::new(view, &cand.transform, &cand.leaves);
     let mut shared_nodes = Vec::new();
-    let m = map_structure(
-        view,
-        structure,
-        &cand.transform,
-        &cand.leaves,
-        &freed.freed,
-        ctx.count_sharing,
-        u32::MAX,
-        &mut ProbeMemo::new(),
-        Some(&mut shared_nodes),
-    )
+    let m = with_scratch(|memo, _| {
+        map_structure(
+            view,
+            structure,
+            &wiring,
+            &freed.freed,
+            ctx.count_sharing,
+            u32::MAX,
+            memo,
+            Some(&mut shared_nodes),
+        )
+    })
     .expect("an unbounded mapping always completes");
     let identity = m.root.is_some_and(|r| r.node() == n);
     let gain = if identity {

@@ -261,6 +261,10 @@ impl RewriteSession {
             }
             worked = true;
             round(self, &pass, work, &mut stats);
+            debug_assert!(
+                !self.shared.is_read_only(),
+                "a round returned in the read-only phase"
+            );
             match pass.error.take() {
                 None => {
                     self.canonicalize_and_sweep(true);

@@ -171,3 +171,58 @@ fn bounded_evaluation_matches_brute_force_on_mtm() {
     });
     check_circuit("mtm", &aig);
 }
+
+/// Evaluation scratch (the probe memo, the MFFC lists) is per thread and
+/// reused from node to node, so nothing may carry over between nodes. On
+/// one thread: evaluate node A, node B, then A again; change the graph so
+/// that A's answer changes; evaluate B and A once more. Every answer for A
+/// must be the one a thread that evaluates A first gives.
+#[test]
+fn reused_scratch_keeps_no_state_between_nodes() {
+    let cfg = RewriteConfig {
+        num_classes: 222,
+        preserve_level: false,
+        ..RewriteConfig::rewrite_op()
+    };
+    let ctx = EvalContext::new(&cfg);
+    let evaluate = |aig: &Aig, n: NodeId| {
+        let store = CutStore::new(aig.slot_count(), cfg.cut_config());
+        evaluate_node(aig, n, &store.cuts(aig, n), &ctx)
+    };
+    let on_a_fresh_thread =
+        |aig: &Aig, n: NodeId| std::thread::scope(|s| s.spawn(|| evaluate(aig, n)).join().unwrap());
+
+    // Two disjoint wasteful majorities: a mux over an OR and an AND of the
+    // other two inputs, five gates where four suffice.
+    let mut aig = Aig::new();
+    let ins: Vec<_> = (0..6).map(|_| aig.add_input()).collect();
+    let majority = |aig: &mut Aig, a, b, c| {
+        let or = aig.add_or(b, c);
+        let and = aig.add_and(b, c);
+        let m = aig.add_mux(a, or, and);
+        aig.add_output(m);
+        m.node()
+    };
+    let node_a = majority(&mut aig, ins[0], ins[1], ins[2]);
+    let node_b = majority(&mut aig, ins[3], ins[4], ins[5]);
+
+    let first = evaluate(&aig, node_a);
+    assert!(first.is_some(), "A must be improvable");
+    assert_eq!(first, on_a_fresh_thread(&aig, node_a));
+    assert_eq!(evaluate(&aig, node_b), on_a_fresh_thread(&aig, node_b));
+    assert_eq!(evaluate(&aig, node_a), first);
+
+    // The ANDs and ORs of A's select input with each other input, as
+    // outputs: A's cone is unchanged, but its structures now find existing
+    // gates to share.
+    for (x, y) in [(0, 1), (0, 2)] {
+        let and = aig.add_and(ins[x], ins[y]);
+        let or = aig.add_or(ins[x], ins[y]);
+        aig.add_output(and);
+        aig.add_output(or);
+    }
+    let fresh = on_a_fresh_thread(&aig, node_a);
+    assert_ne!(fresh, first, "the change must alter A's answer");
+    assert_eq!(evaluate(&aig, node_b), on_a_fresh_thread(&aig, node_b));
+    assert_eq!(evaluate(&aig, node_a), fresh);
+}

@@ -36,16 +36,7 @@ fn lanes_for(trace: &str, name: &str) -> HashSet<u64> {
 fn spec_stats_match_obs_events() {
     // The injected panic of section 5 is contained by the engine; keep it
     // off stderr while letting real panics through.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<&str>()
-            .is_some_and(|s| s.starts_with("injected fault:"));
-        if !injected {
-            prev_hook(info);
-        }
-    }));
+    dacpara_fault::silence_injected_panics();
     for engine in [Engine::DacPara, Engine::Iccad18] {
         check_engine(engine);
     }

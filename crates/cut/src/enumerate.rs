@@ -34,14 +34,19 @@ impl Default for CutConfig {
 /// Computes the cut set of a leaf-like node (input or constant).
 pub fn leaf_cuts<V: AigRead + ?Sized>(view: &V, n: NodeId) -> CutSet {
     match view.kind(n) {
-        NodeKind::Const0 => vec![Cut::constant()],
-        NodeKind::Input => vec![Cut::trivial(n)],
+        NodeKind::Const0 => CutSet::from([Cut::constant()]),
+        NodeKind::Input => CutSet::from([Cut::trivial(n)]),
         k => unreachable!("leaf_cuts on {k:?} node"),
     }
 }
 
-/// Enumerates the cuts of AND node `n` by merging the cut sets of its two
-/// fanins, filtering dominated cuts, and prepending the trivial cut.
+/// Enumerates the cuts of AND node `n` into `out` (cleared first) by
+/// merging the cut sets of its two fanins, filtering dominated cuts, and
+/// prepending the trivial cut.
+///
+/// `out` is scratch that a caller reuses across nodes: its capacity grows
+/// to the largest merge seen and stays, so the set to keep is copied out at
+/// its exact size (`CutSet::from(&out[..])`).
 ///
 /// The truth tables track fanin complementation, so every returned cut's
 /// table is the function of `n` over the cut leaves.
@@ -51,7 +56,8 @@ pub fn and_cuts<V: AigRead + ?Sized>(
     cuts_a: &[Cut],
     cuts_b: &[Cut],
     cfg: &CutConfig,
-) -> CutSet {
+    out: &mut Vec<Cut>,
+) {
     // A node observed as `And` may concurrently become `Free` on the
     // concurrent view (a racing replacement deleted it after the caller's
     // kind check); the cuts built from its stale fanins are rejected by
@@ -63,7 +69,7 @@ pub fn and_cuts<V: AigRead + ?Sized>(
         view.kind(n)
     );
     let [fa, fb] = view.fanins(n);
-    let mut out: CutSet = Vec::with_capacity(cuts_a.len() * cuts_b.len() / 2 + 1);
+    out.clear();
     out.push(Cut::trivial(n));
     for ca in cuts_a {
         for cb in cuts_b {
@@ -79,7 +85,7 @@ pub fn and_cuts<V: AigRead + ?Sized>(
             let merged = &leaves[..k];
             // Dominance depends on the leaves alone, so a dominated merge is
             // dropped before its truth table is computed.
-            if !push_filtered(&mut out, Cut::new(merged, Tt4::FALSE)) {
+            if !push_filtered(out, Cut::new(merged, Tt4::FALSE)) {
                 continue;
             }
             let ta = ca.expand_tt(merged);
@@ -97,7 +103,6 @@ pub fn and_cuts<V: AigRead + ?Sized>(
     if cfg.max_cuts > 0 && out.len() > cfg.max_cuts {
         out.truncate(cfg.max_cuts.max(1));
     }
-    out
 }
 
 /// Appends `cut` unless dominated, after removing the cuts it dominates;
@@ -106,7 +111,7 @@ pub fn and_cuts<V: AigRead + ?Sized>(
 /// `out[1..]` is an antichain under dominance (every insertion keeps it
 /// one), so a dominated `cut` cannot also dominate an earlier entry: a
 /// rejection never leaves a removal behind.
-fn push_filtered(out: &mut CutSet, cut: Cut) -> bool {
+fn push_filtered(out: &mut Vec<Cut>, cut: Cut) -> bool {
     // Slot 0 is the trivial cut, which never participates in dominance.
     let mut i = 1;
     while i < out.len() {
@@ -127,6 +132,19 @@ fn push_filtered(out: &mut CutSet, cut: Cut) -> bool {
 mod tests {
     use super::*;
     use dacpara_aig::Aig;
+
+    /// [`and_cuts`] into fresh scratch, kept at its exact size.
+    fn and_cuts_exact<V: AigRead + ?Sized>(
+        view: &V,
+        n: NodeId,
+        cuts_a: &[Cut],
+        cuts_b: &[Cut],
+        cfg: &CutConfig,
+    ) -> CutSet {
+        let mut out = Vec::new();
+        and_cuts(view, n, cuts_a, cuts_b, cfg, &mut out);
+        CutSet::from(out)
+    }
 
     /// Recompute the function of `root` over up-to-4 inputs by exhaustive
     /// evaluation, for cross-checking cut truth tables.
@@ -176,14 +194,14 @@ mod tests {
             let [fa, fb] = aig.fanins(n);
             let ca = sets[fa.node().index()].clone().unwrap();
             let cb = sets[fb.node().index()].clone().unwrap();
-            sets[n.index()] = Some(and_cuts(&aig, n, &ca, &cb, &cfg));
+            sets[n.index()] = Some(and_cuts_exact(&aig, n, &ca, &cb, &cfg));
         }
 
         // For the output node, any cut whose leaves are all PIs must match
         // the simulated function modulo leaf-to-input renaming.
         let root = m.node();
         let pi_pos = |l: NodeId| aig.inputs().iter().position(|&i| i == l);
-        for cut in sets[root.index()].as_ref().unwrap() {
+        for cut in sets[root.index()].as_deref().unwrap() {
             let Some(positions): Option<Vec<usize>> =
                 cut.leaves().iter().map(|&l| pi_pos(l)).collect()
             else {
@@ -219,7 +237,7 @@ mod tests {
         let cfg = CutConfig::unlimited();
         let ca = leaf_cuts(&aig, a.node());
         let cb = leaf_cuts(&aig, b.node());
-        let cuts = and_cuts(&aig, ab.node(), &ca, &cb, &cfg);
+        let cuts = and_cuts_exact(&aig, ab.node(), &ca, &cb, &cfg);
         assert!(cuts[0].is_trivial());
         assert_eq!(cuts[0].leaves()[0], ab.node());
         assert_eq!(cuts.len(), 2);
@@ -248,7 +266,7 @@ mod tests {
         let cb = leaf_cuts(&shared, fb.node());
         shared.delete_cone(and_node);
         assert_eq!(shared.kind(and_node), NodeKind::Free);
-        let cuts = and_cuts(&shared, and_node, &ca, &cb, &cfg);
+        let cuts = and_cuts_exact(&shared, and_node, &ca, &cb, &cfg);
         assert!(cuts[0].is_trivial(), "even a raced set keeps its shape");
     }
 
@@ -262,7 +280,7 @@ mod tests {
         let cfg = CutConfig::unlimited();
         let ca = leaf_cuts(&aig, a.node());
         let cb = leaf_cuts(&aig, b.node());
-        let cuts = and_cuts(&aig, nor.node(), &ca, &cb, &cfg);
+        let cuts = and_cuts_exact(&aig, nor.node(), &ca, &cb, &cfg);
         let full = cuts.iter().find(|c| c.len() == 2).unwrap();
         assert_eq!(full.tt(), !Tt4::var(0) & !Tt4::var(1));
     }
@@ -277,7 +295,7 @@ mod tests {
         let cfg = CutConfig::limited(1);
         let ca = leaf_cuts(&aig, a.node());
         let cb = leaf_cuts(&aig, b.node());
-        let cuts = and_cuts(&aig, ab.node(), &ca, &cb, &cfg);
+        let cuts = and_cuts_exact(&aig, ab.node(), &ca, &cb, &cfg);
         assert_eq!(cuts.len(), 1);
         assert!(cuts[0].is_trivial());
     }
@@ -336,7 +354,7 @@ mod tests {
             let [fa, fb] = aig.fanins(n);
             let ca = sets[fa.node().index()].clone().unwrap();
             let cb = sets[fb.node().index()].clone().unwrap();
-            let cuts = and_cuts(&aig, n, &ca, &cb, &cfg);
+            let cuts = and_cuts_exact(&aig, n, &ca, &cb, &cfg);
             assert!(cuts.len() <= 3);
             sets[n.index()] = Some(cuts);
         }

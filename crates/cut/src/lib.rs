@@ -47,4 +47,7 @@ pub use enumerate::{and_cuts, leaf_cuts, CutConfig};
 pub use store::CutStore;
 
 /// A node's set of cuts; index 0 is always the trivial cut for AND nodes.
-pub type CutSet = Vec<Cut>;
+///
+/// One heap block holds the reference counts and exactly the cuts — no
+/// spare capacity — and the memo and its readers share it.
+pub type CutSet = std::sync::Arc<[Cut]>;

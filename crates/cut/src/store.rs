@@ -11,6 +11,7 @@
 //! explicit invalidation was missed — the second line of defense behind the
 //! stored-cut validity protocol of §4.4.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -18,7 +19,7 @@ use dacpara_aig::{AigRead, NodeId, NodeKind};
 use dacpara_obs::{LogHistogram, ShardedCounter};
 use parking_lot::RwLock;
 
-use crate::{and_cuts, leaf_cuts, CutConfig, CutSet};
+use crate::{and_cuts, leaf_cuts, Cut, CutConfig, CutSet};
 
 /// Cached handles to the global memo-probe instruments (taking the registry
 /// lock on every probe would defeat the sharded counters).
@@ -44,7 +45,24 @@ fn count_hits(k: u64) {
     }
 }
 
-type Slot = RwLock<Option<(u32, Arc<CutSet>)>>;
+type Slot = RwLock<Option<(u32, CutSet)>>;
+
+/// Per-thread scratch of [`CutStore::try_cuts`]: the request stack and the
+/// buffer [`and_cuts`] merges into. Both keep their capacity across calls,
+/// so computing a set allocates only the exact-size block that is stored.
+struct Scratch {
+    stack: Vec<(NodeId, bool)>,
+    cuts: Vec<Cut>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = const {
+        RefCell::new(Scratch {
+            stack: Vec::new(),
+            cuts: Vec::new(),
+        })
+    };
+}
 
 /// A slot-indexed, generation-validated cache of cut sets, safe for
 /// concurrent use.
@@ -107,25 +125,24 @@ impl CutStore {
     /// The cached cut set of `n`, if present and still matching `n`'s
     /// current generation. A plain lookup: the memo counters describe
     /// [`CutStore::try_cuts`] only.
-    pub fn get<V: AigRead + ?Sized>(&self, view: &V, n: NodeId) -> Option<Arc<CutSet>> {
+    pub fn get<V: AigRead + ?Sized>(&self, view: &V, n: NodeId) -> Option<CutSet> {
         match &*self.slots[n.index()].read() {
-            Some((gen, cuts)) if *gen == view.generation(n) => Some(Arc::clone(cuts)),
+            Some((gen, cuts)) if *gen == view.generation(n) => Some(CutSet::clone(cuts)),
             _ => None,
         }
     }
 
     /// Stores a cut set for `n` at its current generation.
-    pub fn put<V: AigRead + ?Sized>(&self, view: &V, n: NodeId, cuts: Arc<CutSet>) {
+    pub fn put<V: AigRead + ?Sized>(&self, view: &V, n: NodeId, cuts: CutSet) {
         *self.slots[n.index()].write() = Some((view.generation(n), cuts));
     }
 
     /// Stores a freshly computed cut set, counting it as one memo miss.
-    fn put_computed<V: AigRead + ?Sized>(&self, view: &V, n: NodeId, cuts: CutSet) -> Arc<CutSet> {
+    fn put_computed<V: AigRead + ?Sized>(&self, view: &V, n: NodeId, cuts: CutSet) -> CutSet {
         if dacpara_obs::is_enabled() {
             obs().memo_misses.incr();
         }
-        let cuts = Arc::new(cuts);
-        self.put(view, n, Arc::clone(&cuts));
+        self.put(view, n, CutSet::clone(&cuts));
         cuts
     }
 
@@ -136,7 +153,7 @@ impl CutStore {
     ///
     /// Panics if `n` or anything in its fanin cone is a dead slot — use
     /// [`CutStore::try_cuts`] when the graph may be mutating concurrently.
-    pub fn cuts<V: AigRead + ?Sized>(&self, view: &V, n: NodeId) -> Arc<CutSet> {
+    pub fn cuts<V: AigRead + ?Sized>(&self, view: &V, n: NodeId) -> CutSet {
         self.try_cuts(view, n)
             .expect("cut enumeration hit a dead slot")
     }
@@ -149,14 +166,30 @@ impl CutStore {
     /// Memo accounting: the request for `n` and each fanin set an AND node
     /// needs count once — a miss if this call computes the set, a hit if
     /// the memo serves it.
-    pub fn try_cuts<V: AigRead + ?Sized>(&self, view: &V, n: NodeId) -> Option<Arc<CutSet>> {
+    pub fn try_cuts<V: AigRead + ?Sized>(&self, view: &V, n: NodeId) -> Option<CutSet> {
         if let Some(hit) = self.get(view, n) {
             count_hits(1);
             return Some(hit);
         }
+        SCRATCH.with(|scratch| {
+            let Scratch { stack, cuts } = &mut *scratch.borrow_mut();
+            stack.clear();
+            self.compute(view, n, stack, cuts)
+        })
+    }
+
+    /// The miss path of [`CutStore::try_cuts`]: computes the set of `n` and
+    /// every missing set below it, depth first on `stack`.
+    fn compute<V: AigRead + ?Sized>(
+        &self,
+        view: &V,
+        n: NodeId,
+        stack: &mut Vec<(NodeId, bool)>,
+        scratch: &mut Vec<Cut>,
+    ) -> Option<CutSet> {
         // Each entry is a set some caller needs; `probed` marks an AND
         // node whose fanins were already looked up (and counted) once.
-        let mut stack = vec![(n, false)];
+        stack.push((n, false));
         loop {
             let &(top, probed) = stack.last().expect("the loop returns on an empty stack");
             let cuts = if let Some(hit) = self.get(view, top) {
@@ -180,11 +213,11 @@ impl CutStore {
                         }
                         match (ca, cb) {
                             (Some(ca), Some(cb)) => {
-                                let cuts = and_cuts(view, top, &ca, &cb, &self.cfg);
+                                and_cuts(view, top, &ca, &cb, &self.cfg, scratch);
                                 if dacpara_obs::is_enabled() {
-                                    obs().cuts_per_node.record(cuts.len() as u64);
+                                    obs().cuts_per_node.record(scratch.len() as u64);
                                 }
-                                self.put_computed(view, top, cuts)
+                                self.put_computed(view, top, CutSet::from(&scratch[..]))
                             }
                             (ca, cb) => {
                                 if ca.is_none() {

@@ -389,6 +389,35 @@ pub fn inject(plan: &FaultPlan) -> Injection {
     Injection { _lock: lock }
 }
 
+/// Prefix of the message of every panic a fault point injects
+/// (`panic!("injected fault: operator.panic")`).
+pub const INJECTED_PANIC_PREFIX: &str = "injected fault:";
+
+/// Installs, once per process, a panic hook that swallows the panics fault
+/// points inject — payloads starting with [`INJECTED_PANIC_PREFIX`] — and
+/// hands every other panic to the hook installed before it.
+///
+/// The engines contain an injected panic and recover from it, so the
+/// default hook's "thread panicked at" report (and backtrace) would make a
+/// successful run look like a crash. The `rewrite` and `fuzz` binaries and
+/// the fault-injecting test suites install it.
+pub fn silence_injected_panics() {
+    static ONCE: OnceLock<()> = OnceLock::new();
+    ONCE.get_or_init(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let payload = info.payload();
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+            if !message.is_some_and(|m| m.starts_with(INJECTED_PANIC_PREFIX)) {
+                prev(info);
+            }
+        }));
+    });
+}
+
 /// Environment knob holding the fault spec (see the crate docs for the
 /// grammar).
 pub const ENV_SPEC: &str = "DACPARA_FAULT_SPEC";

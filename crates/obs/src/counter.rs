@@ -2,7 +2,9 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-const SHARDS: usize = 16;
+/// Shards per sharded instrument (counters here, histograms in
+/// `histogram.rs`).
+pub(crate) const SHARDS: usize = 16;
 
 /// One cache line per shard so concurrent increments from different
 /// threads do not false-share.
@@ -24,6 +26,12 @@ thread_local! {
     static HOME_SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
 }
 
+/// The calling thread's shard index, `0..SHARDS`.
+#[inline]
+pub(crate) fn home_shard() -> usize {
+    HOME_SHARD.with(|s| *s)
+}
+
 impl ShardedCounter {
     /// Creates a zeroed counter.
     pub fn new() -> ShardedCounter {
@@ -35,8 +43,7 @@ impl ShardedCounter {
     /// Adds `n` to the calling thread's home shard.
     #[inline]
     pub fn add(&self, n: u64) {
-        let shard = HOME_SHARD.with(|s| *s);
-        self.shards[shard].0.fetch_add(n, Ordering::Relaxed);
+        self.shards[home_shard()].0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Increments by one.

@@ -1,20 +1,42 @@
 //! Log2-bucketed histograms for latency / size distributions.
 //!
 //! Values land in bucket `floor(log2(v)) + 1` (bucket 0 holds zeros), so 65
-//! atomic buckets cover the whole `u64` domain with ≤ 2× relative error on
-//! any percentile — plenty for "did conflict-abort latency double?"
-//! questions, at the cost of one `fetch_add` per record.
+//! buckets cover the whole `u64` domain with ≤ 2× relative error on any
+//! percentile — plenty for "did conflict-abort latency double?" questions.
+//! Like [`crate::ShardedCounter`], a histogram is sharded: a record touches
+//! only the calling thread's shard (three relaxed read-modify-writes on its
+//! own cache lines), and reads merge the shards.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::counter::{home_shard, SHARDS};
+
 const BUCKETS: usize = 65;
 
-/// A concurrent histogram over `u64` values with power-of-two buckets.
-pub struct LogHistogram {
+/// One shard's buckets and aggregates, aligned so no two shards share a
+/// cache line. The observation count is the sum of the buckets.
+#[repr(align(64))]
+struct Shard {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
+}
+
+impl Shard {
+    fn new() -> Shard {
+        Shard {
+            buckets: [const { AtomicU64::new(0) }; BUCKETS],
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
+        }
+    }
+}
+
+/// A concurrent histogram over `u64` values with power-of-two buckets,
+/// sharded like [`crate::ShardedCounter`]. Reads merge the shards (racy
+/// while writers run, exact once they quiesce, which is when exports run).
+pub struct LogHistogram {
+    shards: Box<[Shard]>,
 }
 
 fn bucket_of(value: u64) -> usize {
@@ -36,35 +58,50 @@ impl LogHistogram {
     /// Creates an empty histogram.
     pub fn new() -> LogHistogram {
         LogHistogram {
-            buckets: [const { AtomicU64::new(0) }; BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
+            shards: (0..SHARDS).map(|_| Shard::new()).collect(),
         }
     }
 
-    /// Records one observation.
+    /// Records one observation into the calling thread's shard.
     #[inline]
     pub fn record(&self, value: u64) {
-        self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+        let shard = &self.shards[home_shard()];
+        shard.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
+        shard.sum.fetch_add(value, Ordering::Relaxed);
+        shard.max.fetch_max(value, Ordering::Relaxed);
+    }
+
+    /// Per-bucket counts, merged over the shards.
+    fn buckets(&self) -> [u64; BUCKETS] {
+        let mut out = [0u64; BUCKETS];
+        for shard in self.shards.iter() {
+            for (o, b) in out.iter_mut().zip(&shard.buckets) {
+                *o += b.load(Ordering::Relaxed);
+            }
+        }
+        out
     }
 
     /// Number of recorded observations.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets().iter().sum()
     }
 
     /// Sum of recorded observations.
     pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        self.shards
+            .iter()
+            .map(|s| s.sum.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Largest recorded observation (`0` when empty).
     pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
+        self.shards
+            .iter()
+            .map(|s| s.max.load(Ordering::Relaxed))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Mean of recorded observations (`0.0` when empty).
@@ -81,48 +118,58 @@ impl LogHistogram {
     /// upper edge of the first bucket whose cumulative count reaches
     /// `q · count`. Exact to within the 2× bucket width; `0` when empty.
     pub fn value_at_quantile(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                return bucket_upper(i).min(self.max());
-            }
-        }
-        self.max()
+        quantile(&self.buckets(), self.max(), q)
     }
 
     /// Resets all buckets and aggregates to zero.
     pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
+        for shard in self.shards.iter() {
+            for b in &shard.buckets {
+                b.store(0, Ordering::Relaxed);
+            }
+            shard.sum.store(0, Ordering::Relaxed);
+            shard.max.store(0, Ordering::Relaxed);
         }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
     }
 
     /// A plain-value copy for reporting.
     pub fn snapshot(&self) -> HistogramSnapshot {
+        let buckets = self.buckets();
+        let count = buckets.iter().sum();
+        let (sum, max) = (self.sum(), self.max());
         HistogramSnapshot {
-            count: self.count(),
-            sum: self.sum(),
-            max: self.max(),
-            mean: self.mean(),
-            p50: self.value_at_quantile(0.50),
-            p90: self.value_at_quantile(0.90),
-            p99: self.value_at_quantile(0.99),
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
+            count,
+            sum,
+            max,
+            mean: if count == 0 {
+                0.0
+            } else {
+                sum as f64 / count as f64
+            },
+            p50: quantile(&buckets, max, 0.50),
+            p90: quantile(&buckets, max, 0.90),
+            p99: quantile(&buckets, max, 0.99),
+            buckets: buckets.to_vec(),
         }
     }
+}
+
+/// The `q`-quantile bound of [`LogHistogram::value_at_quantile`] over
+/// merged bucket counts.
+fn quantile(buckets: &[u64; BUCKETS], max: u64, q: f64) -> u64 {
+    let total: u64 = buckets.iter().sum();
+    if total == 0 {
+        return 0;
+    }
+    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+    let mut seen = 0u64;
+    for (i, &b) in buckets.iter().enumerate() {
+        seen += b;
+        if seen >= rank {
+            return bucket_upper(i).min(max);
+        }
+    }
+    max
 }
 
 impl Default for LogHistogram {
@@ -225,6 +272,28 @@ mod tests {
         h.record(1 << 30);
         assert_eq!(h.value_at_quantile(0.5), 0);
         assert_eq!(h.value_at_quantile(1.0), 1 << 30);
+    }
+
+    #[test]
+    fn concurrent_records_merge_exactly() {
+        const THREADS: u64 = 8;
+        const PER_THREAD: u64 = 10_000;
+        let h = LogHistogram::new();
+        let h = &h;
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                s.spawn(move || {
+                    for i in 0..PER_THREAD {
+                        h.record(t * PER_THREAD + i);
+                    }
+                });
+            }
+        });
+        let n = THREADS * PER_THREAD;
+        assert_eq!(h.count(), n);
+        assert_eq!(h.sum(), n * (n - 1) / 2);
+        assert_eq!(h.max(), n - 1);
+        assert_eq!(h.snapshot().buckets.iter().sum::<u64>(), n);
     }
 
     #[test]

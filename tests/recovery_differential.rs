@@ -63,26 +63,6 @@ fn exclusive() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|e| e.into_inner())
 }
 
-/// Installs (once, process-wide) a panic hook that swallows the panics the
-/// `operator.panic` fault point injects — they are contained by the engine
-/// and would otherwise spam stderr — while delegating everything else,
-/// including real test failures, to the default hook.
-fn silence_injected_panics() {
-    static ONCE: OnceLock<()> = OnceLock::new();
-    ONCE.get_or_init(|| {
-        let prev = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<&str>()
-                .is_some_and(|s| s.starts_with("injected fault:"));
-            if !injected {
-                prev(info);
-            }
-        }));
-    });
-}
-
 /// Runs `engine` on its own thread and panics if it neither reports nor
 /// panics within [`watchdog`] — a hang is a test failure, not a CI timeout.
 fn run_with_watchdog(
@@ -186,7 +166,7 @@ fn exact_arena_completes_every_circuit_without_recovery() {
 #[test]
 fn injected_faults_never_hang_or_break_equivalence() {
     let _serial = exclusive();
-    silence_injected_panics();
+    dacpara_fault::silence_injected_panics();
     let suite = full_suite(Scale::Test);
     let bench = suite
         .iter()
@@ -262,7 +242,7 @@ fn injected_faults_never_hang_or_break_equivalence() {
 fn mid_commit_panic_salvages_an_equivalent_graph() {
     const HITS: u64 = 400;
     let _serial = exclusive();
-    silence_injected_panics();
+    dacpara_fault::silence_injected_panics();
     let suite = full_suite(Scale::Test);
     let bench = suite
         .iter()
@@ -300,7 +280,7 @@ fn mid_commit_panic_salvages_an_equivalent_graph() {
 #[test]
 fn contained_panic_is_recovered_and_validated() {
     let _serial = exclusive();
-    silence_injected_panics();
+    dacpara_fault::silence_injected_panics();
     let suite = full_suite(Scale::Test);
     let bench = suite
         .iter()
@@ -336,7 +316,7 @@ fn contained_panic_is_recovered_and_validated() {
 #[test]
 fn second_run_fault_salvages_the_first_runs_commits() {
     let _serial = exclusive();
-    silence_injected_panics();
+    dacpara_fault::silence_injected_panics();
     let suite = full_suite(Scale::Test);
     let bench = suite
         .iter()
@@ -389,7 +369,7 @@ fn second_run_fault_salvages_the_first_runs_commits() {
 #[test]
 fn exhausted_panic_budget_surfaces_worker_panicked() {
     let _serial = exclusive();
-    silence_injected_panics();
+    dacpara_fault::silence_injected_panics();
     let suite = full_suite(Scale::Test);
     let bench = suite
         .iter()
