@@ -9,7 +9,8 @@
 //!    enumeration locks (conflicts there are "almost negligible").
 //! 2. **Parallel evaluation** (§4.3) — completely lock-free: each worker
 //!    evaluates nodes against thread-local MFFC scratch and the
-//!    decentralized structural hash, storing the best result in `prepInfo`.
+//!    decentralized structural hash, storing the best result in `prepInfo`
+//!    (here one slot per position of the level list, reused list to list).
 //!    Stages 1–2 run in the graph's *read-only phase*, so the structural
 //!    probes read fanout lists without taking their locks.
 //! 3. **Parallel replacement** (§4.4) — based on *dynamic global
@@ -25,8 +26,9 @@ use std::sync::atomic::Ordering;
 
 use dacpara_aig::concurrent::ConcurrentAig;
 use dacpara_aig::{Aig, AigError, AigRead, NodeId};
-use dacpara_galois::{run_spmd, ItemOutcome};
+use dacpara_galois::run_spmd;
 use dacpara_npn::canon;
+use parking_lot::Mutex;
 
 use crate::eval::{evaluate_node, reevaluate_structure, Candidate};
 use crate::session::{Pass, RewriteSession};
@@ -73,7 +75,7 @@ pub(crate) fn round(
     stats: &mut RewriteStats,
 ) {
     let cfg = &sess.cfg;
-    let (shared, store, prep, ctx) = (&sess.shared, &sess.store, &sess.prep, &sess.ctx);
+    let (shared, store, ctx) = (&sess.shared, &sess.store, &sess.ctx);
 
     // --- Node dividing (Fig. 1): one worklist per initial level (or a
     // single global worklist under the ablation flag).
@@ -93,6 +95,12 @@ pub(crate) fn round(
     // lists would only burn barriers.
     worklists.retain(|l| !l.is_empty());
     stats.worklists += worklists.len();
+    // `prepInfo`: stage 2 stores list position `i`'s best candidate in
+    // `prep[i]` and stage 3 takes every position back out, so the slots are
+    // empty again when the next list starts.
+    let longest = worklists.iter().map(Vec::len).max().unwrap_or(0);
+    let prep: Vec<Mutex<Option<Candidate>>> = (0..longest).map(|_| Mutex::new(None)).collect();
+    let prep = &prep;
 
     let (pool, error) = (&pass.pool, &pass.error);
     let worklists = &worklists;
@@ -105,9 +113,9 @@ pub(crate) fn round(
         let owner = w.id as u32 + 1;
         let bail = || error.is_set();
         // Each stage opens with one barrier: it waits for the whole team to
-        // leave the previous stage, and its step arms the pool. A poisoned
-        // pass distributes nothing, but still arms the pool so its drain
-        // invariant holds.
+        // leave the previous stage, and its step arms the pool. Once an
+        // error is recorded the pool is armed empty: the pass distributes
+        // nothing more.
         let arm = |len: usize| pool.begin(if error.is_set() { 0 } else { len });
 
         for (k, list) in worklists.iter().enumerate() {
@@ -135,12 +143,11 @@ pub(crate) fn round(
             });
             {
                 let _obs = dacpara_obs::span("enumerate");
-                pool.drive(w.id, |i, _| {
+                pool.drive(w.id, |i| {
                     let n = list[i];
                     if !bail() && shared.is_and(n) && shared.refs(n) > 0 {
                         let _ = store.try_cuts(shared, n);
                     }
-                    ItemOutcome::Done
                 });
             }
 
@@ -148,51 +155,39 @@ pub(crate) fn round(
             w.barrier(|| arm(list.len()));
             {
                 let _obs = dacpara_obs::span("evaluate");
-                pool.drive(w.id, |i, _| {
-                    if bail() {
-                        return ItemOutcome::Done;
-                    }
+                pool.drive(w.id, |i| {
                     let n = list[i];
-                    if !shared.is_and(n) || shared.refs(n) == 0 {
-                        *prep[n.index()].lock() = None;
-                        return ItemOutcome::Done;
+                    if bail() || !shared.is_and(n) || shared.refs(n) == 0 {
+                        return;
                     }
                     pass.evaluations.fetch_add(1, Ordering::Relaxed);
-                    let cand = store
+                    *prep[i].lock() = store
                         .try_cuts(shared, n)
                         .and_then(|cuts| evaluate_node(shared, n, &cuts, ctx));
-                    *prep[n.index()].lock() = cand;
-                    ItemOutcome::Done
                 });
             }
 
             // -------- Stage 3: parallel validated replacement.
             //
-            // A conflict-aborted commit puts its candidate back into `prep`
-            // and yields the node to the retry queue; the retry ceiling
-            // eventually forces inline blocking. The step ends the
-            // read-only phase: commits write the graph.
+            // Every position's candidate is taken, so `prep` is empty for
+            // the next list; a conflict-aborted commit retries in place.
+            // The step ends the read-only phase: commits write the graph.
             w.barrier(|| {
                 shared.end_read_only();
                 arm(list.len());
             });
             {
                 let _obs = dacpara_obs::span("replace");
-                pool.drive(w.id, |i, tries| {
-                    let n = list[i];
-                    let Some(cand) = prep[n.index()].lock().take() else {
-                        return ItemOutcome::Done;
+                pool.drive(w.id, |i| {
+                    let Some(cand) = prep[i].lock().take() else {
+                        return;
                     };
-                    // A rescheduled node already counted its revalidation
-                    // on the first try.
-                    let mut revalidation_counted = tries > 0;
-                    let outcome = speculate(pass, tries, || {
+                    let n = list[i];
+                    // A retried attempt counts no second revalidation.
+                    let mut revalidation_counted = false;
+                    speculate(pass, || {
                         replace_operator(sess, pass, owner, n, &cand, &mut revalidation_counted)
                     });
-                    if outcome == ItemOutcome::Retry {
-                        *prep[n.index()].lock() = Some(cand);
-                    }
-                    outcome
                 });
             }
         }

@@ -37,9 +37,7 @@ pub fn rewrite_lockstep(aig: &mut Aig, cfg: &RewriteConfig) -> Result<RewriteSta
 
 /// One ICCAD'18 run over `order`, inside
 /// [`RewriteSession::resident_pass`]: a single scheduler drive of the
-/// combined operator. A conflict-aborted operator yields the item back to
-/// the scheduler instead of spin-retrying inline, until the retry ceiling
-/// forces it to block.
+/// combined operator. A conflict-aborted operator retries in place.
 pub(crate) fn round(
     sess: &RewriteSession,
     pass: &Pass,
@@ -50,10 +48,13 @@ pub(crate) fn round(
     pass.pool.begin(order.len());
     run_spmd(sess.cfg.threads, |w| {
         let owner = w.id as u32 + 1;
-        pass.pool.drive(w.id, |i, tries| {
-            speculate(pass, tries, || {
-                combined_operator(sess, pass, owner, order[i])
-            })
+        pass.pool.drive(w.id, |i| {
+            // A retried attempt's evaluation is wasted work, which the
+            // `spec` ledger counts; `evaluations` counts the node once.
+            let mut evaluation_counted = false;
+            speculate(pass, || {
+                combined_operator(sess, pass, owner, order[i], &mut evaluation_counted)
+            });
         });
     });
 }
@@ -68,6 +69,7 @@ fn combined_operator(
     pass: &Pass,
     owner: u32,
     n: NodeId,
+    evaluation_counted: &mut bool,
 ) -> Result<Attempt, AigError> {
     let (shared, store, ctx) = (&sess.shared, &sess.store, &sess.ctx);
     if !shared.is_and(n) || shared.refs(n) == 0 {
@@ -118,7 +120,10 @@ fn combined_operator(
 
     // Stage B: evaluation while holding every lock.
     let eval_span = dacpara_obs::span("evaluate");
-    pass.evaluations.fetch_add(1, Ordering::Relaxed);
+    if !*evaluation_counted {
+        pass.evaluations.fetch_add(1, Ordering::Relaxed);
+        *evaluation_counted = true;
+    }
     let cand = evaluate_node(shared, n, &valid_cuts, ctx);
     drop(eval_span);
     let Some(cand) = cand else {

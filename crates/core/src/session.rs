@@ -3,9 +3,9 @@
 //! Logic rewriting is locally optimal, so real flows apply it many times
 //! (§1 of the paper). The one-shot engine entry points rebuild every piece
 //! of pass state — the [`ConcurrentAig`] arena, the [`CutStore`] memo, the
-//! [`LockTable`], the per-slot candidate storage — on every call, and every
-//! later pass re-enumerates and re-evaluates the whole graph even when the
-//! previous pass changed a small fraction of it.
+//! [`LockTable`] — on every call, and every later pass re-enumerates and
+//! re-evaluates the whole graph even when the previous pass changed a
+//! small fraction of it.
 //!
 //! [`RewriteSession`] owns that state for the lifetime of a flow:
 //!
@@ -13,7 +13,7 @@
 //!   the session boundaries ([`RewriteSession::new`] /
 //!   [`RewriteSession::finish`]); `cfg.runs` iterations inside one
 //!   [`RewriteSession::run`] call and successive `run` calls all reuse the
-//!   same arena, memo, locks and candidate vector.
+//!   same arena, memo and locks.
 //! * A **dirty-set** makes later passes incremental. Seeded from §4.4's
 //!   recursive invalidation (every memo invalidation marks its node dirty)
 //!   plus gain-only marking — committed replacements mark the transitive
@@ -39,9 +39,8 @@ use dacpara_aig::{Aig, AigError, AigRead, NodeId};
 use dacpara_cut::CutStore;
 use dacpara_galois::{LockTable, SpecStats, StealPool};
 use dacpara_nst::MAX_STRUCTURE_GATES;
-use parking_lot::Mutex;
 
-use crate::eval::{Candidate, EvalContext};
+use crate::eval::EvalContext;
 use crate::pass::Engine;
 use crate::recovery::FirstError;
 use crate::{
@@ -72,7 +71,6 @@ pub struct RewriteSession {
     pub(crate) shared: ConcurrentAig,
     pub(crate) store: CutStore,
     pub(crate) locks: LockTable,
-    pub(crate) prep: Vec<Mutex<Option<Candidate>>>,
     /// The next worklist must cover the whole graph (first pass, or first
     /// pass after a re-sync).
     fresh: bool,
@@ -100,7 +98,7 @@ fn spare_slots(threads: usize) -> usize {
 
 impl RewriteSession {
     /// Builds a session over a copy of `aig`, allocating the concurrent
-    /// arena, cut memo, lock table and candidate storage once.
+    /// arena, cut memo and lock table once.
     ///
     /// # Errors
     ///
@@ -111,14 +109,12 @@ impl RewriteSession {
         let shared = ConcurrentAig::from_aig(aig, spare_slots(cfg.threads))?;
         let store = CutStore::new(shared.capacity(), cfg.cut_config());
         let locks = LockTable::new(shared.capacity());
-        let prep = (0..shared.capacity()).map(|_| Mutex::new(None)).collect();
         Ok(RewriteSession {
             ctx: EvalContext::new(cfg),
             cfg: cfg.clone(),
             shared,
             store,
             locks,
-            prep,
             fresh: true,
             converged: false,
             passes_run: 0,
@@ -209,9 +205,6 @@ impl RewriteSession {
         self.store.grow(cap);
         self.store.reset();
         self.locks.ensure_capacity(cap);
-        if self.prep.len() < cap {
-            self.prep.resize_with(cap, || Mutex::new(None));
-        }
         self.fresh = true;
         self.converged = false;
         Ok(())
@@ -474,7 +467,6 @@ mod tests {
             let want = 1 + aig.num_inputs() + aig.num_ands() + threads * (MAX_STRUCTURE_GATES + 1);
             assert_eq!(sess.shared.capacity(), want);
             assert_eq!(sess.locks.len(), want);
-            assert_eq!(sess.prep.len(), want);
             // A pass never takes the arena past its bound, and a re-sync
             // onto the smaller result keeps the allocation.
             sess.run(Engine::DacPara).unwrap();

@@ -4,18 +4,17 @@
 //! An operator body performs one *attempt* and reports whether it finished
 //! or hit a lock conflict; [`speculate`] owns everything around it — the
 //! error bail-out, panic containment, the Galois attempt/commit/abort
-//! accounting, the choice between yielding a conflicted item back to the
-//! work-stealing scheduler and retrying it inline, the backoff, and the
-//! mapping to the scheduler's [`ItemOutcome`]. Both operators finish a
-//! re-evaluated candidate through [`lock_shared_and_commit`], which applies
-//! it with [`commit_replacement`].
+//! accounting, and the one conflict path: retry the attempt in place after
+//! a spin-then-yield backoff. The work-stealing scheduler never sees a
+//! conflict. Both operators finish a re-evaluated candidate through
+//! [`lock_shared_and_commit`], which applies it with [`commit_replacement`].
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use dacpara_aig::{AigError, AigRead, NodeId};
-use dacpara_galois::{ItemOutcome, LockSet, MAX_SCHED_RETRIES};
+use dacpara_galois::LockSet;
 use dacpara_obs::LogHistogram;
 
 use crate::eval::{build_replacement, Candidate, Reevaluation};
@@ -48,27 +47,21 @@ fn backoff(spins: &mut u32) {
 }
 
 /// Runs one activity of a Galois operator for the scheduler: `attempt`
-/// until it is done ([`ItemOutcome::Done`]), or until a conflict yields
-/// the item back to the scheduler ([`ItemOutcome::Retry`]).
+/// until it is done, retrying in place with backoff after each conflict.
 ///
 /// Every attempt records exactly one commit or abort in `pass.spec` — an
 /// `Err` exit counts as an abort — so `attempts == commits + aborts` holds
-/// at quiescence. `tries` is how many times the scheduler has already
-/// re-enqueued the item: below [`MAX_SCHED_RETRIES`] a conflict yields so
-/// the worker moves on while the contended region clears; from then on the
-/// activity retries inline with backoff, which guarantees progress.
+/// at quiescence. A conflicted attempt changed nothing, so the retry
+/// starts from the same state; the lock holder it waits on finishes its
+/// commit in bounded time, so the loop makes progress.
 ///
 /// Errors and panics end the item: the first error lands in `pass.error`,
 /// and once any error is recorded the remaining items finish as no-ops so
 /// the round drains. A panic is contained here, so the pool never sees an
-/// unwind and is not poisoned; one inside an attempt counts as its abort.
-pub(crate) fn speculate(
-    pass: &Pass,
-    tries: u32,
-    mut attempt: impl FnMut() -> Result<Attempt, AigError>,
-) -> ItemOutcome {
+/// unwind; one inside an attempt counts as its abort.
+pub(crate) fn speculate(pass: &Pass, mut attempt: impl FnMut() -> Result<Attempt, AigError>) {
     if pass.error.is_set() {
-        return ItemOutcome::Done;
+        return;
     }
     let spec = &pass.spec;
     let outcome = contain_panic(|| {
@@ -84,16 +77,10 @@ pub(crate) fn speculate(
             match contain_panic(&mut attempt) {
                 Ok(Attempt::Done) => {
                     spec.record_commit(start.elapsed());
-                    if tries > 0 {
-                        pass.pool.stats().record_retry_commit();
-                    }
-                    return Ok(ItemOutcome::Done);
+                    return Ok(());
                 }
                 Ok(Attempt::Conflict) => {
                     spec.record_abort(start.elapsed());
-                    if tries < MAX_SCHED_RETRIES {
-                        return Ok(ItemOutcome::Retry);
-                    }
                     backoff(&mut spins);
                 }
                 Err(e) => {
@@ -103,10 +90,9 @@ pub(crate) fn speculate(
             }
         }
     });
-    outcome.unwrap_or_else(|e| {
+    if let Err(e) = outcome {
         pass.error.record(e);
-        ItemOutcome::Done
-    })
+    }
 }
 
 /// Phase 2 of a commit, shared by both Galois operators. `re` re-evaluated

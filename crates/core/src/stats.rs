@@ -27,9 +27,10 @@ pub struct RewriteStats {
     pub stale_skipped: u64,
     /// Nodes whose stored cut was revalidated by re-enumeration.
     pub revalidated: u64,
-    /// Candidate evaluations performed (stage-2 `evaluate_node` calls). A
-    /// converged incremental pass reports zero — its evaluate stage never
-    /// ran.
+    /// Nodes evaluated (`evaluate_node` calls). An ICCAD'18 node that a
+    /// conflict made evaluate again counts once; the repeat is wasted work
+    /// in `spec`. A converged incremental pass reports zero — its evaluate
+    /// stage never ran.
     pub evaluations: u64,
     /// Live AND nodes skipped because a session's dirty-set proved their
     /// neighborhood unchanged since the previous pass (incremental passes
@@ -37,8 +38,8 @@ pub struct RewriteStats {
     pub clean_skipped: u64,
     /// Speculative-execution counters (conflicts/aborts/wasted work).
     pub spec: SpecSnapshot,
-    /// Work-stealing scheduler counters (steals/retries/retry-commits) of
-    /// the Galois engines (`dacpara`, `iccad18`); all-zero on the others.
+    /// Work-stealing scheduler counters (steals) of the Galois engines
+    /// (`dacpara`, `iccad18`); all-zero on the others.
     pub sched: SchedSnapshot,
     /// DACPara: number of non-empty level worklists processed, summed over
     /// runs. FPGA'17 partition engine: number of regions. Zero on the

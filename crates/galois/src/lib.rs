@@ -11,11 +11,11 @@
 //!   exactly "how much computation do aborts discard" ([`SpecStats`]),
 //! * **worklist execution** — a team of workers draining shared worklists
 //!   ([`run_spmd`], [`parallel_for`]),
-//! * **work stealing with in-round conflict retry** — one packed index
-//!   range per worker, claimed from the front and split by CAS when a
-//!   teammate steals, plus per-worker retry queues, so an aborted activity
-//!   is re-tried within the same round instead of serializing its worker
-//!   or waiting for the next pass ([`StealPool`], [`SchedStats`]).
+//! * **work stealing** — one packed index range per worker, claimed from
+//!   the front and split by CAS when a teammate steals, so a slow block
+//!   spreads over the team instead of holding one worker at the end of a
+//!   round ([`StealPool`], [`SchedStats`]). A conflicted activity retries
+//!   in place; the scheduler never sees it.
 //!
 //! # Example
 //!
@@ -45,6 +45,6 @@ mod spmd;
 mod stats;
 
 pub use locks::{LockSet, LockTable};
-pub use sched::{ItemOutcome, SchedSnapshot, SchedStats, StealPool, MAX_SCHED_RETRIES};
+pub use sched::{SchedSnapshot, SchedStats, StealPool};
 pub use spmd::{parallel_for, run_spmd, Worker};
 pub use stats::{SpecSnapshot, SpecStats};

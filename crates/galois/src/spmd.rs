@@ -11,9 +11,11 @@
 //! teammates panic out of [`Worker::barrier`] instead of waiting for it
 //! forever, and the scope join re-raises the panic.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
-use crate::sched::{ItemOutcome, StealPool};
+use crate::sched::StealPool;
 
 /// Handle given to each SPMD worker.
 pub struct Worker<'a> {
@@ -38,10 +40,20 @@ impl Worker<'_> {
     }
 }
 
+/// How long a waiter polls the barrier before it parks. A worker that
+/// leaves [`crate::StealPool::drive`] early usually waits only for its
+/// teammates' last items; parking for that costs a futex round trip and,
+/// on a virtual machine, an idle vCPU's wake-up, whose latency swings with
+/// the host's load. Longer waits still park.
+const SPIN_FOR: Duration = Duration::from_micros(100);
+
 /// A reusable team barrier that a panicking worker can break.
 struct TeamBarrier {
     state: Mutex<BarrierState>,
     wake: Condvar,
+    /// Bumped (under the lock) on every release and break: what a spinning
+    /// waiter polls instead of the locked state.
+    changes: AtomicU64,
     team: usize,
 }
 
@@ -63,6 +75,7 @@ impl TeamBarrier {
                 broken: false,
             }),
             wake: Condvar::new(),
+            changes: AtomicU64::new(0),
             team,
         }
     }
@@ -74,7 +87,7 @@ impl TeamBarrier {
     }
 
     /// Waits for the whole team; the last arrival runs `step`, then wakes the
-    /// team.
+    /// team. A waiter polls for [`SPIN_FOR`] before it parks.
     fn wait(&self, step: impl FnOnce()) {
         let mut state = self.state();
         let generation = state.generation;
@@ -84,9 +97,14 @@ impl TeamBarrier {
                 step();
                 state.arrived = 0;
                 state.generation += 1;
+                self.changes.fetch_add(1, Ordering::Release);
                 self.wake.notify_all();
                 return;
             }
+            let seen = self.changes.load(Ordering::Relaxed);
+            drop(state);
+            self.spin_while_unchanged(seen);
+            state = self.state();
             while state.generation == generation && !state.broken {
                 state = self
                     .wake
@@ -99,9 +117,30 @@ impl TeamBarrier {
         assert!(passed, "an SPMD teammate panicked");
     }
 
+    /// Polls `changes` until it moves past `seen` or [`SPIN_FOR`] runs out:
+    /// a few bare spins, then yields so an oversubscribed teammate can run.
+    fn spin_while_unchanged(&self, seen: u64) {
+        let start = Instant::now();
+        for spins in 0u32.. {
+            if self.changes.load(Ordering::Acquire) != seen {
+                return;
+            }
+            if spins < 64 {
+                std::hint::spin_loop();
+            } else if start.elapsed() < SPIN_FOR {
+                std::thread::yield_now();
+            } else {
+                return;
+            }
+        }
+    }
+
     /// Marks the barrier broken and wakes every waiter.
     fn break_team(&self) {
-        self.state().broken = true;
+        let mut state = self.state();
+        state.broken = true;
+        self.changes.fetch_add(1, Ordering::Release);
+        drop(state);
         self.wake.notify_all();
     }
 }
@@ -216,10 +255,7 @@ where
     pool.begin(items.len());
     let (pool, f) = (&pool, &f);
     run_spmd(threads, |w| {
-        pool.drive(w.id, |i, _| {
-            f(w, &items[i]);
-            ItemOutcome::Done
-        });
+        pool.drive(w.id, |i| f(w, &items[i]));
     });
 }
 
@@ -249,6 +285,26 @@ mod tests {
             }
         });
         assert_eq!(steps.load(Ordering::Relaxed), ROUNDS);
+    }
+
+    #[test]
+    fn waiters_that_outlast_the_spin_park_and_are_still_released() {
+        // Even rounds' steps outlast `SPIN_FOR`, so the other workers stop
+        // polling and park on the condvar; odd rounds' steps release them
+        // while they still poll.
+        let steps = AtomicUsize::new(0);
+        let steps = &steps;
+        run_spmd(3, |w| {
+            for round in 0..6 {
+                w.barrier(|| {
+                    if round % 2 == 0 {
+                        std::thread::sleep(SPIN_FOR * 5);
+                    }
+                    steps.fetch_add(1, Ordering::Relaxed);
+                });
+                assert_eq!(steps.load(Ordering::Relaxed), round + 1);
+            }
+        });
     }
 
     #[test]
@@ -285,8 +341,9 @@ mod tests {
     #[test]
     fn a_panic_in_drive_breaks_the_barrier_instead_of_hanging() {
         // Item 0 is the front of worker 0's block, so worker 0 panics inside
-        // `drive`; worker 1 bails out of the poisoned round and reaches the
-        // barrier, which must break rather than wait for worker 0 forever.
+        // `drive`; worker 1 steals what is left of worker 0's block, reaches
+        // the barrier, and must see it break rather than wait for worker 0
+        // forever.
         let (tx, rx) = mpsc::channel();
         let handle = std::thread::spawn(move || {
             let pool = StealPool::new(2);
@@ -294,10 +351,7 @@ mod tests {
             let pool = &pool;
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 run_spmd(2, |w| {
-                    pool.drive(w.id, |i, _| {
-                        assert_ne!(i, 0, "operator bug");
-                        ItemOutcome::Done
-                    });
+                    pool.drive(w.id, |i| assert_ne!(i, 0, "operator bug"));
                     w.barrier(|| {});
                 });
             }));

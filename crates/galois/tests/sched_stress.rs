@@ -3,10 +3,10 @@
 //! The unit tests in `sched.rs` pin the deterministic contracts; this suite
 //! hammers the concurrent ones: across many seeds, worker counts, round
 //! lengths and injected scheduling jitter, no item may be lost or
-//! duplicated, retry counts must be exact, and one pool must survive
-//! reset-reuse across rounds. Two cases aim at the range CAS paths: a
-//! skewed round whose slow block must be stolen piecemeal, and a worker
-//! that never drives, whose whole block its teammates must steal.
+//! duplicated, and one pool must survive reuse across rounds. Two cases
+//! aim at the range CAS paths: a skewed round whose slow block must be
+//! stolen piecemeal, and a worker that never drives, whose whole block its
+//! teammates must steal.
 //!
 //! Everything is derived from explicit seeds (the shim `StdRng` plus a
 //! splitmix hash), so a failure reproduces from its printed seed.
@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
 
-use dacpara_galois::{run_spmd, ItemOutcome, StealPool};
+use dacpara_galois::{run_spmd, StealPool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -31,63 +31,37 @@ fn mix(seed: u64, item: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// How many times item `i` is scripted to conflict before completing.
-fn scripted_retries(seed: u64, i: usize) -> u32 {
-    (mix(seed, i as u64) % 5) as u32
-}
-
 #[test]
 fn randomized_rounds_never_lose_or_duplicate_items() {
     for seed in 0..10u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let workers = rng.gen_range(1..5usize);
         let pool = StealPool::new(workers);
-        let mut expected_retries = 0u64;
         for round in 0..4u64 {
             let len = rng.gen_range(0..2500usize);
             let round_seed = mix(seed, round);
             let runs: Vec<AtomicU32> = (0..len).map(|_| AtomicU32::new(0)).collect();
-            let done: Vec<AtomicU32> = (0..len).map(|_| AtomicU32::new(0)).collect();
             pool.begin(len);
-            let (pool, runs, done) = (&pool, &runs, &done);
+            let (pool, runs) = (&pool, &runs);
             run_spmd(workers, |w| {
                 // Per-worker jitter stream: occasional yields perturb the
                 // interleaving differently on every (seed, round, worker).
                 let mut jitter = StdRng::seed_from_u64(mix(round_seed, w.id as u64));
-                pool.drive(w.id, |i, tries| {
+                pool.drive(w.id, |i| {
                     runs[i].fetch_add(1, Ordering::Relaxed);
                     if jitter.gen_bool(0.05) {
                         std::thread::yield_now();
                     }
-                    if tries < scripted_retries(round_seed, i) {
-                        ItemOutcome::Retry
-                    } else {
-                        done[i].fetch_add(1, Ordering::Relaxed);
-                        ItemOutcome::Done
-                    }
                 });
             });
-            for i in 0..len {
-                let want = 1 + scripted_retries(round_seed, i);
+            for (i, r) in runs.iter().enumerate() {
                 assert_eq!(
-                    runs[i].load(Ordering::Relaxed),
-                    want,
-                    "seed {seed} round {round} item {i}: wrong run count"
-                );
-                assert_eq!(
-                    done[i].load(Ordering::Relaxed),
+                    r.load(Ordering::Relaxed),
                     1,
-                    "seed {seed} round {round} item {i}: completed != once"
+                    "seed {seed} round {round} item {i}: ran != once"
                 );
-                expected_retries += u64::from(want - 1);
             }
         }
-        // Retry accounting is exact across all reused rounds of the pool.
-        assert_eq!(
-            pool.stats().retries(),
-            expected_retries,
-            "seed {seed}: retry counter drifted"
-        );
     }
 }
 
@@ -122,43 +96,32 @@ fn skewed_rounds_steal_the_slow_block_and_run_every_item_once() {
     const LEN: usize = 600;
     const SLOW: usize = LEN / WORKERS;
     for seed in 0..4u64 {
-        let (runs, done, steals) = with_watchdog("skewed round", move || {
+        let (runs, steals) = with_watchdog("skewed round", move || {
             let pool = StealPool::new(WORKERS);
             let runs: Vec<AtomicU32> = (0..LEN).map(|_| AtomicU32::new(0)).collect();
-            let done: Vec<AtomicU32> = (0..LEN).map(|_| AtomicU32::new(0)).collect();
             let stolen = AtomicBool::new(false);
             pool.begin(LEN);
-            let (pool_ref, runs_ref, done_ref, stolen) = (&pool, &runs, &done, &stolen);
+            let (pool_ref, runs_ref, stolen) = (&pool, &runs, &stolen);
             run_spmd(WORKERS, |w| {
-                pool_ref.drive(w.id, |i, tries| {
+                let mut jitter = StdRng::seed_from_u64(mix(seed, w.id as u64));
+                pool_ref.drive(w.id, |i| {
                     runs_ref[i].fetch_add(1, Ordering::Relaxed);
                     if i < SLOW {
                         if w.id != 0 {
                             stolen.store(true, Ordering::Release);
                         }
-                        while i == 0 && tries == 0 && !stolen.load(Ordering::Acquire) {
+                        while i == 0 && !stolen.load(Ordering::Acquire) {
                             std::thread::yield_now();
                         }
-                        std::thread::sleep(Duration::from_micros(20));
-                    }
-                    if tries < scripted_retries(seed, i) {
-                        ItemOutcome::Retry
-                    } else {
-                        done_ref[i].fetch_add(1, Ordering::Relaxed);
-                        ItemOutcome::Done
+                        std::thread::sleep(Duration::from_micros(jitter.gen_range(10..40)));
                     }
                 });
             });
             let steals = pool.stats().steals();
-            (runs, done, steals)
+            (runs, steals)
         });
-        for i in 0..LEN {
-            assert_eq!(
-                runs[i].load(Ordering::Relaxed),
-                1 + scripted_retries(seed, i),
-                "seed {seed} item {i}: wrong run count"
-            );
-            assert_eq!(done[i].load(Ordering::Relaxed), 1, "seed {seed} item {i}");
+        for (i, r) in runs.iter().enumerate() {
+            assert_eq!(r.load(Ordering::Relaxed), 1, "seed {seed} item {i}");
         }
         assert!(steals > 0, "seed {seed}: no steal was recorded");
     }
@@ -177,9 +140,8 @@ fn a_worker_that_never_drives_strands_nothing() {
             if w.id == 2 {
                 return;
             }
-            pool_ref.drive(w.id, |i, _| {
+            pool_ref.drive(w.id, |i| {
                 hits_ref[i].fetch_add(1, Ordering::Relaxed);
-                ItemOutcome::Done
             });
         });
         let steals = pool.stats().steals();
@@ -194,8 +156,8 @@ fn a_worker_that_never_drives_strands_nothing() {
 #[test]
 fn pool_reset_reuse_interleaves_empty_and_skewed_rounds() {
     // Alternating empty, tiny, and heavily skewed rounds on one pool: the
-    // begin/drain lifecycle must hold regardless of the previous round's
-    // shape, and retry queues must come back empty every time.
+    // begin/drive lifecycle must hold regardless of the previous round's
+    // shape.
     let pool = StealPool::new(3);
     let lens = [0usize, 1, 777, 0, 2, 1500, 3, 0, 64];
     for (round, &len) in lens.iter().enumerate() {
@@ -203,49 +165,16 @@ fn pool_reset_reuse_interleaves_empty_and_skewed_rounds() {
         pool.begin(len);
         let (pool, hits) = (&pool, &hits);
         run_spmd(3, |w| {
-            pool.drive(w.id, |i, tries| {
+            pool.drive(w.id, |i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
-                // Skew: the first eighth of each round conflicts twice.
-                if i < len / 8 && tries < 2 {
-                    ItemOutcome::Retry
-                } else {
-                    ItemOutcome::Done
+                // Skew: the first eighth of each round is slow.
+                if i < len / 8 {
+                    std::thread::yield_now();
                 }
             });
         });
         for (i, h) in hits.iter().enumerate() {
-            let want = if i < len / 8 { 3 } else { 1 };
-            assert_eq!(h.load(Ordering::Relaxed), want, "round {round} item {i}");
+            assert_eq!(h.load(Ordering::Relaxed), 1, "round {round} item {i}");
         }
     }
-}
-
-#[test]
-fn retry_storm_with_blocking_fallback_terminates() {
-    // Every item conflicts until the engine-style ceiling, at which point
-    // the operator resolves it inline — the pattern the rewriting engines
-    // use. The round must terminate with exact completion counts.
-    use dacpara_galois::MAX_SCHED_RETRIES;
-    let pool = StealPool::new(4);
-    let len = 400usize;
-    let completed: Vec<AtomicU32> = (0..len).map(|_| AtomicU32::new(0)).collect();
-    pool.begin(len);
-    let (pool, completed) = (&pool, &completed);
-    run_spmd(4, |w| {
-        pool.drive(w.id, |i, tries| {
-            if tries < MAX_SCHED_RETRIES {
-                ItemOutcome::Retry
-            } else {
-                completed[i].fetch_add(1, Ordering::Relaxed);
-                ItemOutcome::Done
-            }
-        });
-    });
-    for (i, c) in completed.iter().enumerate() {
-        assert_eq!(c.load(Ordering::Relaxed), 1, "item {i}");
-    }
-    assert_eq!(
-        pool.stats().retries(),
-        u64::from(MAX_SCHED_RETRIES) * len as u64
-    );
 }
