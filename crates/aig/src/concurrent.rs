@@ -205,13 +205,6 @@ impl FanoutLists {
     fn get_mut(&mut self, n: NodeId) -> &mut Vec<NodeId> {
         self.lists[n.index()].ids.get_mut()
     }
-
-    /// Empties every list.
-    fn clear(&mut self) {
-        for list in self.lists.iter_mut() {
-            list.ids.get_mut().clear();
-        }
-    }
 }
 
 /// Shared-memory AIG for the parallel rewriting engines.
@@ -269,9 +262,57 @@ impl ConcurrentAig {
             free: Mutex::new(Vec::new()),
             pending: Mutex::new(Vec::new()),
             num_ands: AtomicUsize::new(0),
-            next_fresh: AtomicUsize::new(0),
+            // Slot 0 is the constant.
+            next_fresh: AtomicUsize::new(1),
         };
-        shared.populate(aig);
+        shared.nodes[0]
+            .kind
+            .store(NodeKind::Const0.to_u8(), ORD_STORE);
+        let mut map: Vec<Lit> = vec![Lit::FALSE; aig.slot_count()];
+        for &inp in aig.inputs() {
+            let slot = shared.next_fresh.fetch_add(1, Ordering::Relaxed);
+            let id = NodeId::new(slot as u32);
+            shared.nodes[slot]
+                .kind
+                .store(NodeKind::Input.to_u8(), ORD_STORE);
+            shared.inputs.push(id);
+            map[inp.index()] = id.lit();
+        }
+        for n in crate::topo::topo_ands(aig) {
+            let [a, b] = aig.fanins(n);
+            let ma = map[a.node().index()].xor(a.is_complement());
+            let mb = map[b.node().index()].xor(b.is_complement());
+            let (ma, mb) = if ma <= mb { (ma, mb) } else { (mb, ma) };
+            let slot = shared.next_fresh.fetch_add(1, Ordering::Relaxed);
+            let id = NodeId::new(slot as u32);
+            let node = &shared.nodes[slot];
+            node.kind.store(NodeKind::And.to_u8(), ORD_STORE);
+            node.fanin0.store(ma.raw(), Ordering::Relaxed);
+            node.fanin1.store(mb.raw(), Ordering::Relaxed);
+            let level = 1 + shared.level(ma.node()).max(shared.level(mb.node()));
+            node.level.store(level, Ordering::Relaxed);
+            for l in [ma, mb] {
+                shared.fanouts.get_mut(l.node()).push(id);
+                shared.nodes[l.node().index()]
+                    .refs
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            shared.num_ands.fetch_add(1, Ordering::Relaxed);
+            map[n.index()] = id.lit();
+        }
+        {
+            let outs = shared.outputs.get_mut();
+            for &po in aig.outputs() {
+                let l = map[po.node().index()].xor(po.is_complement());
+                outs.push(l);
+                shared.nodes[l.node().index()]
+                    .refs
+                    .fetch_add(1, Ordering::Relaxed);
+                shared.nodes[l.node().index()]
+                    .po_refs
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+        }
         Ok(shared)
     }
 
@@ -283,106 +324,6 @@ impl ConcurrentAig {
         live.checked_add(spare)
             .filter(|&capacity| capacity <= MAX_CAPACITY)
             .ok_or(AigError::CapacityOverflow { live })
-    }
-
-    /// Re-initializes this arena from a (possibly mutated) serial graph,
-    /// **reusing the existing allocation** whenever the current capacity
-    /// suffices — the node boxes, fanout vectors and bookkeeping lists are
-    /// recycled instead of reallocated. Only when `aig` outgrew the arena
-    /// is fresh storage allocated.
-    ///
-    /// Every slot's generation is bumped (never reset), so stale cut-memo
-    /// entries recorded against the previous occupants can never match the
-    /// re-synced graph.
-    ///
-    /// Call from a single thread while no parallel operators are running.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AigError::CapacityOverflow`] like
-    /// [`ConcurrentAig::from_aig`]; the arena is left untouched on error.
-    pub fn resync_from(&mut self, aig: &Aig, spare: usize) -> Result<(), AigError> {
-        let capacity = Self::capacity_for(aig, spare)?;
-        if capacity > self.nodes.len() {
-            self.nodes = (0..capacity).map(|_| CNode::free()).collect();
-            self.fanouts = FanoutLists::new(capacity);
-        } else {
-            for node in self.nodes.iter_mut() {
-                node.kind.store(NodeKind::Free.to_u8(), ORD_STORE);
-                node.fanin0.store(0, Ordering::Relaxed);
-                node.fanin1.store(0, Ordering::Relaxed);
-                node.refs.store(0, Ordering::Relaxed);
-                node.po_refs.store(0, Ordering::Relaxed);
-                node.level.store(0, Ordering::Relaxed);
-                node.flags.store(0, Ordering::Relaxed);
-                node.gen.fetch_add(1, Ordering::Relaxed);
-            }
-            self.fanouts.clear();
-        }
-        self.inputs.clear();
-        self.outputs.get_mut().clear();
-        self.free.get_mut().clear();
-        self.pending.get_mut().clear();
-        self.num_ands.store(0, Ordering::Relaxed);
-        self.next_fresh.store(0, Ordering::Relaxed);
-        self.populate(aig);
-        Ok(())
-    }
-
-    /// Copies `aig` into the (cleared) arena: constant, inputs, then ANDs
-    /// in topological order.
-    fn populate(&mut self, aig: &Aig) {
-        // Slot 0: constant.
-        self.nodes[0]
-            .kind
-            .store(NodeKind::Const0.to_u8(), ORD_STORE);
-        self.next_fresh.store(1, Ordering::Relaxed);
-
-        let mut map: Vec<Lit> = vec![Lit::FALSE; aig.slot_count()];
-        for &inp in aig.inputs() {
-            let slot = self.next_fresh.fetch_add(1, Ordering::Relaxed);
-            let id = NodeId::new(slot as u32);
-            self.nodes[slot]
-                .kind
-                .store(NodeKind::Input.to_u8(), ORD_STORE);
-            self.inputs.push(id);
-            map[inp.index()] = id.lit();
-        }
-        for n in crate::topo::topo_ands(aig) {
-            let [a, b] = aig.fanins(n);
-            let ma = map[a.node().index()].xor(a.is_complement());
-            let mb = map[b.node().index()].xor(b.is_complement());
-            let (ma, mb) = if ma <= mb { (ma, mb) } else { (mb, ma) };
-            let slot = self.next_fresh.fetch_add(1, Ordering::Relaxed);
-            let id = NodeId::new(slot as u32);
-            let node = &self.nodes[slot];
-            node.kind.store(NodeKind::And.to_u8(), ORD_STORE);
-            node.fanin0.store(ma.raw(), Ordering::Relaxed);
-            node.fanin1.store(mb.raw(), Ordering::Relaxed);
-            let level = 1 + self.level(ma.node()).max(self.level(mb.node()));
-            node.level.store(level, Ordering::Relaxed);
-            for l in [ma, mb] {
-                self.fanouts.get_mut(l.node()).push(id);
-                self.nodes[l.node().index()]
-                    .refs
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            self.num_ands.fetch_add(1, Ordering::Relaxed);
-            map[n.index()] = id.lit();
-        }
-        {
-            let outs = self.outputs.get_mut();
-            for &po in aig.outputs() {
-                let l = map[po.node().index()].xor(po.is_complement());
-                outs.push(l);
-                self.nodes[l.node().index()]
-                    .refs
-                    .fetch_add(1, Ordering::Relaxed);
-                self.nodes[l.node().index()]
-                    .po_refs
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
     }
 
     /// Total number of node slots in the arena.
@@ -1065,60 +1006,6 @@ mod tests {
         shared.canonicalize_traced(&mut scratch);
         shared.cleanup_traced(&mut scratch);
         shared.check().unwrap();
-    }
-
-    #[test]
-    fn resync_reuses_allocation_and_matches_from_aig() {
-        let (aig, ..) = sample();
-        let mut shared = ConcurrentAig::from_aig(&aig, 8).unwrap();
-        let cap = shared.capacity();
-
-        // Mutate the arena so stale state would show through a sloppy reset.
-        let ins = shared.input_ids();
-        let fresh = shared.add_and_locked(ins[0].lit(), ins[1].lit()).unwrap();
-        let stale_gen = shared.generation(fresh.node());
-
-        // Re-sync from a *different* (smaller) graph that fits in place.
-        let mut small = Aig::new();
-        let a = small.add_input();
-        let b = small.add_input();
-        let ab = small.add_and(a, b);
-        small.add_output(!ab);
-        shared.resync_from(&small, 8).unwrap();
-
-        assert_eq!(shared.capacity(), cap, "allocation must be reused");
-        shared.check().unwrap();
-        let back = shared.to_aig();
-        back.check().unwrap();
-        assert_eq!(back.num_inputs(), 2);
-        assert_eq!(back.num_ands(), 1);
-        assert_eq!(back.num_outputs(), 1);
-        // Generations were bumped, not reset: any entry recorded against the
-        // previous occupant of a recycled slot can never validate again.
-        assert!(shared.generation(fresh.node()) > stale_gen);
-    }
-
-    #[test]
-    fn resync_grows_when_capacity_is_exceeded() {
-        let mut tiny = Aig::new();
-        let a = tiny.add_input();
-        let b = tiny.add_input();
-        let tab = tiny.add_and(a, b);
-        tiny.add_output(tab);
-        let mut shared = ConcurrentAig::from_aig(&tiny, 0).unwrap();
-        let cap = shared.capacity();
-
-        let mut big = Aig::new();
-        let mut lit = big.add_input();
-        for _ in 0..(cap + 8) {
-            let other = big.add_input();
-            lit = big.add_and(lit, other);
-        }
-        big.add_output(lit);
-        shared.resync_from(&big, 8).unwrap();
-        assert!(shared.capacity() > cap);
-        shared.check().unwrap();
-        assert_eq!(shared.num_ands(), big.num_ands());
     }
 
     #[test]

@@ -44,7 +44,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use dacpara::{optimize, run_engine, Engine, RewriteConfig};
+use dacpara::{optimize, Engine, RewriteConfig};
 use dacpara_aig::{aiger, Aig};
 use dacpara_circuits::{full_suite, Scale};
 use dacpara_equiv::{check_equivalence, CecConfig, CecResult};
@@ -248,25 +248,15 @@ fn main() -> ExitCode {
         dacpara_obs::enable();
     }
     eprintln!("input:  {}", dacpara_aig::export::stats(&aig));
-    if args.passes == 1 {
-        match run_engine(&mut aig, args.engine, &args.cfg) {
-            Ok(stats) => eprintln!("{}", stats.summary()),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
+    match optimize(&mut aig, args.engine, &args.cfg, args.passes) {
+        Ok(passes) => {
+            for (i, stats) in passes.iter().enumerate() {
+                eprintln!("pass {}: {}", i + 1, stats.summary());
             }
         }
-    } else {
-        match optimize(&mut aig, args.engine, &args.cfg, args.passes) {
-            Ok(passes) => {
-                for (i, stats) in passes.iter().enumerate() {
-                    eprintln!("pass {}: {}", i + 1, stats.summary());
-                }
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
         }
     }
     eprintln!("output: {}", dacpara_aig::export::stats(&aig));

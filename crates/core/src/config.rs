@@ -4,8 +4,11 @@ use dacpara_aig::AigError;
 use dacpara_cut::CutConfig;
 use dacpara_npn::ClassRegistry;
 
+use crate::Engine;
+
 /// A rejected [`RewriteConfig`] field, reported by
-/// [`RewriteConfig::validate`].
+/// [`RewriteConfig::validate`], or an engine a
+/// [`crate::RewriteSession`] does not run.
 #[derive(Copy, Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum ConfigError {
@@ -15,6 +18,10 @@ pub enum ConfigError {
     ZeroRuns,
     /// `num_classes` must be at least 1.
     ZeroClasses,
+    /// Only [`Engine::DacPara`] and [`Engine::Iccad18`] run on a
+    /// [`crate::RewriteSession`]; the others go through
+    /// [`crate::run_engine`] or [`crate::optimize`].
+    NotResident(Engine),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -23,6 +30,10 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroThreads => f.write_str("threads must be >= 1"),
             ConfigError::ZeroRuns => f.write_str("runs must be >= 1"),
             ConfigError::ZeroClasses => f.write_str("num_classes must be >= 1"),
+            ConfigError::NotResident(engine) => write!(
+                f,
+                "{engine} does not run on a session; use optimize or run_engine"
+            ),
         }
     }
 }

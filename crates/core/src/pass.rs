@@ -150,10 +150,10 @@ pub fn run_engine(
 /// times for optimization due to its local optimality").
 ///
 /// [`Engine::DacPara`] and [`Engine::Iccad18`] run on one
-/// [`crate::RewriteSession`]: the arena, cut memo, lock table and candidate
-/// storage are allocated once, and every pass after the first visits only
-/// the nodes the previous pass dirtied (see
-/// [`RewriteStats::clean_skipped`]).
+/// [`crate::RewriteSession`]: the arena, cut memo and lock table are
+/// allocated once, and every pass after the first visits only the nodes
+/// the previous pass dirtied (see [`RewriteStats::clean_skipped`]). The
+/// other engines make one [`run_engine`] call per pass.
 ///
 /// # Errors
 ///

@@ -13,7 +13,9 @@
 //!   the session boundaries ([`RewriteSession::new`] /
 //!   [`RewriteSession::finish`]); `cfg.runs` iterations inside one
 //!   [`RewriteSession::run`] call and successive `run` calls all reuse the
-//!   same arena, memo and locks.
+//!   same arena, memo and locks. Node ids never change inside a session:
+//!   recovery from a contained panic salvages the graph in place
+//!   (ARCHITECTURE.md §12).
 //! * A **dirty-set** makes later passes incremental. Seeded from §4.4's
 //!   recursive invalidation (every memo invalidation marks its node dirty)
 //!   plus gain-only marking — committed replacements mark the transitive
@@ -26,10 +28,9 @@
 //! * An empty dirty set is a **fixpoint**: `run` returns immediately with
 //!   zero [`RewriteStats::evaluations`] — the evaluate stage never runs.
 //!
-//! The two engines that operate on shared state — [`Engine::DacPara`] and
-//! [`Engine::Iccad18`] — run *resident* on the session. The other four are
-//! still accepted: the session extracts the serial graph, runs them, and
-//! re-syncs (losing incrementality for that pass, keeping allocations).
+//! Only the two engines that operate on shared state — [`Engine::DacPara`]
+//! and [`Engine::Iccad18`] — run on a session; the other four run on a
+//! serial [`Aig`] through [`crate::run_engine`] or [`crate::optimize`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -43,9 +44,7 @@ use dacpara_nst::MAX_STRUCTURE_GATES;
 use crate::eval::EvalContext;
 use crate::pass::Engine;
 use crate::recovery::FirstError;
-use crate::{
-    rewrite_partition, rewrite_serial, rewrite_static, RewriteConfig, RewriteStats, StaticMode,
-};
+use crate::{ConfigError, RewriteConfig, RewriteStats};
 
 /// Reusable state for incremental multi-pass rewriting.
 ///
@@ -71,8 +70,8 @@ pub struct RewriteSession {
     pub(crate) shared: ConcurrentAig,
     pub(crate) store: CutStore,
     pub(crate) locks: LockTable,
-    /// The next worklist must cover the whole graph (first pass, or first
-    /// pass after a re-sync).
+    /// The next worklist must cover the whole graph (first pass, or the
+    /// run a recovery interrupted).
     fresh: bool,
     converged: bool,
     passes_run: usize,
@@ -128,15 +127,16 @@ impl RewriteSession {
     /// [`Engine::DacPara`] and [`Engine::Iccad18`] run resident: the first
     /// pass processes every node, later passes only the dirty set, and a
     /// pass that finds the dirty set empty returns immediately without
-    /// enumerating or evaluating anything. The remaining engines run on an
-    /// extracted serial graph and re-sync the session afterwards.
+    /// enumerating or evaluating anything.
     ///
     /// # Errors
     ///
-    /// Propagates engine errors: [`AigError::WorkerPanicked`] once the
-    /// recovery budget is spent, and [`AigError::InvariantViolation`] if a
-    /// replacement fails its certificate (see [`crate::build_replacement`])
-    /// or the arena runs out of slots, which the sizing bound rules out.
+    /// Returns [`ConfigError::NotResident`] (mapped through [`AigError`])
+    /// for the four engines that run on a serial graph, and propagates
+    /// engine errors: [`AigError::WorkerPanicked`] once the recovery budget
+    /// is spent, and [`AigError::InvariantViolation`] if a replacement
+    /// fails its certificate (see [`crate::build_replacement`]) or the
+    /// arena runs out of slots, which the sizing bound rules out.
     pub fn run(&mut self, engine: Engine) -> Result<RewriteStats, AigError> {
         let stats = match engine {
             Engine::DacPara => {
@@ -146,19 +146,7 @@ impl RewriteSession {
                 self.resident_pass("iccad18", "rewrite_lockstep", crate::lockstep::round)?
             }
             Engine::AbcRewrite | Engine::Dac22 | Engine::Tcad23 | Engine::Partition => {
-                let mut aig = self.extract();
-                let stats = match engine {
-                    Engine::AbcRewrite => rewrite_serial(&mut aig, &self.cfg)?,
-                    Engine::Dac22 => rewrite_static(&mut aig, &self.cfg, StaticMode::Conditional)?,
-                    Engine::Tcad23 => {
-                        rewrite_static(&mut aig, &self.cfg, StaticMode::Unconditional)?
-                    }
-                    Engine::Partition => rewrite_partition(&mut aig, &self.cfg)?,
-                    Engine::Iccad18 | Engine::DacPara => unreachable!("resident engines"),
-                };
-                self.resync(&aig)?;
-                self.converged = stats.area_reduction() == 0;
-                stats
+                return Err(ConfigError::NotResident(engine).into())
             }
         };
         self.passes_run += 1;
@@ -189,29 +177,8 @@ impl RewriteSession {
         self.extract()
     }
 
-    /// Re-homes the session onto `aig`, reusing every allocation that is
-    /// still large enough — after an external mutation, and after an
-    /// in-pass recovery. The cut memo is reset (node ids were renumbered)
-    /// and the next pass processes the whole graph again.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ConcurrentAig::resync_from`] sizing errors; the session
-    /// keeps its previous graph on error.
-    pub fn resync(&mut self, aig: &Aig) -> Result<(), AigError> {
-        self.shared
-            .resync_from(aig, spare_slots(self.cfg.threads))?;
-        let cap = self.shared.capacity();
-        self.store.grow(cap);
-        self.store.reset();
-        self.locks.ensure_capacity(cap);
-        self.fresh = true;
-        self.converged = false;
-        Ok(())
-    }
-
-    /// One resident pass of a Galois engine: the first pass (after creation
-    /// or re-sync) covers the whole graph, later passes only the dirty set,
+    /// One resident pass of a Galois engine: the first pass covers the
+    /// whole graph, later passes only the dirty set,
     /// and an empty dirty set returns immediately — no enumeration, no
     /// evaluation.
     ///
@@ -223,7 +190,7 @@ impl RewriteSession {
     /// path — when a round ends with an error, the team has already
     /// drained cooperatively, and the first error goes to
     /// [`RewriteSession::recover`]; if recovery succeeds, the same run is
-    /// redone on the salvaged graph, keeping committed rewrites.
+    /// redone over the whole salvaged graph, keeping committed rewrites.
     pub(crate) fn resident_pass(
         &mut self,
         engine: &str,
@@ -292,19 +259,22 @@ impl RewriteSession {
     }
 
     /// Attempts in-pass recovery from a contained panic, salvaging every
-    /// committed rewrite. On `Ok(())` the session has been re-homed onto
-    /// the salvaged graph and the interrupted pass should redo its current
-    /// run from a full worklist (resync renumbers nodes, so the pre-fault
-    /// dirty set is not translatable — the full list is its superset). On
-    /// `Err` the caller must propagate: the error is not a panic, the
-    /// [`MAX_RECOVERIES`] budget is spent, or the salvaged graph failed
-    /// [`ConcurrentAig::check`].
+    /// committed rewrite in place. On `Ok(())` the graph has been swept,
+    /// checked and re-levelled on the same arena, and the interrupted pass
+    /// should redo its current run from a full worklist (the pre-fault
+    /// dirty set does not cover the run's unvisited nodes; the full list is
+    /// its superset). On `Err` the caller must propagate: the error is not
+    /// a panic, the [`MAX_RECOVERIES`] budget is spent, or the salvaged
+    /// graph failed [`ConcurrentAig::check`].
     ///
     /// Every commit installed a root that passed its certificate (see
     /// [`crate::build_replacement`]), so whatever point the team stopped
     /// at, the salvaged graph is function-equivalent to the pass input, or
     /// structurally broken in a way `check()` rejects (ARCHITECTURE.md
-    /// §12).
+    /// §12). Node ids do not change, so the cut memo stays sound through
+    /// its generation tags and the invalidations that precede every
+    /// rewiring, and the sweep returns a panicked commit's dangling gates
+    /// to the free list, so the arena's sizing bound still holds.
     ///
     /// `newly_committed` is the number of replacements committed since the
     /// last salvage point; it feeds [`RewriteStats::salvaged_commits`].
@@ -323,8 +293,8 @@ impl RewriteSession {
         if self.shared.check().is_err() {
             return Err(err);
         }
-        let salvaged = self.extract();
-        self.resync(&salvaged)?;
+        self.shared.recompute_levels();
+        self.fresh = true;
         self.recoveries += 1;
         stats.recoveries += 1;
         stats.salvaged_commits += newly_committed;
@@ -463,16 +433,53 @@ mod tests {
     fn arena_holds_the_live_graph_plus_a_per_thread_bound() {
         let aig = control::voter(15);
         for threads in [1, 2, 8] {
-            let mut sess = RewriteSession::new(&aig, &cfg().with_threads(threads)).unwrap();
+            let sess = RewriteSession::new(&aig, &cfg().with_threads(threads)).unwrap();
             let want = 1 + aig.num_inputs() + aig.num_ands() + threads * (MAX_STRUCTURE_GATES + 1);
             assert_eq!(sess.shared.capacity(), want);
             assert_eq!(sess.locks.len(), want);
-            // A pass never takes the arena past its bound, and a re-sync
-            // onto the smaller result keeps the allocation.
-            sess.run(Engine::DacPara).unwrap();
-            let out = sess.extract();
-            sess.resync(&out).unwrap();
-            assert_eq!(sess.shared.capacity(), want);
+        }
+    }
+
+    #[test]
+    fn recovery_salvages_in_place_and_redoes_the_whole_graph() {
+        use dacpara_equiv::{check_equivalence, CecConfig, CecResult};
+        use dacpara_fault::{points, FaultPlan};
+
+        dacpara_fault::silence_injected_panics();
+        let aig = arith::adder(10);
+        let plan = FaultPlan::parse("operator.panic=@5*1", 0).unwrap();
+        for threads in [2, 8] {
+            // Fault plans are process-global, so a sibling test's engine
+            // can take the one panic; retry until it lands here.
+            let (mut sess, stats, fired) = (0..20)
+                .find_map(|_| {
+                    let mut sess = RewriteSession::new(&aig, &cfg().with_threads(threads)).unwrap();
+                    let injection = dacpara_fault::inject(&plan);
+                    let stats = sess.run(Engine::DacPara).unwrap();
+                    let fired = injection.fired(points::OPERATOR_PANIC);
+                    drop(injection);
+                    (stats.recoveries > 0).then_some((sess, stats, fired))
+                })
+                .expect("the injected panic never landed in the session");
+            let label = format!("x{threads}: {stats}");
+            assert_eq!((fired, stats.recoveries), (1, 1), "{label}");
+            // The same arena and lock table, sized once in `new`.
+            let want = 1 + aig.num_inputs() + aig.num_ands() + spare_slots(threads);
+            assert_eq!(sess.shared.capacity(), want, "{label}");
+            assert_eq!(sess.locks.len(), want, "{label}");
+            // The interrupted run was redone over the whole graph.
+            assert_eq!(stats.clean_skipped, 0, "{label}");
+            // The next pass is incremental again.
+            let next = sess.run(Engine::DacPara).unwrap();
+            assert_eq!(next.recoveries, 0, "x{threads}: {next}");
+            assert!(next.clean_skipped > 0, "x{threads}: {next}");
+            let out = sess.finish();
+            out.check().unwrap();
+            assert_eq!(
+                check_equivalence(&aig, &out, &CecConfig::default()),
+                CecResult::Equivalent,
+                "x{threads}"
+            );
         }
     }
 
@@ -495,27 +502,19 @@ mod tests {
     }
 
     #[test]
-    fn non_resident_engines_round_trip_through_the_session() {
-        let aig = control::voter(15);
-        let mut sess = RewriteSession::new(&aig, &cfg()).unwrap();
-        let s1 = sess.run(Engine::AbcRewrite).unwrap();
-        assert!(s1.area_reduction() > 0);
-        let s2 = sess.run(Engine::DacPara).unwrap();
-        assert!(s2.area_after <= s1.area_after);
-        let out = sess.finish();
-        out.check().unwrap();
-        assert_eq!(out.num_ands(), s2.area_after);
-    }
-
-    #[test]
-    fn resync_resets_incrementality() {
-        let aig = control::voter(15);
-        let mut sess = RewriteSession::new(&aig, &cfg()).unwrap();
-        sess.run(Engine::DacPara).unwrap();
-        let snapshot = sess.extract();
-        sess.resync(&snapshot).unwrap();
-        // After a resync the next pass is a full pass again.
-        let stats = sess.run(Engine::DacPara).unwrap();
-        assert_eq!(stats.clean_skipped, 0);
+    fn serial_engines_are_refused_with_a_config_error() {
+        let mut sess = RewriteSession::new(&control::voter(15), &cfg()).unwrap();
+        for engine in [
+            Engine::AbcRewrite,
+            Engine::Dac22,
+            Engine::Tcad23,
+            Engine::Partition,
+        ] {
+            assert_eq!(
+                sess.run(engine).unwrap_err(),
+                ConfigError::NotResident(engine).into()
+            );
+        }
+        assert_eq!(sess.passes_run(), 0);
     }
 }

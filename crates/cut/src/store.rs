@@ -271,25 +271,6 @@ impl CutStore {
         self.slots.iter().filter(|s| s.read().is_some()).count()
     }
 
-    /// Clears the entire cache.
-    pub fn clear(&self) {
-        for s in &self.slots {
-            *s.write() = None;
-        }
-    }
-
-    /// Resets the store for a fresh graph while preserving its slot
-    /// allocation: every cached set and every dirty flag is dropped. Used
-    /// by `RewriteSession` when it re-syncs to an externally mutated graph
-    /// (the memo keys — node ids — are renumbered, so nothing cached can
-    /// be trusted).
-    pub fn reset(&self) {
-        self.clear();
-        for d in &self.dirty {
-            d.store(false, Ordering::Relaxed);
-        }
-    }
-
     // ---- Dirty tracking -------------------------------------------------
 
     /// Marks `n` dirty without touching its cached set (used for nodes
@@ -455,20 +436,6 @@ mod tests {
             assert!(store.is_dirty(l.node()));
             assert!(store.get(&aig, l.node()).is_some());
         }
-    }
-
-    #[test]
-    fn reset_preserves_capacity_and_clears_everything() {
-        let (aig, lits) = chain();
-        let store = CutStore::new(aig.slot_count(), CutConfig::unlimited());
-        let top = lits.last().unwrap().node();
-        store.cuts(&aig, top);
-        store.mark_dirty(top);
-        let cap = store.capacity();
-        store.reset();
-        assert_eq!(store.capacity(), cap);
-        assert_eq!(store.cached_count(), 0);
-        assert_eq!(store.dirty_count(), 0);
     }
 
     #[test]

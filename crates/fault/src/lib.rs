@@ -454,6 +454,8 @@ mod tests {
 
     #[test]
     fn disarmed_points_never_fire() {
+        // Hold `inject`'s lock so no sibling test's plan is armed meanwhile.
+        let _quiet = exclusive().lock().unwrap_or_else(|e| e.into_inner());
         assert!(!point(P));
         assert_eq!(hits(P), 0);
     }

@@ -54,24 +54,6 @@ impl LockTable {
         self.slots.len()
     }
 
-    /// Grows the table to cover at least `n` elements. Existing locks must
-    /// all be released (the slots are rebuilt unlocked). Lets a long-lived session reuse one
-    /// table across passes even when the underlying arena grows.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if any slot is currently held.
-    pub fn ensure_capacity(&mut self, n: usize) {
-        if n <= self.slots.len() {
-            return;
-        }
-        debug_assert!(
-            self.slots.iter().all(|s| s.load(Ordering::Relaxed) == 0),
-            "growing a lock table with held locks"
-        );
-        self.slots = (0..n).map(|_| AtomicU32::new(0)).collect();
-    }
-
     /// Whether the table covers zero elements.
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()

@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
-"""Summarize results/*.json into the EXPERIMENTS.md recorded-results block.
+"""Summarize a results directory's *.json into the EXPERIMENTS.md
+recorded-results block.
 
-Usage: python3 scripts/summarize_results.py [results_dir]
+Usage: python3 scripts/summarize_results.py [results_dir] [--write]
+
+`results_dir` defaults to `results-medium/`, the dataset the block reflects.
 
 Prints a markdown summary; use `--write` to splice it between the
 `<!-- results-summary:begin -->` / `<!-- results-summary:end -->` markers of
@@ -113,11 +116,11 @@ def summarize(results_dir: Path) -> str:
 
     ab = load(results_dir, "ablations")
     if ab:
-        lines.append("* **Ablations**: see `results/ablations.md`.")
+        lines.append(f"* **Ablations**: see `{results_dir.as_posix()}/ablations.md`.")
 
     sp = load(results_dir, "speedup")
     if sp:
-        lines.append("* **Speedup sweep**: see `results/speedup.md`.")
+        lines.append(f"* **Speedup sweep**: see `{results_dir.as_posix()}/speedup.md`.")
 
     lines.append("")
     return "\n".join(lines)
@@ -125,7 +128,7 @@ def summarize(results_dir: Path) -> str:
 
 def main():
     args = [a for a in sys.argv[1:] if not a.startswith("--")]
-    results_dir = Path(args[0]) if args else Path("results")
+    results_dir = Path(args[0]) if args else Path("results-medium")
     text = summarize(results_dir)
     if "--write" in sys.argv:
         exp = Path("EXPERIMENTS.md")
