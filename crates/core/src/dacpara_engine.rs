@@ -30,10 +30,9 @@ use dacpara_galois::run_spmd;
 use dacpara_npn::canon;
 use parking_lot::Mutex;
 
-use crate::eval::{evaluate_node, reevaluate_structure, Candidate};
+use crate::eval::{evaluate_node, Candidate};
 use crate::session::{Pass, RewriteSession};
-use crate::speculate::{lock_shared_and_commit, speculate, Attempt};
-use crate::validity::{cut_cover, verify_cut};
+use crate::speculate::{lock_and_verify, reevaluate_and_commit, speculate, Attempt};
 use crate::{Engine, RewriteConfig, RewriteStats};
 
 /// Runs the DACPara pass.
@@ -227,12 +226,7 @@ fn replace_operator(
     }
 
     // ---- Triage: are the stored leaves untouched (Theorem 1 case)?
-    let leaves_fresh = cand
-        .leaves
-        .iter()
-        .zip(&cand.leaf_gens)
-        .all(|(&l, &g)| shared.is_alive(l) && shared.generation(l) == g);
-    if !leaves_fresh {
+    if !cand.leaves_intact(shared) {
         if !sess.cfg.revalidate {
             return stale();
         }
@@ -257,29 +251,17 @@ fn replace_operator(
         }
     }
 
-    // ---- Phase-1 locks: the node, the cut cone, and the fanouts.
-    let Some(cover_hint) = cut_cover(shared, n, &cand.leaves) else {
+    // ---- Lock the node, the cut cone and the fanouts, and recompute the
+    // cut function under the locks.
+    let mut tt = [None];
+    let guard = match lock_and_verify(sess, pass, owner, n, &[&cand.leaves], &mut tt) {
+        Ok(guard) => guard,
+        Err(Attempt::Done) => return stale(),
+        Err(conflict) => return Ok(conflict),
+    };
+    let [Some(tt)] = tt else {
         return stale();
     };
-    let mut region: Vec<u32> = vec![n.raw()];
-    region.extend(cand.leaves.iter().map(|l| l.raw()));
-    region.extend(cover_hint.iter().map(|c| c.raw()));
-    region.extend(shared.fanout_ids(n).iter().map(|f| f.raw()));
-    let Some(guard) = sess.locks.try_acquire(owner, region, &pass.spec) else {
-        return Ok(Attempt::Conflict);
-    };
-
-    // ---- Under locks: recompute the cover and the cut function.
-    let Some((cover, tt)) = verify_cut(shared, n, &cand.leaves) else {
-        return stale();
-    };
-    if cover
-        .iter()
-        .any(|c| guard.ids().binary_search(&c.raw()).is_err())
-    {
-        // The cone shifted between planning and locking — replan.
-        return Ok(Attempt::Conflict);
-    }
     // The stored candidate stays untouched: a conflict below leaves it for
     // a fresh revalidation on the retry.
     let mut live = cand.clone();
@@ -293,17 +275,11 @@ fn replace_operator(
         live.transform = canon(tt).1;
     }
 
-    // ---- Re-evaluate on the latest AIG: gain must (still) be positive.
-    let re = reevaluate_structure(shared, n, &live, ctx);
-    let gain_ok = re.gain > 0 || (ctx.use_zeros && re.gain >= 0);
-    let level_ok = !ctx.preserve_level || re.level <= shared.level(n);
-    if !(gain_ok && level_ok) {
-        return stale();
+    // ---- Re-evaluate on the latest AIG and apply if it still gains.
+    match reevaluate_and_commit(sess, pass, owner, &guard, n, &live)? {
+        Some(attempt) => Ok(attempt),
+        None => stale(),
     }
-
-    // ---- Phase-2 locks on the nodes the new structure will share, then
-    // apply.
-    lock_shared_and_commit(sess, pass, owner, &guard, n, &live, &re)
 }
 
 #[cfg(test)]

@@ -69,6 +69,22 @@ impl EvalContext {
             count_sharing: true,
         }
     }
+
+    /// The acceptance rule for a replacement at a root of level
+    /// `root_level`: a positive gain (non-negative under `use_zeros`) and,
+    /// under `preserve_level`, a new root no deeper than the old one.
+    pub fn accepts(&self, gain: i32, level: u32, root_level: u32) -> bool {
+        gain > self.base_floor() && (!self.preserve_level || level <= root_level)
+    }
+
+    /// The gain a candidate must strictly exceed to pass [`Self::accepts`].
+    fn base_floor(&self) -> i32 {
+        if self.use_zeros {
+            -1
+        } else {
+            0
+        }
+    }
 }
 
 impl std::fmt::Debug for EvalContext {
@@ -102,6 +118,17 @@ pub struct Candidate {
     pub struct_idx: usize,
     /// Evaluated gain (nodes saved − nodes added).
     pub gain: i32,
+}
+
+impl Candidate {
+    /// Whether every leaf is still alive with the generation recorded at
+    /// evaluation — the cut the candidate was chosen on is untouched.
+    pub fn leaves_intact<V: AigRead + ?Sized>(&self, view: &V) -> bool {
+        self.leaves
+            .iter()
+            .zip(&self.leaf_gens)
+            .all(|(&l, &g)| view.is_alive(l) && view.generation(l) == g)
+    }
 }
 
 /// Outcome of mapping one structure onto the current graph.
@@ -300,23 +327,13 @@ pub fn evaluate_node<V: AigRead + ?Sized>(
             if cut.len() < 2 {
                 continue;
             }
-            let floor = best.as_ref().map_or(base_floor(ctx), |b| b.gain);
+            let floor = best.as_ref().map_or(ctx.base_floor(), |b| b.gain);
             if let Some(cand) = best_on_cut(view, n, cut, ctx, floor, memo, cone) {
                 best = Some(cand);
             }
         }
         best
     })
-}
-
-/// The gain a candidate must strictly exceed to pass the threshold:
-/// positive gain, or non-negative under `use_zeros`.
-fn base_floor(ctx: &EvalContext) -> i32 {
-    if ctx.use_zeros {
-        -1
-    } else {
-        0
-    }
 }
 
 /// Evaluates a single cut of `n`: the best structure of the cut's class by
@@ -332,7 +349,7 @@ pub fn evaluate_cut<V: AigRead + ?Sized>(
     cut: &Cut,
     ctx: &EvalContext,
 ) -> Option<Candidate> {
-    with_scratch(|memo, cone| best_on_cut(view, n, cut, ctx, base_floor(ctx), memo, cone))
+    with_scratch(|memo, cone| best_on_cut(view, n, cut, ctx, ctx.base_floor(), memo, cone))
 }
 
 /// Structures scanned out of `available` for one class, under a
@@ -346,8 +363,9 @@ fn structure_budget(max_structures: usize, available: usize) -> usize {
 }
 
 /// [`evaluate_cut`] restricted to structures whose gain is strictly greater
-/// than `floor` (at least [`base_floor`]); `memo` holds the probes of
-/// earlier cuts of the same node, and `cone` is scratch for the cut's MFFC.
+/// than `floor` (at least [`EvalContext::base_floor`]); `memo` holds the
+/// probes of earlier cuts of the same node, and `cone` is scratch for the
+/// cut's MFFC.
 fn best_on_cut<V: AigRead + ?Sized>(
     view: &V,
     n: NodeId,
@@ -358,7 +376,7 @@ fn best_on_cut<V: AigRead + ?Sized>(
     cone: &mut ConeDeref,
 ) -> Option<Candidate> {
     debug_assert!(cut.len() >= 2);
-    debug_assert!(floor >= base_floor(ctx));
+    debug_assert!(floor >= ctx.base_floor());
     let leaves = cut.leaves();
     let tt = cut.tt();
     let class = ctx.registry.class_of(tt);
@@ -407,7 +425,7 @@ fn best_on_cut<V: AigRead + ?Sized>(
         // `added <= max_added`, so the gain beats the floor.
         let gain = saved - m.added as i32;
         debug_assert!(gain > floor);
-        if ctx.preserve_level && m.level > root_level {
+        if !ctx.accepts(gain, m.level, root_level) {
             continue;
         }
         let better = match best {

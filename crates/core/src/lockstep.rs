@@ -10,12 +10,12 @@
 use std::sync::atomic::Ordering;
 
 use dacpara_aig::{Aig, AigError, AigRead, NodeId};
+use dacpara_cut::Cut;
 use dacpara_galois::run_spmd;
 
-use crate::eval::{evaluate_node, reevaluate_structure};
+use crate::eval::evaluate_node;
 use crate::session::{Pass, RewriteSession};
-use crate::speculate::{lock_shared_and_commit, speculate, Attempt};
-use crate::validity::{cut_cover, verify_cut};
+use crate::speculate::{lock_and_verify, reevaluate_and_commit, speculate, Attempt};
 use crate::{Engine, RewriteConfig, RewriteStats};
 
 /// Runs the combined-operator parallel rewriting pass.
@@ -61,9 +61,9 @@ pub(crate) fn round(
 
 /// One attempt of the single ICCAD'18-style operator: enumerate, lock
 /// everything related, evaluate *while holding the locks*, then replace.
-/// Counts its own replacement. A conflict carries nothing over —
-/// the retry recomputes enumeration and evaluation from scratch, exactly
-/// the waste the paper's Fig. 2 charges this scheme.
+/// A conflict carries nothing over — the retry recomputes enumeration and
+/// evaluation from scratch, exactly the waste the paper's Fig. 2 charges
+/// this scheme.
 fn combined_operator(
     sess: &RewriteSession,
     pass: &Pass,
@@ -93,29 +93,20 @@ fn combined_operator(
     // cannot be collected (stale, or larger than the exploration bound
     // around high-fanout reconvergence) are simply dropped from
     // consideration — retrying could loop forever on a stable graph.
-    let mut region: Vec<u32> = vec![n.raw()];
-    region.extend(shared.fanout_ids(n).iter().map(|f| f.raw()));
-    let mut usable: Vec<dacpara_cut::Cut> = Vec::with_capacity(cuts.len());
-    for cut in cuts.iter().filter(|c| c.len() >= 2) {
-        if let Some(cover) = cut_cover(shared, n, cut.leaves()) {
-            region.extend(cover.iter().map(|c| c.raw()));
-            region.extend(cut.leaves().iter().map(|l| l.raw()));
-            usable.push(*cut);
-        }
-    }
-    if usable.is_empty() {
-        return Ok(Attempt::Done);
-    }
-    let Some(guard) = sess.locks.try_acquire(owner, region, &pass.spec) else {
-        return Ok(Attempt::Conflict);
+    let usable: Vec<&Cut> = cuts.iter().filter(|c| c.len() >= 2).collect();
+    let leaf_sets: Vec<&[NodeId]> = usable.iter().map(|c| c.leaves()).collect();
+    let mut tts = vec![None; usable.len()];
+    let guard = match lock_and_verify(sess, pass, owner, n, &leaf_sets, &mut tts) {
+        Ok(guard) => guard,
+        Err(outcome) => return Ok(outcome),
     };
-
-    // Under locks: keep only cuts whose function is confirmed on the live
-    // graph (stale enumerations are dropped, not misapplied).
-    let valid_cuts: Vec<_> = usable
+    // Keep only cuts whose function is confirmed on the live graph (stale
+    // enumerations are dropped, not misapplied).
+    let valid_cuts: Vec<Cut> = usable
         .iter()
-        .filter(|c| matches!(verify_cut(shared, n, c.leaves()), Some((_, tt)) if tt == c.tt()))
-        .copied()
+        .zip(&tts)
+        .filter(|(c, tt)| **tt == Some(c.tt()))
+        .map(|(c, _)| **c)
         .collect();
 
     // Stage B: evaluation while holding every lock.
@@ -129,16 +120,11 @@ fn combined_operator(
     let Some(cand) = cand else {
         return Ok(Attempt::Done);
     };
-    let re = reevaluate_structure(shared, n, &cand, ctx);
-    let gain_ok = re.gain > 0 || (ctx.use_zeros && re.gain >= 0);
-    if !gain_ok {
-        return Ok(Attempt::Done);
-    }
 
-    // Stage C: lock the shared (reused) nodes, then replace. A conflict
-    // here loses everything — enumeration AND evaluation.
+    // Stage C: re-evaluate, lock the shared (reused) nodes, then replace.
+    // A conflict here loses everything — enumeration AND evaluation.
     let _obs = dacpara_obs::span("replace");
-    lock_shared_and_commit(sess, pass, owner, &guard, n, &cand, &re)
+    Ok(reevaluate_and_commit(sess, pass, owner, &guard, n, &cand)?.unwrap_or(Attempt::Done))
 }
 
 #[cfg(test)]

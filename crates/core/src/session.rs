@@ -381,7 +381,7 @@ pub(crate) struct Pass {
 }
 
 impl Pass {
-    fn new(threads: usize) -> Pass {
+    pub(crate) fn new(threads: usize) -> Pass {
         Pass {
             spec: SpecStats::new(),
             pool: StealPool::new(threads),

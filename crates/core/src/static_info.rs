@@ -98,30 +98,19 @@ pub fn rewrite_static(
             let Some(cand) = prep[n.index()].lock().take() else {
                 continue;
             };
-            if !aig.is_and(n) || AigRead::refs(aig, n) == 0 {
+            // Condition: the node must still be in use, and its stored cut
+            // intact (leaves alive with unchanged generations) and still
+            // computing the function the structure was selected for —
+            // otherwise replacing would corrupt logic. Crucially, the *gain
+            // is not re-evaluated*: that is the static-information deficit
+            // the paper measures.
+            let live = aig.is_and(n)
+                && AigRead::refs(aig, n) > 0
+                && cand.leaves_intact(aig)
+                && matches!(verify_cut(aig, n, &cand.leaves), Some((_, tt)) if tt == cand.tt);
+            if !live {
                 stats.stale_skipped += 1;
                 continue;
-            }
-            // Condition: the stored cut must still be intact (leaves alive
-            // with unchanged generations) and still compute the function the
-            // structure was selected for — otherwise replacing would corrupt
-            // logic. Crucially, the *gain is not re-evaluated*: that is the
-            // static-information deficit the paper measures.
-            let intact = cand
-                .leaves
-                .iter()
-                .zip(&cand.leaf_gens)
-                .all(|(&l, &g)| aig.is_alive(l) && aig.generation(l) == g);
-            if !intact {
-                stats.stale_skipped += 1;
-                continue;
-            }
-            match verify_cut(aig, n, &cand.leaves) {
-                Some((_, tt)) if tt == cand.tt => {}
-                _ => {
-                    stats.stale_skipped += 1;
-                    continue;
-                }
             }
             let root = build_replacement(aig, &cand, ctx.lib)?;
             if root.node() != n {

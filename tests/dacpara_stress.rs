@@ -1,4 +1,5 @@
-//! Stress tests: DACPara under engineered same-level contention.
+//! Stress tests: DACPara (and, where named, ICCAD'18) under engineered
+//! same-level contention.
 //!
 //! The circuits here are built so that many rewritable cones sit at the
 //! *same level* and share structure — the exact situation §4.4's validity
@@ -39,26 +40,30 @@ fn contention_grid(width: usize) -> Aig {
 
 #[test]
 fn same_level_contention_is_sound_across_thread_counts() {
+    // Both Galois engines: they share one plan → lock → verify → commit
+    // path, which the TSan job race-checks from each caller here.
     let golden = contention_grid(64);
-    for threads in [1, 2, 4, 8] {
-        let mut aig = golden.clone();
-        let cfg = RewriteConfig {
-            num_classes: 222,
-            ..RewriteConfig::rewrite_op()
+    for engine in [Engine::DacPara, Engine::Iccad18] {
+        for threads in [1, 2, 4, 8] {
+            let mut aig = golden.clone();
+            let cfg = RewriteConfig {
+                num_classes: 222,
+                ..RewriteConfig::rewrite_op()
+            }
+            .with_threads(threads);
+            let stats = run_engine(&mut aig, engine, &cfg).unwrap();
+            aig.check().unwrap();
+            assert!(
+                stats.area_reduction() > 0,
+                "grid must be improvable by {engine} at {threads} threads: {}",
+                stats.summary()
+            );
+            assert_eq!(
+                random_sim_check(&golden, &aig, 16, threads as u64),
+                SimOutcome::NoDifferenceFound,
+                "{engine} at {threads} threads"
+            );
         }
-        .with_threads(threads);
-        let stats = run_engine(&mut aig, Engine::DacPara, &cfg).unwrap();
-        aig.check().unwrap();
-        assert!(
-            stats.area_reduction() > 0,
-            "grid must be improvable at {threads} threads: {}",
-            stats.summary()
-        );
-        assert_eq!(
-            random_sim_check(&golden, &aig, 16, threads as u64),
-            SimOutcome::NoDifferenceFound,
-            "{threads} threads"
-        );
     }
 }
 

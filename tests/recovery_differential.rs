@@ -231,7 +231,7 @@ fn injected_faults_never_hang_or_break_equivalence() {
     assert!(panic > 0, "no operator.panic fault ever fired");
 }
 
-/// `operator.panic` also fires inside `commit_replacement`, after the new
+/// `operator.panic` also fires inside `reevaluate_and_commit`, after the new
 /// structure is built and before anything is rewired. With one worker the
 /// hit order is deterministic, so sweeping `@k` over the first hits lands
 /// on both sites; a panic at the in-commit site is the only way a
