@@ -181,6 +181,9 @@ fn parse_threads(value: Option<String>) -> Result<Vec<usize>, String> {
     if threads.is_empty() {
         return Err("--threads needs at least one count".into());
     }
+    if threads.contains(&0) {
+        return Err("thread counts must be >= 1".into());
+    }
     Ok(threads)
 }
 

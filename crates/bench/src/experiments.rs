@@ -390,13 +390,7 @@ pub fn engines(harness: &Harness) -> Exhibit {
     let mut runs = Vec::new();
     for b in &suite {
         for engine in Engine::ALL {
-            let cfg = match engine {
-                Engine::AbcRewrite => RewriteConfig::rewrite_op(),
-                Engine::Dac22 | Engine::Tcad23 => {
-                    RewriteConfig::drw_op().with_threads(harness.threads)
-                }
-                _ => RewriteConfig::rewrite_op().with_threads(harness.threads),
-            };
+            let cfg = engine.paper_config().with_threads(harness.threads);
             let r = harness.run_one(b, engine, &cfg);
             t.push_row(vec![
                 b.name.clone(),

@@ -120,15 +120,17 @@ impl RewriteConfig {
         }
     }
 
-    /// This configuration with a different thread count.
+    /// This configuration with a different thread count. Zero threads
+    /// fail [`RewriteConfig::validate`].
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> RewriteConfig {
-        self.threads = threads.max(1);
+        self.threads = threads;
         self
     }
 
     /// Checks the fields every engine depends on, returning the first
-    /// violation. Called by `run_engine`, `RewriteSession::new`, and the
+    /// violation. Called at the start of every pass (`run_engine`,
+    /// `RewriteSession::run`), by `RewriteSession::new`, and by the
     /// `rewrite` binary, so a bad configuration fails uniformly instead of
     /// panicking (or hanging) somewhere inside an engine.
     ///

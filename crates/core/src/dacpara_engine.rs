@@ -25,54 +25,20 @@
 use std::sync::atomic::Ordering;
 
 use dacpara_aig::concurrent::ConcurrentAig;
-use dacpara_aig::{Aig, AigError, AigRead, NodeId};
+use dacpara_aig::{AigError, AigRead, NodeId};
 use dacpara_galois::run_spmd;
 use dacpara_npn::canon;
 use parking_lot::Mutex;
 
 use crate::eval::{evaluate_node, Candidate};
-use crate::session::{Pass, RewriteSession};
+use crate::pass::Pass;
+use crate::session::RewriteSession;
 use crate::speculate::{lock_and_verify, reevaluate_and_commit, speculate, Attempt};
-use crate::{Engine, RewriteConfig, RewriteStats};
 
-/// Runs the DACPara pass.
-///
-/// # Errors
-///
-/// Returns the [`crate::ConfigError`] (mapped through [`AigError`]) if `cfg`
-/// fails [`RewriteConfig::validate`]; [`AigError::WorkerPanicked`] once
-/// the session's recovery budget is spent; or
-/// [`AigError::InvariantViolation`] if a replacement fails its certificate
-/// (see [`crate::build_replacement`]) or the arena runs out of slots, which
-/// its sizing bound rules out.
-///
-/// # Example
-///
-/// ```
-/// use dacpara::{rewrite_dacpara, RewriteConfig};
-/// use dacpara_circuits::control;
-///
-/// let mut aig = control::voter(15);
-/// let stats = rewrite_dacpara(&mut aig, &RewriteConfig::rewrite_op().with_threads(2))?;
-/// assert!(stats.area_after < stats.area_before);
-/// # Ok::<(), dacpara_aig::AigError>(())
-/// ```
-pub fn rewrite_dacpara(aig: &mut Aig, cfg: &RewriteConfig) -> Result<RewriteStats, AigError> {
-    let mut session = RewriteSession::new(aig, cfg)?;
-    let stats = session.run(Engine::DacPara)?;
-    *aig = session.finish();
-    Ok(stats)
-}
-
-/// One DACPara run over `work`, inside [`RewriteSession::resident_pass`]:
-/// the node dividing of Fig. 1 and the three barrier-separated stages per
+/// One DACPara run over `work`, inside the session's resident run: the
+/// node dividing of Fig. 1 and the three barrier-separated stages per
 /// worklist.
-pub(crate) fn round(
-    sess: &RewriteSession,
-    pass: &Pass,
-    work: Vec<NodeId>,
-    stats: &mut RewriteStats,
-) {
+pub(crate) fn round(sess: &RewriteSession, pass: &Pass, work: Vec<NodeId>) {
     let cfg = &sess.cfg;
     let (shared, store, ctx) = (&sess.shared, &sess.store, &sess.ctx);
 
@@ -93,7 +59,7 @@ pub(crate) fn round(
     // Level 0 holds no AND nodes and sparse dirty sets leave gaps; empty
     // lists would only burn barriers.
     worklists.retain(|l| !l.is_empty());
-    stats.worklists += worklists.len();
+    pass.worklists.fetch_add(worklists.len(), Ordering::Relaxed);
     // `prepInfo`: stage 2 stores list position `i`'s best candidate in
     // `prep[i]` and stage 3 takes every position back out, so the slots are
     // empty again when the next list starts.
@@ -284,8 +250,8 @@ fn replace_operator(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::testkit::assert_equiv;
+    use crate::{run_engine, Engine, RewriteConfig};
     use dacpara_circuits::{arith, control, mtm, MtmParams};
 
     fn cfg(threads: usize) -> RewriteConfig {
@@ -300,7 +266,7 @@ mod tests {
     fn single_thread_reduces_and_stays_equivalent() {
         let mut aig = control::voter(15);
         let golden = aig.clone();
-        let stats = rewrite_dacpara(&mut aig, &cfg(1)).unwrap();
+        let stats = run_engine(&mut aig, Engine::DacPara, &cfg(1)).unwrap();
         aig.check().unwrap();
         assert!(stats.area_reduction() > 0, "{}", stats.summary());
         assert_equiv(&golden, &aig);
@@ -315,7 +281,7 @@ mod tests {
             seed: 11,
         });
         let golden = aig.clone();
-        let stats = rewrite_dacpara(&mut aig, &cfg(4)).unwrap();
+        let stats = run_engine(&mut aig, Engine::DacPara, &cfg(4)).unwrap();
         aig.check().unwrap();
         assert!(stats.area_after <= stats.area_before);
         assert_equiv(&golden, &aig);
@@ -325,7 +291,7 @@ mod tests {
     fn multi_thread_on_arithmetic() {
         let mut aig = arith::multiplier(8);
         let golden = aig.clone();
-        let stats = rewrite_dacpara(&mut aig, &cfg(4)).unwrap();
+        let stats = run_engine(&mut aig, Engine::DacPara, &cfg(4)).unwrap();
         aig.check().unwrap();
         assert!(stats.worklists > 1, "level partition must have many lists");
         assert_equiv(&golden, &aig);
@@ -337,9 +303,9 @@ mod tests {
         // reduction versus the fully serial baseline.
         let gen = || control::voter(101);
         let mut serial = gen();
-        let s = crate::rewrite_serial(&mut serial, &cfg(1)).unwrap();
+        let s = run_engine(&mut serial, Engine::AbcRewrite, &cfg(1)).unwrap();
         let mut para = gen();
-        let p = rewrite_dacpara(&mut para, &cfg(4)).unwrap();
+        let p = run_engine(&mut para, Engine::DacPara, &cfg(4)).unwrap();
         let slack = 1 + s.area_reduction() / 10;
         assert!(
             p.area_reduction() + slack >= s.area_reduction(),
@@ -355,7 +321,7 @@ mod tests {
         let golden = aig.clone();
         let mut c = cfg(2);
         c.runs = 2;
-        let stats = rewrite_dacpara(&mut aig, &c).unwrap();
+        let stats = run_engine(&mut aig, Engine::DacPara, &c).unwrap();
         aig.check().unwrap();
         let _ = stats;
         assert_equiv(&golden, &aig);

@@ -567,8 +567,6 @@ pub struct Reevaluation {
     /// Existing nodes the structure build would reuse, each with its
     /// generation at re-evaluation.
     pub shared_nodes: Vec<(NodeId, u32)>,
-    /// `Some` when the whole structure already exists as a literal.
-    pub root: Option<Lit>,
     /// Level of the new root.
     pub level: u32,
 }
@@ -611,7 +609,6 @@ pub fn reevaluate_structure<V: AigRead + ?Sized>(
         gain,
         freed: freed.freed,
         shared_nodes,
-        root: m.root,
         level: m.level,
     }
 }

@@ -9,41 +9,19 @@
 
 use std::sync::atomic::Ordering;
 
-use dacpara_aig::{Aig, AigError, AigRead, NodeId};
+use dacpara_aig::{AigError, AigRead, NodeId};
 use dacpara_cut::Cut;
 use dacpara_galois::run_spmd;
 
 use crate::eval::evaluate_node;
-use crate::session::{Pass, RewriteSession};
+use crate::pass::Pass;
+use crate::session::RewriteSession;
 use crate::speculate::{lock_and_verify, reevaluate_and_commit, speculate, Attempt};
-use crate::{Engine, RewriteConfig, RewriteStats};
 
-/// Runs the combined-operator parallel rewriting pass.
-///
-/// # Errors
-///
-/// Returns the [`crate::ConfigError`] (mapped through [`AigError`]) if `cfg`
-/// fails [`RewriteConfig::validate`]; [`AigError::WorkerPanicked`] once
-/// the session's recovery budget is spent; or
-/// [`AigError::InvariantViolation`] if a replacement fails its certificate
-/// (see [`crate::build_replacement`]) or the arena runs out of slots, which
-/// its sizing bound rules out.
-pub fn rewrite_lockstep(aig: &mut Aig, cfg: &RewriteConfig) -> Result<RewriteStats, AigError> {
-    let mut session = RewriteSession::new(aig, cfg)?;
-    let stats = session.run(Engine::Iccad18)?;
-    *aig = session.finish();
-    Ok(stats)
-}
-
-/// One ICCAD'18 run over `order`, inside
-/// [`RewriteSession::resident_pass`]: a single scheduler drive of the
-/// combined operator. A conflict-aborted operator retries in place.
-pub(crate) fn round(
-    sess: &RewriteSession,
-    pass: &Pass,
-    order: Vec<NodeId>,
-    _stats: &mut RewriteStats,
-) {
+/// One ICCAD'18 run over `order`, inside the session's resident run: a
+/// single scheduler drive of the combined operator. A conflict-aborted
+/// operator retries in place.
+pub(crate) fn round(sess: &RewriteSession, pass: &Pass, order: Vec<NodeId>) {
     let order = &order;
     pass.pool.begin(order.len());
     run_spmd(sess.cfg.threads, |w| {
@@ -129,8 +107,8 @@ fn combined_operator(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::testkit::assert_equiv;
+    use crate::{run_engine, Engine, RewriteConfig};
     use dacpara_circuits::{arith, control, mtm, MtmParams};
 
     fn cfg(threads: usize) -> RewriteConfig {
@@ -145,7 +123,7 @@ mod tests {
     fn single_thread_matches_serial_soundness() {
         let mut aig = control::voter(15);
         let golden = aig.clone();
-        let stats = rewrite_lockstep(&mut aig, &cfg(1)).unwrap();
+        let stats = run_engine(&mut aig, Engine::Iccad18, &cfg(1)).unwrap();
         aig.check().unwrap();
         assert!(stats.area_reduction() > 0, "{}", stats.summary());
         assert_equiv(&golden, &aig);
@@ -160,7 +138,7 @@ mod tests {
             seed: 5,
         });
         let golden = aig.clone();
-        let stats = rewrite_lockstep(&mut aig, &cfg(4)).unwrap();
+        let stats = run_engine(&mut aig, Engine::Iccad18, &cfg(4)).unwrap();
         aig.check().unwrap();
         assert!(stats.area_after <= stats.area_before);
         assert_equiv(&golden, &aig);
@@ -170,7 +148,7 @@ mod tests {
     fn multiplier_under_contention() {
         let mut aig = arith::multiplier(8);
         let golden = aig.clone();
-        rewrite_lockstep(&mut aig, &cfg(4)).unwrap();
+        run_engine(&mut aig, Engine::Iccad18, &cfg(4)).unwrap();
         aig.check().unwrap();
         assert_equiv(&golden, &aig);
     }
@@ -185,7 +163,7 @@ mod tests {
             outputs: 12,
             seed: 77,
         });
-        let stats = rewrite_lockstep(&mut aig, &cfg(4)).unwrap();
+        let stats = run_engine(&mut aig, Engine::Iccad18, &cfg(4)).unwrap();
         assert!(stats.spec.commits > 0);
     }
 }

@@ -13,13 +13,14 @@
 //! finer-grained approach.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use dacpara_aig::{Aig, AigError, AigRead, Lit, NodeId, NodeKind};
 use dacpara_galois::parallel_for;
 use parking_lot::Mutex;
 
-use crate::{rewrite_serial, RewriteConfig, RewriteStats};
+use crate::eval::EvalContext;
+use crate::pass::Pass;
+use crate::{serial, RewriteConfig};
 
 /// One extracted region.
 struct Region {
@@ -32,211 +33,173 @@ struct Region {
     sub: Aig,
 }
 
-/// Runs partition-parallel rewriting over `2 × threads` regions.
+/// One partition run over `2 × threads` regions.
 ///
 /// # Errors
 ///
-/// Propagates any error from the per-region serial engine (a replacement
-/// that fails its certificate; the serial arena grows on demand).
-///
-/// # Example
-///
-/// ```
-/// use dacpara::{rewrite_partition, RewriteConfig};
-/// use dacpara_circuits::control;
-///
-/// let mut aig = control::voter(15);
-/// let stats = rewrite_partition(&mut aig, &RewriteConfig::rewrite_op().with_threads(2))?;
-/// assert!(stats.area_after <= stats.area_before);
-/// # Ok::<(), dacpara_aig::AigError>(())
-/// ```
-pub fn rewrite_partition(aig: &mut Aig, cfg: &RewriteConfig) -> Result<RewriteStats, AigError> {
-    rewrite_regions(aig, cfg, cfg.threads.max(1) * 2)
-}
-
-/// [`rewrite_partition`] over `parts` regions.
-fn rewrite_regions(
+/// Propagates the first error of the per-region serial runs (a
+/// replacement that fails its certificate; the serial arena grows on
+/// demand).
+pub(crate) fn run(
     aig: &mut Aig,
     cfg: &RewriteConfig,
+    ctx: &EvalContext,
+    pass: &Pass,
+) -> Result<(), AigError> {
+    regions(aig, cfg, ctx, pass, 2 * cfg.threads)
+}
+
+/// One claim → extract → optimize → stitch over `parts` regions.
+fn regions(
+    aig: &mut Aig,
+    cfg: &RewriteConfig,
+    ctx: &EvalContext,
+    pass: &Pass,
     parts: usize,
-) -> Result<RewriteStats, AigError> {
-    let start = Instant::now();
-    let mut stats = RewriteStats {
-        engine: "partition-fpga17".into(),
-        area_before: aig.num_ands(),
-        delay_before: aig.depth(),
-        ..Default::default()
-    };
+) -> Result<(), AigError> {
     aig.cleanup();
-    let parts = parts.max(1);
 
-    for _ in 0..cfg.runs.max(1) {
-        // ---- 1. Claim regions: output cones round-robin, first claim wins.
-        let slots = aig.slot_count();
-        let mut part_of: Vec<u32> = vec![u32::MAX; slots];
-        for (k, &po) in aig.outputs().iter().enumerate() {
-            let p = (k % parts) as u32;
-            let mut stack = vec![po.node()];
-            while let Some(n) = stack.pop() {
-                if aig.kind(n) != NodeKind::And || part_of[n.index()] != u32::MAX {
-                    continue;
-                }
-                part_of[n.index()] = p;
-                for l in aig.fanins(n) {
-                    stack.push(l.node());
-                }
-            }
-        }
-
-        // ---- 2. Extract each region into a private sub-AIG.
-        let topo = dacpara_aig::topo_ands(aig);
-        let mut regions: Vec<Option<Region>> = Vec::with_capacity(parts);
-        for p in 0..parts as u32 {
-            let nodes: Vec<NodeId> = topo
-                .iter()
-                .copied()
-                .filter(|n| part_of[n.index()] == p)
-                .collect();
-            if nodes.is_empty() {
-                regions.push(None);
+    // ---- 1. Claim regions: output cones round-robin, first claim wins.
+    let slots = aig.slot_count();
+    let mut part_of: Vec<u32> = vec![u32::MAX; slots];
+    for (k, &po) in aig.outputs().iter().enumerate() {
+        let p = (k % parts) as u32;
+        let mut stack = vec![po.node()];
+        while let Some(n) = stack.pop() {
+            if aig.kind(n) != NodeKind::And || part_of[n.index()] != u32::MAX {
                 continue;
             }
-            let in_region = |n: NodeId| aig.kind(n) == NodeKind::And && part_of[n.index()] == p;
-            // Imports: fanins outside the region (PIs or foreign nodes).
-            let mut imports: Vec<NodeId> = Vec::new();
-            for &n in &nodes {
-                for l in aig.fanins(n) {
-                    let v = l.node();
-                    if v != NodeId::CONST0 && !in_region(v) && !imports.contains(&v) {
-                        imports.push(v);
-                    }
-                }
+            part_of[n.index()] = p;
+            for l in aig.fanins(n) {
+                stack.push(l.node());
             }
-            imports.sort_unstable();
-            // Exports: region nodes used by foreign nodes or primary outputs.
-            let mut exports: Vec<NodeId> = nodes
-                .iter()
-                .copied()
-                .filter(|&n| {
-                    aig.fanouts(n).iter().any(|&f| !in_region(f))
-                        || aig.outputs().iter().any(|po| po.node() == n)
-                })
-                .collect();
-            exports.sort_unstable();
-
-            let mut sub = Aig::new();
-            let mut map: HashMap<NodeId, Lit> = HashMap::new();
-            for &i in &imports {
-                map.insert(i, sub.add_input());
-            }
-            for &n in &nodes {
-                let [a, b] = aig.fanins(n);
-                let la = resolve(&map, a);
-                let lb = resolve(&map, b);
-                map.insert(n, sub.add_and(la, lb));
-            }
-            for &e in &exports {
-                let l = map[&e];
-                sub.add_output(l);
-            }
-            regions.push(Some(Region {
-                imports,
-                exports,
-                sub,
-            }));
         }
-
-        // ---- 3. Optimize every region independently, in parallel.
-        let sub_cfg = RewriteConfig {
-            threads: 1,
-            runs: 1,
-            ..cfg.clone()
-        };
-        let slots_vec: Vec<Mutex<Option<Region>>> = regions.into_iter().map(Mutex::new).collect();
-        let replacements = Mutex::new(0u64);
-        let evaluations = Mutex::new(0u64);
-        let error: Mutex<Option<AigError>> = Mutex::new(None);
-        {
-            let (slots_ref, sub_cfg, replacements, evaluations, error) =
-                (&slots_vec, &sub_cfg, &replacements, &evaluations, &error);
-            let indices: Vec<usize> = (0..slots_ref.len()).collect();
-            parallel_for(cfg.threads, &indices, |_, &i| {
-                if error.lock().is_some() {
-                    return;
-                }
-                let mut guard = slots_ref[i].lock();
-                if let Some(region) = guard.as_mut() {
-                    match rewrite_serial(&mut region.sub, sub_cfg) {
-                        Ok(s) => {
-                            *replacements.lock() += s.replacements;
-                            *evaluations.lock() += s.evaluations;
-                        }
-                        Err(e) => *error.lock() = Some(e),
-                    }
-                }
-            });
-        }
-        if let Some(e) = error.lock().take() {
-            return Err(e);
-        }
-        stats.replacements += *replacements.lock();
-        stats.evaluations += *evaluations.lock();
-        let regions: Vec<Option<Region>> = slots_vec.into_iter().map(|m| m.into_inner()).collect();
-
-        // ---- 4. Stitch: realize every exported signal in a fresh graph.
-        let mut out = Aig::new();
-        let mut pi_map: HashMap<NodeId, Lit> = HashMap::new();
-        for &pi in aig.inputs() {
-            pi_map.insert(pi, out.add_input());
-        }
-        // Per-region memo of sub-node -> final literal.
-        let mut region_maps: Vec<HashMap<NodeId, Lit>> =
-            (0..parts).map(|_| HashMap::new()).collect();
-        let mut realized: HashMap<NodeId, Lit> = pi_map.clone();
-
-        // Resolve exported signals in global topological order: an export's
-        // sub-cone only references imports that are strictly below it in the
-        // original graph, so earlier topo entries are always ready.
-        for &n in &topo {
-            let p = part_of[n.index()];
-            if p == u32::MAX {
-                continue; // unreachable node (cleaned above, defensive)
-            }
-            let region = regions[p as usize].as_ref().expect("claimed region exists");
-            let Some(export_pos) = region.exports.iter().position(|&e| e == n) else {
-                continue; // interior node: realized implicitly if needed
-            };
-            // Instantiate the sub-cone of this export into `out`.
-            let sub = &region.sub;
-            let sub_po = sub.outputs()[export_pos];
-            let value = instantiate(
-                sub,
-                sub_po,
-                &region.imports,
-                &realized,
-                &mut region_maps[p as usize],
-                &mut out,
-            );
-            realized.insert(n, value);
-        }
-        for &po in aig.outputs() {
-            let l = if po.node() == NodeId::CONST0 {
-                Lit::FALSE
-            } else {
-                realized[&po.node()]
-            };
-            out.add_output(l.xor(po.is_complement()));
-        }
-        out.cleanup();
-        *aig = out;
     }
 
+    // ---- 2. Extract each region into a private sub-AIG.
+    let topo = dacpara_aig::topo_ands(aig);
+    let mut regions: Vec<Option<Region>> = Vec::with_capacity(parts);
+    for p in 0..parts as u32 {
+        let nodes: Vec<NodeId> = topo
+            .iter()
+            .copied()
+            .filter(|n| part_of[n.index()] == p)
+            .collect();
+        if nodes.is_empty() {
+            regions.push(None);
+            continue;
+        }
+        let in_region = |n: NodeId| aig.kind(n) == NodeKind::And && part_of[n.index()] == p;
+        // Imports: fanins outside the region (PIs or foreign nodes).
+        let mut imports: Vec<NodeId> = Vec::new();
+        for &n in &nodes {
+            for l in aig.fanins(n) {
+                let v = l.node();
+                if v != NodeId::CONST0 && !in_region(v) && !imports.contains(&v) {
+                    imports.push(v);
+                }
+            }
+        }
+        imports.sort_unstable();
+        // Exports: region nodes used by foreign nodes or primary outputs.
+        let mut exports: Vec<NodeId> = nodes
+            .iter()
+            .copied()
+            .filter(|&n| {
+                aig.fanouts(n).iter().any(|&f| !in_region(f))
+                    || aig.outputs().iter().any(|po| po.node() == n)
+            })
+            .collect();
+        exports.sort_unstable();
+
+        let mut sub = Aig::new();
+        let mut map: HashMap<NodeId, Lit> = HashMap::new();
+        for &i in &imports {
+            map.insert(i, sub.add_input());
+        }
+        for &n in &nodes {
+            let [a, b] = aig.fanins(n);
+            let la = resolve(&map, a);
+            let lb = resolve(&map, b);
+            map.insert(n, sub.add_and(la, lb));
+        }
+        for &e in &exports {
+            let l = map[&e];
+            sub.add_output(l);
+        }
+        regions.push(Some(Region {
+            imports,
+            exports,
+            sub,
+        }));
+    }
+
+    // ---- 3. Optimize every region independently, in parallel, each with
+    // one serial run into the pass's ledger.
+    let slots_vec: Vec<Mutex<Option<Region>>> = regions.into_iter().map(Mutex::new).collect();
+    let indices: Vec<usize> = (0..slots_vec.len()).collect();
+    parallel_for(cfg.threads, &indices, |_, &i| {
+        if pass.error.is_set() {
+            return;
+        }
+        if let Some(region) = slots_vec[i].lock().as_mut() {
+            if let Err(e) = serial::run(&mut region.sub, cfg, ctx, pass) {
+                pass.error.record(e);
+            }
+        }
+    });
+    if let Some(e) = pass.error.take() {
+        return Err(e);
+    }
+    let regions: Vec<Option<Region>> = slots_vec.into_iter().map(|m| m.into_inner()).collect();
+
+    // ---- 4. Stitch: realize every exported signal in a fresh graph.
+    let mut out = Aig::new();
+    let mut pi_map: HashMap<NodeId, Lit> = HashMap::new();
+    for &pi in aig.inputs() {
+        pi_map.insert(pi, out.add_input());
+    }
+    // Per-region memo of sub-node -> final literal.
+    let mut region_maps: Vec<HashMap<NodeId, Lit>> = (0..parts).map(|_| HashMap::new()).collect();
+    let mut realized: HashMap<NodeId, Lit> = pi_map.clone();
+
+    // Resolve exported signals in global topological order: an export's
+    // sub-cone only references imports that are strictly below it in the
+    // original graph, so earlier topo entries are always ready.
+    for &n in &topo {
+        let p = part_of[n.index()];
+        if p == u32::MAX {
+            continue; // unreachable node (cleaned above, defensive)
+        }
+        let region = regions[p as usize].as_ref().expect("claimed region exists");
+        let Some(export_pos) = region.exports.iter().position(|&e| e == n) else {
+            continue; // interior node: realized implicitly if needed
+        };
+        // Instantiate the sub-cone of this export into `out`.
+        let sub = &region.sub;
+        let sub_po = sub.outputs()[export_pos];
+        let value = instantiate(
+            sub,
+            sub_po,
+            &region.imports,
+            &realized,
+            &mut region_maps[p as usize],
+            &mut out,
+        );
+        realized.insert(n, value);
+    }
+    for &po in aig.outputs() {
+        let l = if po.node() == NodeId::CONST0 {
+            Lit::FALSE
+        } else {
+            realized[&po.node()]
+        };
+        out.add_output(l.xor(po.is_complement()));
+    }
+    out.cleanup();
+    *aig = out;
     aig.recompute_levels();
-    stats.area_after = aig.num_ands();
-    stats.delay_after = aig.depth();
-    stats.worklists = parts;
-    stats.time = start.elapsed();
-    Ok(stats)
+    Ok(())
 }
 
 fn resolve(map: &HashMap<NodeId, Lit>, l: Lit) -> Lit {
@@ -309,7 +272,9 @@ fn instantiate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pass::run_pass;
     use crate::testkit::assert_equiv;
+    use crate::{run_engine, Engine, RewriteStats};
     use dacpara_circuits::{arith, control, mtm, MtmParams};
 
     fn cfg() -> RewriteConfig {
@@ -320,14 +285,28 @@ mod tests {
         }
     }
 
+    /// One partition pass over `parts` regions.
+    fn rewrite_regions(aig: &mut Aig, parts: usize) -> RewriteStats {
+        let cfg = cfg();
+        let ctx = EvalContext::new(&cfg);
+        run_pass(
+            aig,
+            |aig| aig,
+            Engine::Partition,
+            &cfg,
+            |aig, pass| regions(aig, &cfg, &ctx, pass, parts),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn single_partition_matches_serial_behaviour() {
         let golden = control::voter(15);
         let mut partitioned = golden.clone();
-        rewrite_regions(&mut partitioned, &cfg(), 1).unwrap();
+        rewrite_regions(&mut partitioned, 1);
         partitioned.check().unwrap();
         let mut serial = golden.clone();
-        rewrite_serial(&mut serial, &cfg()).unwrap();
+        run_engine(&mut serial, Engine::AbcRewrite, &cfg()).unwrap();
         // One region = the whole graph; the extraction renumbers nodes, so
         // the greedy engine visits in a different order and the areas can
         // differ by a few percent — but must stay in the same ballpark.
@@ -344,7 +323,7 @@ mod tests {
         let golden = arith::multiplier(8);
         for parts in [2, 4, 8] {
             let mut aig = golden.clone();
-            let stats = rewrite_regions(&mut aig, &cfg(), parts).unwrap();
+            let stats = rewrite_regions(&mut aig, parts);
             aig.check().unwrap();
             assert!(stats.area_after <= stats.area_before, "{parts} parts");
             assert_equiv(&golden, &aig);
@@ -365,9 +344,9 @@ mod tests {
             seed: 21,
         });
         let mut serial = golden.clone();
-        let s = rewrite_serial(&mut serial, &cfg()).unwrap();
+        let s = run_engine(&mut serial, Engine::AbcRewrite, &cfg()).unwrap();
         let mut part = golden.clone();
-        let p = rewrite_regions(&mut part, &cfg(), 8).unwrap();
+        let p = rewrite_regions(&mut part, 8);
         let (pr, sr) = (p.area_reduction(), s.area_reduction());
         assert!(
             pr.abs_diff(sr) * 100 <= sr.max(1) * 15,
@@ -386,7 +365,7 @@ mod tests {
         aig.add_output(ab);
         aig.add_output(dacpara_aig::Lit::TRUE);
         let golden = aig.clone();
-        rewrite_regions(&mut aig, &cfg(), 3).unwrap();
+        rewrite_regions(&mut aig, 3);
         aig.check().unwrap();
         assert_equiv(&golden, &aig);
     }

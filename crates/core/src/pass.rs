@@ -1,11 +1,26 @@
-//! Uniform driver over the rewriting engines.
+//! One pass of an engine, and the uniform driver over the engines.
+//!
+//! [`run_pass`] is the one frame every pass runs in, whatever the engine:
+//! it validates the configuration, opens the engine's pass span, measures
+//! area and depth before and after, calls one *run* of the engine
+//! [`RewriteConfig::runs`] times, and builds the [`RewriteStats`] from the
+//! pass's one [`Pass`] ledger. An engine supplies only its single run:
+//!
+//! * serial (`serial::run`): one topological sweep, cleanup, level refresh;
+//! * static (`static_info::run`): one phase A plus phase B;
+//! * partition (`partition::run`): one claim → extract → optimize → stitch;
+//! * resident (`RewriteSession::resident_run`): one worklist → round →
+//!   sweep, redone after a recovery.
 
-use dacpara_aig::{Aig, AigError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::time::Instant;
 
-use crate::{
-    rewrite_dacpara, rewrite_lockstep, rewrite_partition, rewrite_serial, rewrite_static,
-    RewriteConfig, RewriteSession, RewriteStats, StaticMode,
-};
+use dacpara_aig::{Aig, AigError, AigRead};
+use dacpara_galois::{SpecStats, StealPool};
+
+use crate::eval::EvalContext;
+use crate::recovery::FirstError;
+use crate::{partition, serial, static_info, RewriteConfig, RewriteSession, RewriteStats};
 
 /// Which rewriting engine to run (one per comparison column of the paper).
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -46,6 +61,28 @@ impl Engine {
             Engine::Tcad23 => "tcad23-static",
             Engine::DacPara => "dacpara",
             Engine::Partition => "partition-fpga17",
+        }
+    }
+
+    /// The engine's configuration in the paper's comparisons, at one
+    /// thread: the GPU emulations ([`Engine::Dac22`], [`Engine::Tcad23`])
+    /// run the `drw` setup ([`RewriteConfig::drw_op`]), every other engine
+    /// the ABC `rewrite` operator setup ([`RewriteConfig::rewrite_op`]).
+    pub fn paper_config(self) -> RewriteConfig {
+        match self {
+            Engine::Dac22 | Engine::Tcad23 => RewriteConfig::drw_op(),
+            _ => RewriteConfig::rewrite_op(),
+        }
+    }
+
+    /// Name of the obs span around one pass of this engine.
+    fn span_name(self) -> &'static str {
+        match self {
+            Engine::AbcRewrite => "rewrite_serial",
+            Engine::Iccad18 => "rewrite_lockstep",
+            Engine::Dac22 | Engine::Tcad23 => "rewrite_static",
+            Engine::DacPara => "rewrite_dacpara",
+            Engine::Partition => "rewrite_partition",
         }
     }
 
@@ -101,9 +138,97 @@ impl std::str::FromStr for Engine {
     }
 }
 
-/// Runs one engine over the graph, in place. Every engine takes exactly
-/// `(aig, cfg)`: what an engine tunes lives in [`RewriteConfig`] or is
-/// derived from it (the partition engine uses `2 × threads` regions).
+/// What every run of a pass reports into: the speculation ledger
+/// (attempts, commits, aborts, and the lock conflicts
+/// [`dacpara_galois::LockTable::try_acquire`] records), the Galois
+/// engines' scheduler, the first-error slot, and the engines' counters.
+/// [`run_pass`] builds one per pass and reads [`RewriteStats`] off it, so
+/// its totals are the pass's totals.
+pub(crate) struct Pass {
+    pub(crate) spec: SpecStats,
+    pub(crate) pool: StealPool,
+    pub(crate) error: FirstError,
+    pub(crate) replacements: AtomicU64,
+    pub(crate) evaluations: AtomicU64,
+    pub(crate) stale_skipped: AtomicU64,
+    pub(crate) revalidated: AtomicU64,
+    pub(crate) clean_skipped: AtomicU64,
+    pub(crate) worklists: AtomicUsize,
+    pub(crate) recoveries: AtomicU64,
+    pub(crate) salvaged_commits: AtomicU64,
+}
+
+impl Pass {
+    pub(crate) fn new(threads: usize) -> Pass {
+        Pass {
+            spec: SpecStats::new(),
+            pool: StealPool::new(threads),
+            error: FirstError::default(),
+            replacements: AtomicU64::new(0),
+            evaluations: AtomicU64::new(0),
+            stale_skipped: AtomicU64::new(0),
+            revalidated: AtomicU64::new(0),
+            clean_skipped: AtomicU64::new(0),
+            worklists: AtomicUsize::new(0),
+            recoveries: AtomicU64::new(0),
+            salvaged_commits: AtomicU64::new(0),
+        }
+    }
+}
+
+/// One pass of `engine` over `state`, whose graph `graph` returns: `run`
+/// is one run of the engine, called [`RewriteConfig::runs`] times.
+///
+/// # Errors
+///
+/// Returns the [`crate::ConfigError`] (mapped through [`AigError`]) if `cfg`
+/// fails [`RewriteConfig::validate`], and the first error of a run.
+pub(crate) fn run_pass<S, G: AigRead>(
+    state: &mut S,
+    graph: fn(&S) -> &G,
+    engine: Engine,
+    cfg: &RewriteConfig,
+    mut run: impl FnMut(&mut S, &Pass) -> Result<(), AigError>,
+) -> Result<RewriteStats, AigError> {
+    cfg.validate()?;
+    let start = Instant::now();
+    let _pass_span = dacpara_obs::span!(engine.span_name(), threads = cfg.threads);
+    let (area_before, delay_before) = (graph(state).num_ands(), graph(state).depth());
+    let pass = Pass::new(cfg.threads);
+    for _ in 0..cfg.runs {
+        run(state, &pass)?;
+    }
+    let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+    let stats = RewriteStats {
+        engine: engine.name().into(),
+        area_before,
+        area_after: graph(state).num_ands(),
+        delay_before,
+        delay_after: graph(state).depth(),
+        replacements: load(&pass.replacements),
+        stale_skipped: load(&pass.stale_skipped),
+        revalidated: load(&pass.revalidated),
+        evaluations: load(&pass.evaluations),
+        clean_skipped: load(&pass.clean_skipped),
+        spec: pass.spec.snapshot(),
+        sched: pass.pool.stats().snapshot(),
+        worklists: pass.worklists.load(Ordering::Relaxed),
+        recoveries: load(&pass.recoveries),
+        salvaged_commits: load(&pass.salvaged_commits),
+        errors_observed: pass.error.superseded(),
+        time: start.elapsed(),
+    };
+    if dacpara_obs::is_enabled() {
+        dacpara_obs::counter("rewrite.evaluations").add(stats.evaluations);
+    }
+    Ok(stats)
+}
+
+/// Runs one engine pass over the graph, in place. Every engine takes
+/// exactly `(aig, cfg)`: what an engine tunes lives in [`RewriteConfig`] or
+/// is derived from it (the partition engine uses `2 × threads` regions).
+/// [`Engine::DacPara`] and [`Engine::Iccad18`] run on a one-pass
+/// [`RewriteSession`].
 ///
 /// # Errors
 ///
@@ -130,16 +255,29 @@ pub fn run_engine(
     engine: Engine,
     cfg: &RewriteConfig,
 ) -> Result<RewriteStats, AigError> {
-    cfg.validate()?;
     let _obs = dacpara_obs::span!("run_engine", engine = engine.name());
-    match engine {
-        Engine::AbcRewrite => rewrite_serial(aig, cfg),
-        Engine::Iccad18 => rewrite_lockstep(aig, cfg),
-        Engine::Dac22 => rewrite_static(aig, cfg, StaticMode::Conditional),
-        Engine::Tcad23 => rewrite_static(aig, cfg, StaticMode::Unconditional),
-        Engine::DacPara => rewrite_dacpara(aig, cfg),
-        Engine::Partition => rewrite_partition(aig, cfg),
-    }
+    type RunOnAig = fn(&mut Aig, &RewriteConfig, &EvalContext, &Pass) -> Result<(), AigError>;
+    let run: RunOnAig = match engine {
+        Engine::AbcRewrite => serial::run,
+        Engine::Dac22 | Engine::Tcad23 => static_info::run,
+        Engine::Partition => partition::run,
+        Engine::DacPara | Engine::Iccad18 => {
+            let mut session = RewriteSession::new(aig, cfg)?;
+            let stats = session.run(engine)?;
+            *aig = session.finish();
+            return Ok(stats);
+        }
+    };
+    let mut ctx = EvalContext::new(cfg);
+    // TCAD'23 evaluates sharing-blind (see `static_info`).
+    ctx.count_sharing = engine != Engine::Tcad23;
+    run_pass(
+        aig,
+        |aig| aig,
+        engine,
+        cfg,
+        |aig, pass| run(aig, cfg, &ctx, pass),
+    )
 }
 
 /// Runs `engine` repeatedly (up to `max_passes`) until a pass stops
@@ -211,8 +349,80 @@ pub fn optimize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dacpara_circuits::control;
+    use dacpara_aig::aiger;
+    use dacpara_circuits::{arithmetic_suite, control, mtm_suite, Scale};
     use dacpara_equiv::{check_equivalence, CecConfig, CecResult};
+
+    /// The counts a pass sums over its runs.
+    fn run_counts(stats: &[RewriteStats]) -> (u64, u64, u64) {
+        stats.iter().fold((0, 0, 0), |(r, e, s), st| {
+            (
+                r + st.replacements,
+                e + st.evaluations,
+                s + st.stale_skipped,
+            )
+        })
+    }
+
+    /// At one thread every engine is deterministic, so a pass of two runs
+    /// must equal two passes of one: the same graph and the same summed
+    /// counts. A resident engine's later runs see only the dirty set, so
+    /// its two passes share one session; the others' runs start afresh.
+    #[test]
+    fn a_run_is_the_unit_of_a_pass() {
+        let circuits: Vec<_> = arithmetic_suite(Scale::Test)
+            .into_iter()
+            .chain(mtm_suite(Scale::Test))
+            .filter(|b| ["voter_1xd", "log2_1xd", "sixteen"].contains(&b.name.as_str()))
+            .collect();
+        assert_eq!(circuits.len(), 3);
+        for bench in &circuits {
+            let configs = [
+                ("rewrite_op", RewriteConfig::rewrite_op()),
+                ("drw_op", RewriteConfig::drw_op()),
+            ];
+            for (cfg_name, base) in configs {
+                let one = RewriteConfig { runs: 1, ..base };
+                let two = RewriteConfig {
+                    runs: 2,
+                    ..one.clone()
+                };
+                for engine in Engine::ALL {
+                    let label = format!("{engine} on {} under {cfg_name}", bench.name);
+                    let mut joined = bench.aig.clone();
+                    let pass = run_engine(&mut joined, engine, &two).unwrap();
+                    assert_eq!(
+                        (pass.area_after, pass.delay_after),
+                        (joined.num_ands(), joined.depth()),
+                        "{label}: stats disagree with the output graph"
+                    );
+                    let mut split = bench.aig.clone();
+                    let halves = match engine {
+                        Engine::DacPara | Engine::Iccad18 => {
+                            let mut session = RewriteSession::new(&split, &one).unwrap();
+                            let halves = [session.run(engine), session.run(engine)];
+                            split = session.finish();
+                            halves
+                        }
+                        _ => [
+                            run_engine(&mut split, engine, &one),
+                            run_engine(&mut split, engine, &one),
+                        ],
+                    }
+                    .map(Result::unwrap);
+                    assert!(
+                        aiger::to_string(&joined) == aiger::to_string(&split),
+                        "{label}: two runs and two passes wrote different graphs"
+                    );
+                    assert_eq!(
+                        run_counts(&[pass]),
+                        run_counts(&halves),
+                        "{label}: (replacements, evaluations, stale_skipped)"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn every_engine_is_sound_on_the_same_input() {

@@ -7,96 +7,76 @@
 //! the algorithm of Mishchenko et al. (DAC'06) that all the parallel
 //! engines in this crate are measured against.
 
-use std::time::Instant;
+use std::sync::atomic::Ordering;
 
 use dacpara_aig::mffc::mffc_with_cut;
 use dacpara_aig::{Aig, AigError, AigRead};
 use dacpara_cut::CutStore;
 
 use crate::eval::{build_replacement, evaluate_node, EvalContext};
-use crate::{RewriteConfig, RewriteStats};
+use crate::pass::Pass;
+use crate::RewriteConfig;
 
-/// Runs the serial rewriting pass (possibly multiple runs, per
-/// [`RewriteConfig::runs`]) and reports statistics.
+/// One serial run: a topological sweep over every AND node, then cleanup
+/// and a level refresh. The partition engine calls it once per region.
 ///
 /// # Errors
 ///
 /// The serial arena grows on demand, so the only error is a replacement
 /// that fails its certificate ([`AigError::InvariantViolation`], see
 /// [`crate::build_replacement`]).
-///
-/// # Example
-///
-/// ```
-/// use dacpara::{rewrite_serial, RewriteConfig};
-/// use dacpara_circuits::arith;
-///
-/// let mut aig = arith::multiplier(6);
-/// let stats = rewrite_serial(&mut aig, &RewriteConfig::rewrite_op())?;
-/// assert!(stats.area_after <= stats.area_before);
-/// aig.check().expect("rewriting keeps the graph sound");
-/// # Ok::<(), dacpara_aig::AigError>(())
-/// ```
-pub fn rewrite_serial(aig: &mut Aig, cfg: &RewriteConfig) -> Result<RewriteStats, AigError> {
-    let start = Instant::now();
-    let _pass_span = dacpara_obs::span("rewrite_serial");
-    let ctx = EvalContext::new(cfg);
-    let mut stats = RewriteStats {
-        engine: "abc-rewrite".into(),
-        area_before: aig.num_ands(),
-        delay_before: aig.depth(),
-        ..Default::default()
-    };
-
-    for _ in 0..cfg.runs.max(1) {
-        let mut store = CutStore::new(aig.slot_count() + 64, cfg.cut_config());
-        let order = dacpara_aig::topo_ands(aig);
-        for n in order {
-            if !aig.is_and(n) || AigRead::refs(aig, n) == 0 {
-                continue; // deleted or dangling since the snapshot
-            }
-            store.grow(aig.slot_count());
-            let cuts = {
-                let _obs = dacpara_obs::span("enumerate");
-                store.cuts(aig, n)
-            };
-            let cand = {
-                let _obs = dacpara_obs::span("evaluate");
-                stats.evaluations += 1;
-                evaluate_node(aig, n, &cuts, &ctx)
-            };
-            let Some(cand) = cand else {
-                continue;
-            };
-            let _obs = dacpara_obs::span("replace");
-            // Invalidate enumeration results that the replacement makes
-            // stale: the would-be-deleted cone and the transitive fanout.
-            let freed = mffc_with_cut(aig, n, &cand.leaves);
-            for &f in &freed.freed {
-                store.invalidate(f);
-            }
-            store.invalidate_tfo(aig, n);
-            let root = build_replacement(aig, &cand, ctx.lib)?;
-            if root.node() != n {
-                aig.replace(n, root);
-                stats.replacements += 1;
-            }
-            store.grow(aig.slot_count());
+pub(crate) fn run(
+    aig: &mut Aig,
+    cfg: &RewriteConfig,
+    ctx: &EvalContext,
+    pass: &Pass,
+) -> Result<(), AigError> {
+    let (mut evaluations, mut replacements) = (0, 0);
+    let mut store = CutStore::new(aig.slot_count() + 64, cfg.cut_config());
+    for n in dacpara_aig::topo_ands(aig) {
+        if !aig.is_and(n) || AigRead::refs(aig, n) == 0 {
+            continue; // deleted or dangling since the snapshot
         }
-        aig.cleanup();
+        store.grow(aig.slot_count());
+        let cuts = {
+            let _obs = dacpara_obs::span("enumerate");
+            store.cuts(aig, n)
+        };
+        let cand = {
+            let _obs = dacpara_obs::span("evaluate");
+            evaluations += 1;
+            evaluate_node(aig, n, &cuts, ctx)
+        };
+        let Some(cand) = cand else {
+            continue;
+        };
+        let _obs = dacpara_obs::span("replace");
+        // Invalidate enumeration results that the replacement makes
+        // stale: the would-be-deleted cone and the transitive fanout.
+        let freed = mffc_with_cut(aig, n, &cand.leaves);
+        for &f in &freed.freed {
+            store.invalidate(f);
+        }
+        store.invalidate_tfo(aig, n);
+        let root = build_replacement(aig, &cand, ctx.lib)?;
+        if root.node() != n {
+            aig.replace(n, root);
+            replacements += 1;
+        }
+        store.grow(aig.slot_count());
     }
-
+    aig.cleanup();
     aig.recompute_levels();
-    stats.area_after = aig.num_ands();
-    stats.delay_after = aig.depth();
-    stats.time = start.elapsed();
-    Ok(stats)
+    pass.evaluations.fetch_add(evaluations, Ordering::Relaxed);
+    pass.replacements.fetch_add(replacements, Ordering::Relaxed);
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testkit::assert_equiv;
+    use crate::{run_engine, Engine};
     use dacpara_circuits::{arith, control, mtm, MtmParams};
 
     fn cfg() -> RewriteConfig {
@@ -110,7 +90,7 @@ mod tests {
     fn rewrites_a_multiplier_soundly() {
         let mut aig = arith::multiplier(6);
         let golden = aig.clone();
-        let stats = rewrite_serial(&mut aig, &cfg()).unwrap();
+        let stats = run_engine(&mut aig, Engine::AbcRewrite, &cfg()).unwrap();
         aig.check().unwrap();
         assert!(stats.area_after <= stats.area_before);
         assert_equiv(&golden, &aig);
@@ -120,7 +100,7 @@ mod tests {
     fn reduces_redundant_voter() {
         let mut aig = control::voter(15);
         let golden = aig.clone();
-        let stats = rewrite_serial(&mut aig, &cfg()).unwrap();
+        let stats = run_engine(&mut aig, Engine::AbcRewrite, &cfg()).unwrap();
         aig.check().unwrap();
         assert!(
             stats.area_reduction() > 0,
@@ -139,7 +119,7 @@ mod tests {
             seed: 3,
         });
         let golden = aig.clone();
-        let stats = rewrite_serial(&mut aig, &cfg()).unwrap();
+        let stats = run_engine(&mut aig, Engine::AbcRewrite, &cfg()).unwrap();
         aig.check().unwrap();
         assert!(
             stats.delay_after <= stats.delay_before,
@@ -152,9 +132,9 @@ mod tests {
     #[test]
     fn second_run_changes_little() {
         let mut aig = arith::adder(10);
-        rewrite_serial(&mut aig, &cfg()).unwrap();
+        run_engine(&mut aig, Engine::AbcRewrite, &cfg()).unwrap();
         let after_one = aig.num_ands();
-        let stats = rewrite_serial(&mut aig, &cfg()).unwrap();
+        let stats = run_engine(&mut aig, Engine::AbcRewrite, &cfg()).unwrap();
         assert!(
             stats.area_reduction() * 10 <= after_one,
             "rewriting should be near a fixpoint: {}",
@@ -168,7 +148,7 @@ mod tests {
         let golden = aig.clone();
         let mut c = cfg();
         c.use_zeros = true;
-        rewrite_serial(&mut aig, &c).unwrap();
+        run_engine(&mut aig, Engine::AbcRewrite, &c).unwrap();
         aig.check().unwrap();
         assert_equiv(&golden, &aig);
     }

@@ -32,18 +32,16 @@
 //! and [`Engine::Iccad18`] — run on a session; the other four run on a
 //! serial [`Aig`] through [`crate::run_engine`] or [`crate::optimize`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::sync::atomic::Ordering;
 
 use dacpara_aig::concurrent::ConcurrentAig;
 use dacpara_aig::{Aig, AigError, AigRead, NodeId};
 use dacpara_cut::CutStore;
-use dacpara_galois::{LockTable, SpecStats, StealPool};
+use dacpara_galois::LockTable;
 use dacpara_nst::MAX_STRUCTURE_GATES;
 
 use crate::eval::EvalContext;
-use crate::pass::Engine;
-use crate::recovery::FirstError;
+use crate::pass::{run_pass, Engine, Pass};
 use crate::{ConfigError, RewriteConfig, RewriteStats};
 
 /// Reusable state for incremental multi-pass rewriting.
@@ -85,6 +83,11 @@ pub struct RewriteSession {
 /// must eventually surface its [`AigError::WorkerPanicked`] instead of
 /// looping.
 const MAX_RECOVERIES: u64 = 8;
+
+/// One run of a resident engine's parallel work over a worklist:
+/// DACPara's level split and three stages, or ICCAD'18's single operator
+/// drive.
+type Round = fn(&RewriteSession, &Pass, Vec<NodeId>);
 
 /// Spare arena slots for a pass at `threads` workers: each worker's
 /// in-flight commit allocates at most [`MAX_STRUCTURE_GATES`] gates before
@@ -138,17 +141,24 @@ impl RewriteSession {
     /// fails its certificate (see [`crate::build_replacement`]) or the
     /// arena runs out of slots, which the sizing bound rules out.
     pub fn run(&mut self, engine: Engine) -> Result<RewriteStats, AigError> {
-        let stats = match engine {
-            Engine::DacPara => {
-                self.resident_pass("dacpara", "rewrite_dacpara", crate::dacpara_engine::round)?
-            }
-            Engine::Iccad18 => {
-                self.resident_pass("iccad18", "rewrite_lockstep", crate::lockstep::round)?
-            }
+        let round: Round = match engine {
+            Engine::DacPara => crate::dacpara_engine::round,
+            Engine::Iccad18 => crate::lockstep::round,
             Engine::AbcRewrite | Engine::Dac22 | Engine::Tcad23 | Engine::Partition => {
                 return Err(ConfigError::NotResident(engine).into())
             }
         };
+        let cfg = self.cfg.clone();
+        let stats = run_pass(
+            self,
+            |sess| &sess.shared,
+            engine,
+            &cfg,
+            |sess, pass| sess.resident_run(pass, round),
+        )?;
+        // A pass whose runs all found an empty worklist committed nothing
+        // and drained the dirty set, so it counts as converged too.
+        self.converged = stats.replacements == 0 && self.store.dirty_count() == 0;
         self.passes_run += 1;
         Ok(stats)
     }
@@ -177,85 +187,37 @@ impl RewriteSession {
         self.extract()
     }
 
-    /// One resident pass of a Galois engine: the first pass covers the
-    /// whole graph, later passes only the dirty set,
-    /// and an empty dirty set returns immediately — no enumeration, no
-    /// evaluation.
+    /// One resident run of a Galois engine: the first run covers the whole
+    /// graph, later runs only the dirty set, and an empty worklist returns
+    /// immediately — no enumeration, no evaluation.
     ///
-    /// `round` runs the engine's parallel work for one run over the
-    /// worklist (DACPara's level split and three stages, or ICCAD'18's
-    /// single operator drive), reporting into the pass's one [`Pass`]
-    /// ledger. Everything around it lives here: the `cfg.runs` loop, the
-    /// between-run canonicalize/sweep and level refresh, and the fault
-    /// path — when a round ends with an error, the team has already
-    /// drained cooperatively, and the first error goes to
-    /// [`RewriteSession::recover`]; if recovery succeeds, the same run is
-    /// redone over the whole salvaged graph, keeping committed rewrites.
-    pub(crate) fn resident_pass(
-        &mut self,
-        engine: &str,
-        span_name: &'static str,
-        mut round: impl FnMut(&RewriteSession, &Pass, Vec<NodeId>, &mut RewriteStats),
-    ) -> Result<RewriteStats, AigError> {
-        let start = Instant::now();
-        let _pass_span = dacpara_obs::span!(span_name, threads = self.cfg.threads);
-        let mut stats = RewriteStats {
-            engine: engine.into(),
-            area_before: self.shared.num_ands(),
-            delay_before: self.shared.depth(),
-            ..Default::default()
-        };
-        let pass = Pass::new(self.cfg.threads);
-        let mut worked = false;
-        // Replacements already credited to a previous salvage, so each
-        // recovery reports only the commits it newly carries over.
-        let mut salvage_mark = 0u64;
-
-        let mut run = 0;
-        while run < self.cfg.runs.max(1) {
+    /// `round` does the parallel work over the worklist, reporting into the
+    /// pass's [`Pass`] ledger; the between-run canonicalize/sweep and level
+    /// refresh follow it here. When a round ends with an error, the team
+    /// has already drained cooperatively, and the first error goes to
+    /// [`RewriteSession::recover`]; if recovery succeeds, the run is redone
+    /// over the whole salvaged graph, keeping committed rewrites.
+    fn resident_run(&mut self, pass: &Pass, round: Round) -> Result<(), AigError> {
+        loop {
             let (work, skipped) = self.take_worklist();
-            stats.clean_skipped += skipped;
+            pass.clean_skipped.fetch_add(skipped, Ordering::Relaxed);
             if work.is_empty() {
-                run += 1;
-                continue; // fixpoint: nothing enumerated, nothing evaluated
+                return Ok(()); // fixpoint: nothing enumerated, nothing evaluated
             }
-            worked = true;
-            round(self, &pass, work, &mut stats);
+            round(self, pass, work);
             debug_assert!(
                 !self.shared.is_read_only(),
                 "a round returned in the read-only phase"
             );
-            match pass.error.take() {
-                None => {
-                    self.canonicalize_and_sweep(true);
-                    self.shared.recompute_levels();
-                    run += 1;
-                }
-                Some(e) => {
-                    // `recover` propagates the error once the session's
-                    // recovery budget is spent.
-                    let committed = pass.replacements.load(Ordering::Relaxed);
-                    self.recover(e, &mut stats, committed - salvage_mark)?;
-                    salvage_mark = committed;
-                }
-            }
+            let Some(e) = pass.error.take() else {
+                self.canonicalize_and_sweep(true);
+                self.shared.recompute_levels();
+                return Ok(());
+            };
+            // `recover` propagates the error once the session's recovery
+            // budget is spent.
+            self.recover(e, pass)?;
         }
-
-        stats.area_after = self.shared.num_ands();
-        stats.delay_after = self.shared.depth();
-        stats.replacements = pass.replacements.load(Ordering::Relaxed);
-        stats.stale_skipped = pass.stale_skipped.load(Ordering::Relaxed);
-        stats.revalidated = pass.revalidated.load(Ordering::Relaxed);
-        stats.evaluations = pass.evaluations.load(Ordering::Relaxed);
-        stats.errors_observed = pass.error.superseded();
-        stats.spec = pass.spec.snapshot();
-        stats.sched = pass.pool.stats().snapshot();
-        stats.time = start.elapsed();
-        if dacpara_obs::is_enabled() {
-            dacpara_obs::counter("rewrite.evaluations").add(stats.evaluations);
-        }
-        self.converged = !worked || (stats.replacements == 0 && self.store.dirty_count() == 0);
-        Ok(stats)
     }
 
     /// Attempts in-pass recovery from a contained panic, salvaging every
@@ -276,14 +238,10 @@ impl RewriteSession {
     /// rewiring, and the sweep returns a panicked commit's dangling gates
     /// to the free list, so the arena's sizing bound still holds.
     ///
-    /// `newly_committed` is the number of replacements committed since the
-    /// last salvage point; it feeds [`RewriteStats::salvaged_commits`].
-    pub(crate) fn recover(
-        &mut self,
-        err: AigError,
-        stats: &mut RewriteStats,
-        newly_committed: u64,
-    ) -> Result<(), AigError> {
+    /// Every replacement the pass committed since its last salvage point
+    /// is salvaged; the ledger's [`RewriteStats::salvaged_commits`] total
+    /// is that point, since each salvage adds the commits up to it.
+    fn recover(&mut self, err: AigError, pass: &Pass) -> Result<(), AigError> {
         if !matches!(err, AigError::WorkerPanicked { .. }) || self.recoveries >= MAX_RECOVERIES {
             return Err(err);
         }
@@ -296,8 +254,9 @@ impl RewriteSession {
         self.shared.recompute_levels();
         self.fresh = true;
         self.recoveries += 1;
-        stats.recoveries += 1;
-        stats.salvaged_commits += newly_committed;
+        let committed = pass.replacements.load(Ordering::Relaxed);
+        let newly_committed = committed - pass.salvaged_commits.swap(committed, Ordering::Relaxed);
+        pass.recoveries.fetch_add(1, Ordering::Relaxed);
         if dacpara_obs::is_enabled() {
             dacpara_obs::counter("session.recoveries").incr();
             dacpara_obs::counter("session.salvaged_commits").add(newly_committed);
@@ -360,36 +319,6 @@ impl RewriteSession {
             } else {
                 self.store.invalidate(x);
             }
-        }
-    }
-}
-
-/// What one resident pass shares with its workers: the one speculation
-/// ledger (attempts, commits, aborts, and the lock conflicts
-/// [`LockTable::try_acquire`] records), the scheduler, the first-error
-/// slot, and the operators' counters. Built once per
-/// [`RewriteSession::resident_pass`] and reused by every run and redo, so
-/// its totals are the pass's totals.
-pub(crate) struct Pass {
-    pub(crate) spec: SpecStats,
-    pub(crate) pool: StealPool,
-    pub(crate) error: FirstError,
-    pub(crate) replacements: AtomicU64,
-    pub(crate) evaluations: AtomicU64,
-    pub(crate) stale_skipped: AtomicU64,
-    pub(crate) revalidated: AtomicU64,
-}
-
-impl Pass {
-    pub(crate) fn new(threads: usize) -> Pass {
-        Pass {
-            spec: SpecStats::new(),
-            pool: StealPool::new(threads),
-            error: FirstError::default(),
-            replacements: AtomicU64::new(0),
-            evaluations: AtomicU64::new(0),
-            stale_skipped: AtomicU64::new(0),
-            revalidated: AtomicU64::new(0),
         }
     }
 }

@@ -19,8 +19,9 @@ use dacpara_npn::Tt4;
 use dacpara_obs::LogHistogram;
 
 use crate::eval::{build_replacement, reevaluate_structure, Candidate};
+use crate::pass::Pass;
 use crate::recovery::contain_panic;
-use crate::session::{Pass, RewriteSession};
+use crate::session::RewriteSession;
 use crate::validity::{cut_cover, verify_cut};
 
 /// The cached `rewrite.replacement_gain` histogram handle.

@@ -15,7 +15,7 @@
 //! the algorithmic behaviour exactly (`DESIGN.md` §2). What the paper
 //! compares — *quality* under static information — is hardware-independent.
 
-use std::time::Instant;
+use std::sync::atomic::Ordering;
 
 use dacpara_aig::{Aig, AigError, AigRead};
 use dacpara_cut::CutStore;
@@ -23,115 +23,90 @@ use dacpara_galois::parallel_for;
 use parking_lot::Mutex;
 
 use crate::eval::{build_replacement, evaluate_node, Candidate, EvalContext};
+use crate::pass::Pass;
 use crate::validity::verify_cut;
-use crate::{RewriteConfig, RewriteStats};
+use crate::RewriteConfig;
 
-/// Which static-information method to emulate.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum StaticMode {
-    /// DAC'22: sharing-aware static evaluation, conditional replacement.
-    Conditional,
-    /// TCAD'23: sharing-blind static evaluation, replacement + merge.
-    Unconditional,
-}
-
-impl StaticMode {
-    fn engine_name(self) -> &'static str {
-        match self {
-            StaticMode::Conditional => "dac22-static",
-            StaticMode::Unconditional => "tcad23-static",
-        }
-    }
-}
-
-/// Runs the static-information rewriting emulation.
+/// One static-information run: phase A evaluates every node in parallel on
+/// the frozen graph, phase B replaces serially with the stored gains. The
+/// caller picks the method through `ctx.count_sharing`: `true` for DAC'22,
+/// `false` for TCAD'23.
 ///
 /// # Errors
 ///
 /// Returns [`AigError::InvariantViolation`] if a replacement fails its
 /// certificate (see [`crate::build_replacement`]).
-pub fn rewrite_static(
+pub(crate) fn run(
     aig: &mut Aig,
     cfg: &RewriteConfig,
-    mode: StaticMode,
-) -> Result<RewriteStats, AigError> {
-    let start = Instant::now();
-    let _pass_span = dacpara_obs::span!("rewrite_static", mode = mode);
-    let mut ctx = EvalContext::new(cfg);
-    ctx.count_sharing = mode == StaticMode::Conditional;
-    let mut stats = RewriteStats {
-        engine: mode.engine_name().into(),
-        area_before: aig.num_ands(),
-        delay_before: aig.depth(),
-        ..Default::default()
-    };
-
-    for _ in 0..cfg.runs.max(1) {
-        // ---- Phase A: parallel enumeration + evaluation on the static AIG.
-        let order = dacpara_aig::topo_ands(aig);
-        if order.is_empty() {
-            // A gateless netlist (constants/wires only) has nothing to
-            // enumerate, and further runs cannot create work.
-            break;
-        }
-        let store = CutStore::new(aig.slot_count(), cfg.cut_config());
-        let prep: Vec<Mutex<Option<Candidate>>> =
-            (0..aig.slot_count()).map(|_| Mutex::new(None)).collect();
-        {
-            let aig = &*aig;
-            parallel_for(cfg.threads, &order, |_, &n| {
-                if AigRead::refs(aig, n) == 0 {
-                    return;
-                }
-                let cuts = {
-                    let _obs = dacpara_obs::span("enumerate");
-                    store.cuts(aig, n)
-                };
-                let _obs = dacpara_obs::span("evaluate");
-                *prep[n.index()].lock() = evaluate_node(aig, n, &cuts, &ctx);
-            });
-        }
-
-        // ---- Phase B: serial (conditional) replacement using static gains.
-        let _obs = dacpara_obs::span("replace");
-        for n in order {
-            let Some(cand) = prep[n.index()].lock().take() else {
-                continue;
+    ctx: &EvalContext,
+    pass: &Pass,
+) -> Result<(), AigError> {
+    // ---- Phase A: parallel enumeration + evaluation on the static AIG.
+    let order = dacpara_aig::topo_ands(aig);
+    if order.is_empty() {
+        // A gateless netlist (constants/wires only) has nothing to
+        // enumerate.
+        return Ok(());
+    }
+    let store = CutStore::new(aig.slot_count(), cfg.cut_config());
+    let prep: Vec<Mutex<Option<Candidate>>> =
+        (0..aig.slot_count()).map(|_| Mutex::new(None)).collect();
+    {
+        let aig = &*aig;
+        parallel_for(cfg.threads, &order, |_, &n| {
+            if AigRead::refs(aig, n) == 0 {
+                return;
+            }
+            let cuts = {
+                let _obs = dacpara_obs::span("enumerate");
+                store.cuts(aig, n)
             };
-            // Condition: the node must still be in use, and its stored cut
-            // intact (leaves alive with unchanged generations) and still
-            // computing the function the structure was selected for —
-            // otherwise replacing would corrupt logic. Crucially, the *gain
-            // is not re-evaluated*: that is the static-information deficit
-            // the paper measures.
-            let live = aig.is_and(n)
-                && AigRead::refs(aig, n) > 0
-                && cand.leaves_intact(aig)
-                && matches!(verify_cut(aig, n, &cand.leaves), Some((_, tt)) if tt == cand.tt);
-            if !live {
-                stats.stale_skipped += 1;
-                continue;
-            }
-            let root = build_replacement(aig, &cand, ctx.lib)?;
-            if root.node() != n {
-                aig.replace(n, root);
-                stats.replacements += 1;
-            }
-        }
-        aig.cleanup();
+            let _obs = dacpara_obs::span("evaluate");
+            *prep[n.index()].lock() = evaluate_node(aig, n, &cuts, ctx);
+        });
     }
 
+    // ---- Phase B: serial (conditional) replacement using static gains.
+    let _obs = dacpara_obs::span("replace");
+    let (mut stale_skipped, mut replacements) = (0, 0);
+    for n in order {
+        let Some(cand) = prep[n.index()].lock().take() else {
+            continue;
+        };
+        // Condition: the node must still be in use, and its stored cut
+        // intact (leaves alive with unchanged generations) and still
+        // computing the function the structure was selected for —
+        // otherwise replacing would corrupt logic. Crucially, the *gain
+        // is not re-evaluated*: that is the static-information deficit
+        // the paper measures.
+        let live = aig.is_and(n)
+            && AigRead::refs(aig, n) > 0
+            && cand.leaves_intact(aig)
+            && matches!(verify_cut(aig, n, &cand.leaves), Some((_, tt)) if tt == cand.tt);
+        if !live {
+            stale_skipped += 1;
+            continue;
+        }
+        let root = build_replacement(aig, &cand, ctx.lib)?;
+        if root.node() != n {
+            aig.replace(n, root);
+            replacements += 1;
+        }
+    }
+    aig.cleanup();
     aig.recompute_levels();
-    stats.area_after = aig.num_ands();
-    stats.delay_after = aig.depth();
-    stats.time = start.elapsed();
-    Ok(stats)
+    pass.stale_skipped
+        .fetch_add(stale_skipped, Ordering::Relaxed);
+    pass.replacements.fetch_add(replacements, Ordering::Relaxed);
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testkit::assert_equiv;
+    use crate::{run_engine, Engine};
     use dacpara_circuits::{arith, control, mtm, MtmParams};
 
     fn cfg() -> RewriteConfig {
@@ -146,7 +121,7 @@ mod tests {
     fn conditional_mode_is_sound() {
         let mut aig = control::voter(15);
         let golden = aig.clone();
-        let stats = rewrite_static(&mut aig, &cfg(), StaticMode::Conditional).unwrap();
+        let stats = run_engine(&mut aig, Engine::Dac22, &cfg()).unwrap();
         aig.check().unwrap();
         assert!(stats.area_after <= stats.area_before);
         assert_equiv(&golden, &aig);
@@ -156,7 +131,7 @@ mod tests {
     fn unconditional_mode_is_sound() {
         let mut aig = arith::multiplier(6);
         let golden = aig.clone();
-        let stats = rewrite_static(&mut aig, &cfg(), StaticMode::Unconditional).unwrap();
+        let stats = run_engine(&mut aig, Engine::Tcad23, &cfg()).unwrap();
         aig.check().unwrap();
         let _ = stats;
         assert_equiv(&golden, &aig);
@@ -176,9 +151,9 @@ mod tests {
             })
         };
         let mut dynamic = gen();
-        let dyn_stats = crate::rewrite_serial(&mut dynamic, &cfg()).unwrap();
+        let dyn_stats = run_engine(&mut dynamic, Engine::AbcRewrite, &cfg()).unwrap();
         let mut static_ = gen();
-        let sta_stats = rewrite_static(&mut static_, &cfg(), StaticMode::Unconditional).unwrap();
+        let sta_stats = run_engine(&mut static_, Engine::Tcad23, &cfg()).unwrap();
         assert!(
             dyn_stats.area_after <= sta_stats.area_after,
             "dynamic {} vs static {}",
@@ -191,7 +166,7 @@ mod tests {
     fn stale_results_are_skipped_not_misapplied() {
         let mut aig = control::voter(9);
         let golden = aig.clone();
-        let stats = rewrite_static(&mut aig, &cfg(), StaticMode::Conditional).unwrap();
+        let stats = run_engine(&mut aig, Engine::Dac22, &cfg()).unwrap();
         // Overlapping cones make some stored results stale; they must be
         // counted, and equivalence must hold regardless.
         let _ = stats.stale_skipped;

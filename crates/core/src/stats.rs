@@ -1,4 +1,5 @@
-//! Per-pass statistics reported by every rewriting engine.
+//! Per-pass statistics reported by every rewriting engine, built once per
+//! pass by the pass frame (`pass::run_pass`).
 
 use std::time::Duration;
 
@@ -41,9 +42,8 @@ pub struct RewriteStats {
     /// Work-stealing scheduler counters (steals) of the Galois engines
     /// (`dacpara`, `iccad18`); all-zero on the others.
     pub sched: SchedSnapshot,
-    /// DACPara: number of non-empty level worklists processed, summed over
-    /// runs. FPGA'17 partition engine: number of regions. Zero on the
-    /// others.
+    /// Number of non-empty DACPara level worklists processed, summed over
+    /// runs; zero on the other engines.
     pub worklists: usize,
     /// In-pass fault recoveries: how many times the pass salvaged committed
     /// work after a contained worker panic and resumed instead of returning

@@ -21,15 +21,6 @@ pub const PARALLEL_ENGINES: [Engine; 5] = [
     Engine::Partition,
 ];
 
-/// The engine's paper configuration: the GPU emulations use the `drw`
-/// setup, everything else the ABC `rewrite` operator setup.
-pub fn base_cfg(engine: Engine) -> RewriteConfig {
-    match engine {
-        Engine::Dac22 | Engine::Tcad23 => RewriteConfig::drw_op(),
-        _ => RewriteConfig::rewrite_op(),
-    }
-}
-
 /// Engine-dependent envelope around the serial baseline, expressed as a
 /// fraction of the reduction the serial order achieved.
 ///
@@ -59,9 +50,9 @@ pub struct MatrixPoint {
 }
 
 impl MatrixPoint {
-    /// The paper configuration for this cell.
+    /// The paper configuration for this cell (see [`Engine::paper_config`]).
     pub fn cfg(&self) -> RewriteConfig {
-        base_cfg(self.engine).with_threads(self.threads)
+        self.engine.paper_config().with_threads(self.threads)
     }
 
     /// Stable human-readable label (used in failure reports and corpus

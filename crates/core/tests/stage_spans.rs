@@ -5,7 +5,7 @@
 //! Lives in its own integration-test file (= its own process) because it
 //! drives the process-global registry; keep it to a single `#[test]`.
 
-use dacpara::{rewrite_dacpara, RewriteConfig};
+use dacpara::{run_engine, Engine, RewriteConfig};
 use dacpara_circuits::arith;
 
 #[test]
@@ -20,7 +20,7 @@ fn every_worker_emits_one_span_per_stage_and_worklist() {
         threads,
         ..RewriteConfig::rewrite_op()
     };
-    let stats = rewrite_dacpara(&mut aig, &cfg).unwrap();
+    let stats = run_engine(&mut aig, Engine::DacPara, &cfg).unwrap();
     let trace = dacpara_obs::chrome_trace_to_string();
     dacpara_obs::disable();
 

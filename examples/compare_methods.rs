@@ -2,7 +2,7 @@
 //!
 //! Run with: `cargo run --release --example compare_methods [gates]`
 
-use dacpara::{run_engine, Engine, RewriteConfig};
+use dacpara::{run_engine, Engine};
 use dacpara_aig::AigRead;
 use dacpara_circuits::{mtm, MtmParams};
 use dacpara_equiv::{random_sim_check, SimOutcome};
@@ -30,11 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for engine in Engine::ALL {
-        let cfg = match engine {
-            Engine::AbcRewrite => RewriteConfig::rewrite_op(),
-            Engine::Dac22 | Engine::Tcad23 => RewriteConfig::drw_op().with_threads(2),
-            _ => RewriteConfig::rewrite_op().with_threads(2),
-        };
+        let cfg = engine.paper_config().with_threads(2);
         let mut aig = golden.clone();
         let stats = run_engine(&mut aig, engine, &cfg)?;
         let equiv = match random_sim_check(&golden, &aig, 16, 99) {

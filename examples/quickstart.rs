@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use dacpara::{rewrite_dacpara, RewriteConfig};
+use dacpara::{run_engine, Engine, RewriteConfig};
 use dacpara_aig::{Aig, AigRead};
 use dacpara_equiv::{check_equivalence, CecConfig, CecResult};
 
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Rewrite with DACPara (2 threads, ABC-`rewrite`-style configuration).
     let cfg = RewriteConfig::rewrite_op().with_threads(2);
-    let stats = rewrite_dacpara(&mut aig, &cfg)?;
+    let stats = run_engine(&mut aig, Engine::DacPara, &cfg)?;
     println!(
         "after:  {} AND gates, depth {} ({} replacements, {} level worklists)",
         stats.area_after, stats.delay_after, stats.replacements, stats.worklists

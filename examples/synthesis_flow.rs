@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example synthesis_flow`
 
-use dacpara::{rewrite_dacpara, rewrite_serial, RewriteConfig};
+use dacpara::{run_engine, Engine, RewriteConfig};
 use dacpara_aig::{aiger, AigRead};
 use dacpara_circuits::arith;
 use dacpara_equiv::{check_equivalence, CecConfig, CecResult};
@@ -21,12 +21,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Serial baseline (ABC `rewrite`).
     let mut serial = golden.clone();
-    let s = rewrite_serial(&mut serial, &RewriteConfig::rewrite_op())?;
+    let s = run_engine(
+        &mut serial,
+        Engine::AbcRewrite,
+        &RewriteConfig::rewrite_op(),
+    )?;
     println!("serial : {s}");
 
     // DACPara with two threads.
     let mut parallel = golden.clone();
-    let p = rewrite_dacpara(&mut parallel, &RewriteConfig::rewrite_op().with_threads(2))?;
+    let cfg = RewriteConfig::rewrite_op().with_threads(2);
+    let p = run_engine(&mut parallel, Engine::DacPara, &cfg)?;
     println!("dacpara: {p}");
 
     // Both must preserve the multiplier's function.

@@ -9,7 +9,7 @@
 //! may cost. A lock conflict does not reorder anything: the conflicted
 //! activity retries in place, which the injected-conflict test pins.
 
-use dacpara::testkit::{base_cfg, baseline_slack, PARALLEL_ENGINES};
+use dacpara::testkit::{baseline_slack, PARALLEL_ENGINES};
 use std::sync::{Mutex, MutexGuard};
 
 use dacpara::{run_engine, Engine, RewriteConfig, RewriteStats};
@@ -82,7 +82,7 @@ fn parallel_engines_track_the_serial_baseline_across_threads() {
             };
             for threads in [1, 2, 4] {
                 eprintln!("[diff] {} {engine} x{threads}", bench.name);
-                let cfg = base_cfg(engine).with_threads(threads);
+                let cfg = engine.paper_config().with_threads(threads);
                 let mut aig = bench.aig.clone();
                 run_engine(&mut aig, engine, &cfg)
                     .unwrap_or_else(|e| panic!("{engine} failed on {}: {e}", bench.name));
@@ -126,7 +126,7 @@ fn injected_conflicts_retry_in_place_at_one_thread() {
     let plan = dacpara_fault::FaultPlan::parse("lock.acquire=1/8*50", 0).expect("valid plan");
     for bench in &full_suite(Scale::Test) {
         for engine in [Engine::DacPara, Engine::Iccad18] {
-            let cfg = base_cfg(engine).with_threads(1);
+            let cfg = engine.paper_config().with_threads(1);
             let run = || {
                 let mut aig = bench.aig.clone();
                 let stats = run_engine(&mut aig, engine, &cfg)

@@ -28,11 +28,7 @@ fn all_engines_on_the_test_suite() {
     let suite = full_suite(Scale::Test);
     for bench in &suite {
         for engine in Engine::ALL {
-            let cfg = match engine {
-                Engine::AbcRewrite => RewriteConfig::rewrite_op(),
-                Engine::Dac22 | Engine::Tcad23 => RewriteConfig::drw_op().with_threads(2),
-                _ => RewriteConfig::rewrite_op().with_threads(2),
-            };
+            let cfg = engine.paper_config().with_threads(2);
             let mut aig = bench.aig.clone();
             let stats = run_engine(&mut aig, engine, &cfg)
                 .unwrap_or_else(|e| panic!("{engine} failed on {}: {e}", bench.name));
