@@ -52,6 +52,6 @@ pub use check::same_interface;
 pub use error::AigError;
 pub use lit::{Lit, NodeId};
 pub use node::NodeKind;
-pub use rebuild::{compact, RebuildPlan};
+pub use rebuild::RebuildPlan;
 pub use topo::{topo_ands, transitive_fanin, transitive_fanout_ids};
 pub use view::AigRead;

@@ -58,8 +58,7 @@ enum NodeEdit {
 /// A batch of structural edits applied while copying an AIG.
 ///
 /// Empty plans are useful too: [`RebuildPlan::apply`] with no edits is a
-/// compacting copy (dead slots dropped, ids densified, strashing re-run),
-/// exposed directly as [`compact`].
+/// compacting copy (dead slots dropped, ids densified, strashing re-run).
 #[derive(Clone, Debug, Default)]
 pub struct RebuildPlan {
     input_edits: HashMap<usize, InputEdit>,
@@ -235,14 +234,6 @@ impl RebuildPlan {
     }
 }
 
-/// Compacting copy: drops dead slots, densifies ids and re-runs strashing.
-/// Equivalent to applying an empty [`RebuildPlan`].
-pub fn compact<V: AigRead + ?Sized>(view: &V) -> Aig {
-    RebuildPlan::new()
-        .apply(view)
-        .expect("empty plan cannot fail")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,16 +249,6 @@ mod tests {
         aig.add_output(abc);
         aig.add_output(x);
         aig
-    }
-
-    #[test]
-    fn empty_plan_is_identity_copy() {
-        let aig = sample();
-        let out = compact(&aig);
-        assert_eq!(out.num_inputs(), aig.num_inputs());
-        assert_eq!(out.num_outputs(), aig.num_outputs());
-        assert_eq!(out.num_ands(), aig.num_ands());
-        out.check().unwrap();
     }
 
     #[test]

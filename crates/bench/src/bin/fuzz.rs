@@ -246,7 +246,6 @@ fn cmd_run(args: Vec<String>) -> Result<ExitCode, String> {
         oracle: OracleConfig {
             points: engine_matrix(&run.threads),
             fault: fault_plan,
-            ..OracleConfig::default()
         },
         mutate_every: run.mutate_every,
     };

@@ -55,18 +55,8 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("unknown scale {other:?}")),
                 };
             }
-            "--threads" => {
-                harness.threads = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--threads needs a number")?;
-            }
-            "--repeats" => {
-                harness.repeats = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--repeats needs a number")?;
-            }
+            "--threads" => harness.threads = parse_count("--threads", it.next())?,
+            "--repeats" => harness.repeats = parse_count("--repeats", it.next())?,
             "--out" => {
                 out = PathBuf::from(it.next().ok_or("--out needs a directory")?);
             }
@@ -82,6 +72,16 @@ fn parse_args() -> Result<Args, String> {
         harness,
         out,
     })
+}
+
+/// Parses the value of a count flag; zero is rejected, since neither zero
+/// threads nor zero timed repeats can produce a measurement.
+fn parse_count(flag: &str, value: Option<String>) -> Result<usize, String> {
+    match value.and_then(|s| s.parse().ok()) {
+        Some(0) => Err(format!("{flag} must be at least 1")),
+        Some(n) => Ok(n),
+        None => Err(format!("{flag} needs a number")),
+    }
 }
 
 fn run_exhibit(name: &str, harness: &Harness) -> Exhibit {

@@ -520,7 +520,6 @@ mod tests {
             threads: 2,
             repeats: 1,
             check: false,
-            sat_limit: 0,
         }
     }
 
@@ -536,7 +535,6 @@ mod tests {
     fn fig3_counts_validity_outcomes() {
         let mut h = tiny();
         h.check = true;
-        h.sat_limit = 3_000;
         let e = fig3(&h);
         assert!(!e.runs.is_empty());
         assert!(e.runs.iter().all(|r| r.equivalent != Some(false)));

@@ -3,9 +3,9 @@
 use std::time::Instant;
 
 use dacpara::{run_engine, Engine, RewriteConfig};
-use dacpara_aig::{Aig, AigRead};
+use dacpara_aig::Aig;
 use dacpara_circuits::{Benchmark, Scale};
-use dacpara_equiv::{check_equivalence, random_sim_check, CecConfig, CecResult, SimOutcome};
+use dacpara_equiv::{check_equivalence, CecConfig, CecResult};
 use dacpara_obs::json::{Json, ToJson};
 
 /// One engine × benchmark measurement.
@@ -74,12 +74,19 @@ pub struct Harness {
     pub threads: usize,
     /// Timing repeats (the paper averages 5 executions).
     pub repeats: usize,
-    /// Check functional equivalence after each run.
+    /// Check functional equivalence after each run (under [`HARNESS_CEC`]).
     pub check: bool,
-    /// Maximum AND count for which the SAT stage of the equivalence check
-    /// is attempted (above it, random simulation only).
-    pub sat_limit: usize,
 }
+
+/// The harness's equivalence check: a 50k-conflict SAT proof for pairs of
+/// at most 2,000 ANDs together, random simulation alone above. Only a
+/// counterexample fails a run; `Undecided` counts as equivalent.
+pub const HARNESS_CEC: CecConfig = CecConfig {
+    sim_rounds: 32,
+    sat_node_limit: 2_001,
+    max_conflicts: 50_000,
+    seed: 0xDAC,
+};
 
 impl Default for Harness {
     fn default() -> Self {
@@ -88,7 +95,6 @@ impl Default for Harness {
             threads: 4,
             repeats: 1,
             check: true,
-            sat_limit: 2_000,
         }
     }
 }
@@ -99,7 +105,7 @@ impl Harness {
     ///
     /// # Panics
     ///
-    /// Panics if the engine reports an arena-capacity error (a
+    /// Panics if `repeats` is zero, if the engine reports an error (a
     /// configuration problem worth failing loudly on) or if the equivalence
     /// check *disproves* equivalence — a rewriting bug must never be
     /// silently recorded as a data point.
@@ -108,7 +114,7 @@ impl Harness {
         let mut last_stats = None;
         let mut last_aig: Option<Aig> = None;
         let mut total = 0.0f64;
-        for _ in 0..self.repeats.max(1) {
+        for _ in 0..self.repeats {
             let mut aig = bench.aig.clone();
             let t0 = Instant::now();
             let stats = run_engine(&mut aig, engine, cfg)
@@ -121,7 +127,12 @@ impl Harness {
         let rewritten = last_aig.expect("at least one repeat");
 
         let equivalent = if self.check {
-            Some(self.check_equivalence(&bench.aig, &rewritten, &bench.name, engine))
+            if let CecResult::Inequivalent(_) =
+                check_equivalence(&bench.aig, &rewritten, &HARNESS_CEC)
+            {
+                panic!("{engine} produced a non-equivalent {}", bench.name);
+            }
+            Some(true)
         } else {
             None
         };
@@ -129,7 +140,7 @@ impl Harness {
         BenchRun {
             benchmark: bench.name.clone(),
             engine: engine.name().to_string(),
-            time_s: total / self.repeats.max(1) as f64,
+            time_s: total / self.repeats as f64,
             area_before: stats.area_before,
             area_after: stats.area_after,
             area_reduction: stats.area_reduction(),
@@ -142,31 +153,6 @@ impl Harness {
             aborts: stats.spec.aborts,
             wasted_fraction: stats.spec.wasted_fraction(),
             equivalent,
-        }
-    }
-
-    fn check_equivalence(&self, golden: &Aig, rewritten: &Aig, name: &str, engine: Engine) -> bool {
-        if golden.num_ands() + rewritten.num_ands() <= self.sat_limit {
-            // Bounded SAT: a counterexample is definitive; Undecided falls
-            // back on the (already passed) random simulation.
-            let cec = CecConfig {
-                max_conflicts: 50_000,
-                ..CecConfig::default()
-            };
-            match check_equivalence(golden, rewritten, &cec) {
-                CecResult::Equivalent => true,
-                CecResult::Undecided => true, // budget ran out; sim passed
-                CecResult::Inequivalent(_) => {
-                    panic!("{engine} produced a non-equivalent {name}")
-                }
-            }
-        } else {
-            match random_sim_check(golden, rewritten, 32, 0xDAC) {
-                SimOutcome::NoDifferenceFound => true,
-                SimOutcome::Counterexample(_) => {
-                    panic!("{engine} produced a non-equivalent {name}")
-                }
-            }
         }
     }
 }
@@ -183,7 +169,6 @@ mod tests {
             threads: 2,
             repeats: 1,
             check: true,
-            sat_limit: 4_000,
         };
         let suite = mtm_suite(Scale::Test);
         let cfg = RewriteConfig::rewrite_op().with_threads(2);

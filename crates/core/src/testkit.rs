@@ -1,4 +1,5 @@
-//! Shared engine-matrix driver for differential test suites and the fuzzer.
+//! Shared engine-matrix driver and equivalence policies for differential
+//! test suites and the fuzzer.
 //!
 //! The differential suite (`tests/engines_differential.rs`), the recovery
 //! suite and the `dacpara-fuzz` oracle all sweep the same space: every
@@ -6,11 +7,39 @@
 //! for area against a serial baseline. This module is the single home for
 //! that sweep so the fuzzer exercises exactly the configurations the test
 //! suites pin down — a divergence found by one is replayable by the other.
+//!
+//! It is also the home of the test-side equivalence policies: each is one
+//! named [`CecConfig`] plus one reading of [`CecResult::Undecided`].
+//!
+//! | policy | config | `Undecided` |
+//! |---|---|---|
+//! | fuzz oracle ([`run_matrix_point`]) | [`FUZZ_CEC`] | passes |
+//! | differential suites ([`assert_suite_equiv`]) | [`SUITE_CEC`] | fails below the SAT cap |
+//! | engine unit tests ([`assert_equiv`]) | 100k conflicts, no cap | passes |
 
 use dacpara_aig::{Aig, AigRead};
-use dacpara_equiv::{check_equivalence_budgeted, CecBudget, CecResult};
+use dacpara_equiv::{check_equivalence, CecConfig, CecResult};
 
 use crate::{run_engine, Engine, RewriteConfig};
+
+/// The fuzz oracle's check: SAT below 4,000 ANDs on a 200k-conflict
+/// budget, and more simulation rounds than the default, since refutation is
+/// the common case worth being fast at.
+pub const FUZZ_CEC: CecConfig = CecConfig {
+    sim_rounds: 32,
+    sat_node_limit: 4_000,
+    max_conflicts: 200_000,
+    seed: 0xDAC_2024,
+};
+
+/// The differential suites' check: a full 2M-conflict proof below 4,000
+/// ANDs, 24 rounds of simulation alone above.
+pub const SUITE_CEC: CecConfig = CecConfig {
+    sim_rounds: 24,
+    sat_node_limit: 4_000,
+    max_conflicts: 2_000_000,
+    seed: 0xEDA,
+};
 
 /// The five parallel engines (everything except the serial baseline).
 pub const PARALLEL_ENGINES: [Engine; 5] = [
@@ -110,10 +139,10 @@ impl MatrixVerdict {
 /// Runs one matrix cell on a copy of `golden` and returns the verdict:
 /// engine error, invariant violation, inequivalence, or pass.
 ///
-/// Equivalence uses [`check_equivalence_budgeted`], so very large pairs are
-/// only sim-checked; `Undecided` counts as a pass (the suites' long-standing
-/// policy — refutation is the oracle's job, proofs are best-effort).
-pub fn run_matrix_point(golden: &Aig, point: &MatrixPoint, budget: &CecBudget) -> MatrixVerdict {
+/// Equivalence is checked under [`FUZZ_CEC`], so large pairs are only
+/// sim-checked; `Undecided` counts as a pass (refutation is the oracle's
+/// job, proofs are best-effort).
+pub fn run_matrix_point(golden: &Aig, point: &MatrixPoint) -> MatrixVerdict {
     let cfg = point.cfg();
     let mut aig = golden.clone();
     if let Err(e) = run_engine(&mut aig, point.engine, &cfg) {
@@ -122,7 +151,7 @@ pub fn run_matrix_point(golden: &Aig, point: &MatrixPoint, budget: &CecBudget) -
     if let Err(e) = aig.check() {
         return MatrixVerdict::InvariantViolation(e.to_string());
     }
-    match check_equivalence_budgeted(golden, &aig, budget) {
+    match check_equivalence(golden, &aig, &FUZZ_CEC) {
         CecResult::Equivalent | CecResult::Undecided => MatrixVerdict::Pass {
             area_after: aig.num_ands(),
         },
@@ -132,17 +161,37 @@ pub fn run_matrix_point(golden: &Aig, point: &MatrixPoint, budget: &CecBudget) -
     }
 }
 
-/// The engines' unit-test equivalence check: a counterexample always
-/// fails; an exhausted SAT budget falls back on the (passing) simulation
-/// check.
-#[cfg(test)]
-pub(crate) fn assert_equiv(before: &Aig, after: &Aig) {
-    let cfg = dacpara_equiv::CecConfig {
+/// The differential suites' strict check under [`SUITE_CEC`]: below the SAT
+/// cap the pair must be proven equivalent, above it simulation must find no
+/// difference.
+///
+/// # Panics
+///
+/// Panics, naming `label`, on a counterexample, or on `Undecided` for a
+/// pair small enough to prove.
+pub fn assert_suite_equiv(golden: &Aig, rewritten: &Aig, label: &str) {
+    match check_equivalence(golden, rewritten, &SUITE_CEC) {
+        CecResult::Equivalent => {}
+        CecResult::Undecided if !SUITE_CEC.attempts_proof(golden, rewritten) => {}
+        other => panic!("{label}: expected equivalence, got {other:?}"),
+    }
+}
+
+/// The engines' quick equivalence check: SAT on a 100k-conflict budget. A
+/// counterexample always fails; an exhausted budget falls back on the
+/// (passing) simulation.
+///
+/// # Panics
+///
+/// Panics if the check finds a counterexample.
+pub fn assert_equiv(before: &Aig, after: &Aig) {
+    const QUICK: CecConfig = CecConfig {
         sim_rounds: 32,
+        sat_node_limit: usize::MAX,
         max_conflicts: 100_000,
         seed: 0xDAC,
     };
-    if let CecResult::Inequivalent(_) = dacpara_equiv::check_equivalence(before, after, &cfg) {
+    if let CecResult::Inequivalent(_) = check_equivalence(before, after, &QUICK) {
         panic!("rewriting broke equivalence");
     }
 }
@@ -150,6 +199,7 @@ pub(crate) fn assert_equiv(before: &Aig, after: &Aig) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dacpara_aig::RebuildPlan;
     use dacpara_circuits::arith;
 
     #[test]
@@ -168,12 +218,31 @@ mod tests {
             engine: Engine::DacPara,
             threads: 2,
         };
-        match run_matrix_point(&golden, &point, &CecBudget::default()) {
+        match run_matrix_point(&golden, &point) {
             MatrixVerdict::Pass { area_after } => {
                 assert!(area_after <= golden.num_ands());
             }
             other => panic!("expected a pass, got {other:?}"),
         }
         assert_eq!(point.label(), "dacpara/x2");
+    }
+
+    #[test]
+    #[should_panic(expected = "expected equivalence")]
+    fn suite_assertion_refutes_below_the_sat_cap() {
+        let golden = arith::adder(4);
+        let broken = RebuildPlan::new().flip_output(1).apply(&golden).unwrap();
+        assert!(SUITE_CEC.attempts_proof(&golden, &broken));
+        assert_suite_equiv(&golden, &broken, "flipped adder");
+    }
+
+    #[test]
+    #[should_panic(expected = "expected equivalence")]
+    fn suite_assertion_refutes_above_the_sat_cap() {
+        let golden = arith::multiplier(32);
+        assert!(golden.num_ands() > SUITE_CEC.sat_node_limit);
+        let broken = RebuildPlan::new().flip_output(7).apply(&golden).unwrap();
+        assert!(!SUITE_CEC.attempts_proof(&golden, &broken));
+        assert_suite_equiv(&golden, &broken, "flipped multiplier");
     }
 }

@@ -3,10 +3,10 @@
 //! must land on the same final graph quality as rebuilding every pass from
 //! scratch, and must stay CEC-equivalent to the input.
 
+use dacpara::testkit::assert_equiv;
 use dacpara::{optimize, run_engine, Engine, RewriteConfig, RewriteSession};
 use dacpara_aig::{Aig, AigRead};
 use dacpara_circuits::{arith, control};
-use dacpara_equiv::{check_equivalence, CecConfig, CecResult};
 
 const MAX_PASSES: usize = 8;
 
@@ -16,18 +16,6 @@ fn cfg() -> RewriteConfig {
     RewriteConfig {
         num_classes: 222,
         ..RewriteConfig::rewrite_op()
-    }
-}
-
-fn assert_equiv(golden: &Aig, aig: &Aig) {
-    let cec = CecConfig {
-        sim_rounds: 32,
-        max_conflicts: 100_000,
-        seed: 0xDAC,
-    };
-    match check_equivalence(golden, aig, &cec) {
-        CecResult::Equivalent | CecResult::Undecided => {}
-        CecResult::Inequivalent(_) => panic!("session passes broke equivalence"),
     }
 }
 

@@ -3,7 +3,7 @@
 use dacpara_aig::{Aig, AigRead, Lit};
 
 use crate::cnf::{assert_lit, model_inputs, CnfMap};
-use crate::sim::{random_sim_check, simulate_bools, SimOutcome};
+use crate::sim::{random_sim_check, simulate_bools};
 use crate::{SatResult, Solver};
 
 /// Builds the miter of two same-interface graphs: shared fresh inputs, one
@@ -62,30 +62,52 @@ where
 /// Verdict of a combinational equivalence check.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CecResult {
-    /// Proven equivalent (SAT proof).
+    /// Proven equivalent (SAT proof, or the miter strashed to constant
+    /// false).
     Equivalent,
     /// Proven different, with a differing input assignment.
     Inequivalent(Vec<bool>),
-    /// The SAT budget ran out before a proof; random simulation found no
-    /// difference.
+    /// Random simulation found no difference, but no proof was made: the
+    /// pair was at or above [`CecConfig::sat_node_limit`], or the SAT
+    /// conflict budget ran out.
     Undecided,
 }
 
-/// Configuration of [`check_equivalence`].
+/// Configuration of [`check_equivalence`]: how much simulation runs, and
+/// when and how hard SAT tries to prove what simulation could not refute.
 #[derive(Copy, Clone, Debug)]
 pub struct CecConfig {
-    /// Rounds of 64-pattern random simulation run before SAT.
+    /// Rounds of 64-pattern random simulation, always run first.
     pub sim_rounds: usize,
-    /// Conflict budget for the SAT proof (`0` = skip SAT entirely).
+    /// SAT runs only when `a.num_ands() + b.num_ands()` is below this;
+    /// larger pairs, and every pair at `0`, are checked by simulation alone
+    /// and come back [`CecResult::Undecided`] unless refuted. The default,
+    /// `usize::MAX`, never skips SAT.
+    pub sat_node_limit: usize,
+    /// Conflict budget for the SAT proof.
     pub max_conflicts: u64,
     /// Seed for the simulation patterns.
     pub seed: u64,
+}
+
+impl CecConfig {
+    /// Whether a check of `a` against `b` under this config attempts a SAT
+    /// proof: their AND counts together are below
+    /// [`sat_node_limit`](Self::sat_node_limit).
+    pub fn attempts_proof<A, B>(&self, a: &A, b: &B) -> bool
+    where
+        A: AigRead + ?Sized,
+        B: AigRead + ?Sized,
+    {
+        a.num_ands() + b.num_ands() < self.sat_node_limit
+    }
 }
 
 impl Default for CecConfig {
     fn default() -> Self {
         CecConfig {
             sim_rounds: 16,
+            sat_node_limit: usize::MAX,
             max_conflicts: 2_000_000,
             seed: 0xDAC_2024,
         }
@@ -93,7 +115,12 @@ impl Default for CecConfig {
 }
 
 /// Checks combinational equivalence: random simulation first (cheap
-/// refutation), then a SAT proof on the miter.
+/// refutation), then, for pairs below [`CecConfig::sat_node_limit`], a
+/// SAT proof on the miter.
+///
+/// # Panics
+///
+/// Panics if the interfaces differ.
 ///
 /// # Example
 ///
@@ -123,7 +150,7 @@ where
     A: AigRead + ?Sized,
     B: AigRead + ?Sized,
 {
-    if let SimOutcome::Counterexample(cex) = random_sim_check(a, b, cfg.sim_rounds, cfg.seed) {
+    if let Some(cex) = random_sim_check(a, b, cfg.sim_rounds, cfg.seed) {
         return CecResult::Inequivalent(cex);
     }
     let m = miter(a, b);
@@ -136,7 +163,7 @@ where
         // The miter is constantly one — find any input assignment.
         return CecResult::Inequivalent(vec![false; m.num_inputs()]);
     }
-    if cfg.max_conflicts == 0 {
+    if !cfg.attempts_proof(a, b) {
         return CecResult::Undecided;
     }
     let mut solver = Solver::new();
@@ -153,72 +180,10 @@ where
     }
 }
 
-/// Size-aware budget for [`check_equivalence_budgeted`].
-///
-/// Differential test suites and the fuzzing oracle share one policy: small
-/// miters get a full SAT proof, large ones fall back to random simulation
-/// (returning [`CecResult::Undecided`] instead of burning an unbounded
-/// conflict budget). This struct makes that policy a single tunable value
-/// instead of a constant copied across suites.
-#[derive(Copy, Clone, Debug)]
-pub struct CecBudget {
-    /// SAT is attempted only when `a.num_ands() + b.num_ands()` is below
-    /// this; larger pairs are checked by simulation alone.
-    pub sat_node_limit: usize,
-    /// Conflict budget handed to the SAT solver when it runs.
-    pub max_conflicts: u64,
-    /// Rounds of 64-pattern random simulation (always run).
-    pub sim_rounds: usize,
-    /// Seed for the simulation patterns.
-    pub seed: u64,
-}
-
-impl Default for CecBudget {
-    fn default() -> Self {
-        CecBudget {
-            sat_node_limit: 4_000,
-            max_conflicts: 2_000_000,
-            sim_rounds: 16,
-            seed: 0xDAC_2024,
-        }
-    }
-}
-
-impl CecBudget {
-    /// A budget tuned for high-volume fuzzing: fewer conflicts, more
-    /// simulation rounds (refutation is the common case worth being fast at).
-    pub fn fuzzing() -> Self {
-        CecBudget {
-            sat_node_limit: 4_000,
-            max_conflicts: 200_000,
-            sim_rounds: 32,
-            seed: 0xDAC_2024,
-        }
-    }
-}
-
-/// Budgeted equivalence check: the classic flow of [`check_equivalence`],
-/// but the SAT stage is skipped entirely for pairs whose combined AND count
-/// exceeds [`CecBudget::sat_node_limit`] (random simulation still runs, so
-/// inequivalence can always be refuted; only the *proof* of equivalence is
-/// given up, yielding [`CecResult::Undecided`]).
-pub fn check_equivalence_budgeted<A, B>(a: &A, b: &B, budget: &CecBudget) -> CecResult
-where
-    A: AigRead + ?Sized,
-    B: AigRead + ?Sized,
-{
-    let sat_ok = a.num_ands() + b.num_ands() < budget.sat_node_limit;
-    let cfg = CecConfig {
-        sim_rounds: budget.sim_rounds,
-        max_conflicts: if sat_ok { budget.max_conflicts } else { 0 },
-        seed: budget.seed,
-    };
-    check_equivalence(a, b, &cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dacpara_aig::RebuildPlan;
 
     fn adder_pair() -> (Aig, Aig) {
         // 3-bit ripple adders built two different ways.
@@ -259,27 +224,7 @@ mod tests {
     #[test]
     fn broken_adder_is_caught() {
         let (a, b) = adder_pair();
-        // Sabotage: complement one output of b.
-        let po = b.outputs()[1];
-        let outs: Vec<Lit> = b.outputs().to_vec();
-        let mut c = Aig::new();
-        let ins: Vec<Lit> = (0..b.num_inputs()).map(|_| c.add_input()).collect();
-        // Rebuild b with the sabotage via miter-style copy.
-        let mut map = vec![Lit::FALSE; b.slot_count()];
-        for (k, &i) in b.inputs().iter().enumerate() {
-            map[i.index()] = ins[k];
-        }
-        for n in dacpara_aig::topo_ands(&b) {
-            let [fa, fb] = b.fanins(n);
-            let la = map[fa.node().index()].xor(fa.is_complement());
-            let lb = map[fb.node().index()].xor(fb.is_complement());
-            map[n.index()] = c.add_and(la, lb);
-        }
-        for (k, o) in outs.iter().enumerate() {
-            let l = map[o.node().index()].xor(o.is_complement());
-            c.add_output(if k == 1 { !l } else { l });
-        }
-        let _ = po;
+        let c = RebuildPlan::new().flip_output(1).apply(&b).unwrap();
         match check_equivalence(&a, &c, &CecConfig::default()) {
             CecResult::Inequivalent(cex) => {
                 let oa = crate::simulate_bools(&a, &cex);
@@ -298,49 +243,33 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_proves_small_pairs_and_defers_large_ones() {
+    fn sat_runs_only_below_the_node_limit() {
         let (a, b) = adder_pair();
-        assert_eq!(
-            check_equivalence_budgeted(&a, &b, &CecBudget::default()),
-            CecResult::Equivalent
-        );
-        // Same pair under a zero node limit: only simulation runs.
-        let tiny = CecBudget {
-            sat_node_limit: 0,
-            ..CecBudget::default()
+        let size = a.num_ands() + b.num_ands();
+        let capped = |sat_node_limit| CecConfig {
+            sat_node_limit,
+            ..CecConfig::default()
         };
         assert_eq!(
-            check_equivalence_budgeted(&a, &b, &tiny),
+            check_equivalence(&a, &b, &capped(size + 1)),
+            CecResult::Equivalent
+        );
+        assert_eq!(
+            check_equivalence(&a, &b, &capped(size)),
             CecResult::Undecided
         );
     }
 
     #[test]
-    fn budgeted_still_refutes_above_the_node_limit() {
+    fn simulation_still_refutes_at_a_zero_node_limit() {
         let (a, b) = adder_pair();
-        // Sabotage by flipping an output of a copy of b.
-        let mut flipped = Aig::new();
-        let ins: Vec<Lit> = (0..b.num_inputs()).map(|_| flipped.add_input()).collect();
-        let mut map = vec![Lit::FALSE; b.slot_count()];
-        for (k, &i) in b.inputs().iter().enumerate() {
-            map[i.index()] = ins[k];
-        }
-        for n in dacpara_aig::topo_ands(&b) {
-            let [fa, fb] = b.fanins(n);
-            let la = map[fa.node().index()].xor(fa.is_complement());
-            let lb = map[fb.node().index()].xor(fb.is_complement());
-            map[n.index()] = flipped.add_and(la, lb);
-        }
-        for (k, o) in b.outputs().iter().enumerate() {
-            let l = map[o.node().index()].xor(o.is_complement());
-            flipped.add_output(if k == 0 { !l } else { l });
-        }
-        let tiny = CecBudget {
+        let flipped = RebuildPlan::new().flip_output(0).apply(&b).unwrap();
+        let sim_only = CecConfig {
             sat_node_limit: 0,
-            ..CecBudget::default()
+            ..CecConfig::default()
         };
         assert!(matches!(
-            check_equivalence_budgeted(&a, &flipped, &tiny),
+            check_equivalence(&a, &flipped, &sim_only),
             CecResult::Inequivalent(_)
         ));
     }
@@ -350,6 +279,7 @@ mod tests {
         let (a, b) = adder_pair();
         let cfg = CecConfig {
             sim_rounds: 2,
+            sat_node_limit: 0,
             max_conflicts: 0,
             seed: 3,
         };

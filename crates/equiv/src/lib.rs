@@ -6,13 +6,24 @@
 //! the equivalence check". This crate provides the full stack needed to
 //! replicate that check without external tools:
 //!
-//! * [`simulate_words`] / [`random_sim_check`] — 64-way bit-parallel random
-//!   simulation (fast refutation),
+//! * [`simulate_words`] / [`simulate_bools`] — 64-way bit-parallel
+//!   simulation,
 //! * [`Solver`] — a CDCL SAT solver (two-watched literals, first-UIP
 //!   learning, VSIDS activities, phase saving, Luby restarts),
 //! * [`CnfMap`] — Tseitin encoding of an AIG,
-//! * [`miter`] / [`check_equivalence`] — the classic CEC flow: simulate,
-//!   then prove the miter unsatisfiable.
+//! * [`miter`] / [`check_equivalence`] — the classic CEC flow: random
+//!   simulation (fast refutation), then a SAT proof that the miter is
+//!   unsatisfiable.
+//!
+//! [`check_equivalence`] is the only checker, and one [`CecConfig`] value
+//! decides everything about a check: the simulation rounds and seed,
+//! whether SAT runs at all ([`CecConfig::sat_node_limit`]: only pairs with
+//! fewer ANDs in total get a proof, `0` means simulation only) and the
+//! conflict budget. The verdict is [`CecResult::Equivalent`] (proven),
+//! [`CecResult::Inequivalent`] with a counterexample, or
+//! [`CecResult::Undecided`] when simulation passed but no proof was made;
+//! how to read `Undecided` is the caller's policy. The default config never
+//! skips SAT.
 //!
 //! # Example
 //!
@@ -40,9 +51,7 @@ mod cnf;
 mod sim;
 mod solver;
 
-pub use cec::{
-    check_equivalence, check_equivalence_budgeted, miter, CecBudget, CecConfig, CecResult,
-};
+pub use cec::{check_equivalence, miter, CecConfig, CecResult};
 pub use cnf::{assert_lit, model_inputs, CnfMap};
-pub use sim::{random_sim_check, simulate_bools, simulate_words, SimOutcome};
+pub use sim::{simulate_bools, simulate_words};
 pub use solver::{CLit, SatResult, Solver};

@@ -63,23 +63,15 @@ pub fn simulate_bools<V: AigRead + ?Sized>(view: &V, inputs: &[bool]) -> Vec<boo
         .collect()
 }
 
-/// Outcome of a random-simulation equivalence probe.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SimOutcome {
-    /// No differing pattern found (not a proof of equivalence).
-    NoDifferenceFound,
-    /// A concrete input assignment on which some output differs.
-    Counterexample(Vec<bool>),
-}
-
 /// Probes two same-interface graphs with `rounds` words of random patterns
-/// (64 patterns per round). A counterexample is definitive; the absence of
-/// one is not.
+/// (64 patterns per round) and returns the first input assignment on which
+/// some output differs. A counterexample is definitive; `None` is not a
+/// proof.
 ///
 /// # Panics
 ///
 /// Panics if the graphs differ in input or output counts.
-pub fn random_sim_check<A, B>(a: &A, b: &B, rounds: usize, seed: u64) -> SimOutcome
+pub(crate) fn random_sim_check<A, B>(a: &A, b: &B, rounds: usize, seed: u64) -> Option<Vec<bool>>
 where
     A: AigRead + ?Sized,
     B: AigRead + ?Sized,
@@ -115,11 +107,11 @@ where
                 let bit = diff.trailing_zeros();
                 let cex: Vec<bool> = words.iter().map(|w| w >> bit & 1 != 0).collect();
                 debug_assert_ne!(simulate_bools(a, &cex)[k], simulate_bools(b, &cex)[k]);
-                return SimOutcome::Counterexample(cex);
+                return Some(cex);
             }
         }
     }
-    SimOutcome::NoDifferenceFound
+    None
 }
 
 #[cfg(test)]
@@ -154,10 +146,7 @@ mod tests {
         let or2 = b.add_or(!x2, !y2); // De Morgan NAND
         b.add_output(or2);
 
-        assert_eq!(
-            random_sim_check(&a, &b, 8, 42),
-            SimOutcome::NoDifferenceFound
-        );
+        assert_eq!(random_sim_check(&a, &b, 8, 42), None);
     }
 
     #[test]
@@ -174,14 +163,8 @@ mod tests {
         let or2 = b.add_or(x2, y2);
         b.add_output(or2);
 
-        match random_sim_check(&a, &b, 8, 1) {
-            SimOutcome::Counterexample(cex) => {
-                let oa = simulate_bools(&a, &cex);
-                let ob = simulate_bools(&b, &cex);
-                assert_ne!(oa, ob);
-            }
-            other => panic!("expected counterexample, got {other:?}"),
-        }
+        let cex = random_sim_check(&a, &b, 8, 1).expect("expected a counterexample");
+        assert_ne!(simulate_bools(&a, &cex), simulate_bools(&b, &cex));
     }
 
     #[test]

@@ -183,7 +183,6 @@ impl CorpusEntry {
         Ok(OracleConfig {
             points: engine_matrix(&self.threads),
             fault,
-            ..OracleConfig::default()
         })
     }
 }

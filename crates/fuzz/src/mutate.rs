@@ -8,8 +8,9 @@
 //! the oracle-soundness tests use a guaranteed-changing mutation to prove
 //! the CEC stage would actually catch a miscompile.
 
+use dacpara::testkit::SUITE_CEC;
 use dacpara_aig::{Aig, AigRead, Lit, NodeId, RebuildPlan};
-use dacpara_equiv::{check_equivalence_budgeted, CecBudget, CecResult};
+use dacpara_equiv::{check_equivalence, CecResult};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -171,13 +172,12 @@ pub fn mutate_until_inequivalent(
     seed: u64,
     max_tries: usize,
 ) -> Option<(Aig, Vec<bool>)> {
-    let budget = CecBudget::default();
     for t in 0..max_tries {
         let mutant = mutate(aig, 1 + t % 3, seed.wrapping_add(t as u64));
         if mutant.num_inputs() != aig.num_inputs() || mutant.num_outputs() != aig.num_outputs() {
             continue;
         }
-        if let CecResult::Inequivalent(cex) = check_equivalence_budgeted(aig, &mutant, &budget) {
+        if let CecResult::Inequivalent(cex) = check_equivalence(aig, &mutant, &SUITE_CEC) {
             return Some((mutant, cex));
         }
     }
@@ -206,7 +206,7 @@ mod tests {
         let m = duplicate_node(&aig, *ands.last().unwrap());
         m.check().unwrap();
         assert_eq!(
-            check_equivalence_budgeted(&aig, &m, &CecBudget::default()),
+            check_equivalence(&aig, &m, &SUITE_CEC),
             CecResult::Equivalent
         );
     }

@@ -2,15 +2,14 @@
 //!
 //! A circuit passes when every cell of the engine matrix — engine ×
 //! thread count — returns successfully, keeps the structural
-//! invariants and stays functionally equivalent to the input under budgeted
-//! CEC. Optionally the whole sweep runs under a `dacpara-fault` injection
+//! invariants and stays functionally equivalent to the input under the
+//! fuzz oracle's CEC policy (`dacpara::testkit::FUZZ_CEC`). Optionally the whole sweep runs under a `dacpara-fault` injection
 //! plan, in which case clean engine *errors* are expected behaviour (that
 //! is the fault-tolerance contract) and only corruption — an invariant
 //! violation or an inequivalence — counts as a failure.
 
 use dacpara::testkit::{engine_matrix, run_matrix_point, MatrixPoint, MatrixVerdict};
 use dacpara_aig::Aig;
-use dacpara_equiv::CecBudget;
 use dacpara_fault::FaultPlan;
 
 /// Configuration of one oracle sweep.
@@ -19,8 +18,6 @@ pub struct OracleConfig {
     /// The matrix cells to run. Defaults to the full differential sweep at
     /// 1, 2 and 4 threads.
     pub points: Vec<MatrixPoint>,
-    /// Equivalence-check budget per cell.
-    pub budget: CecBudget,
     /// Optional fault-injection plan armed around every cell.
     pub fault: Option<FaultPlan>,
 }
@@ -29,7 +26,6 @@ impl Default for OracleConfig {
     fn default() -> Self {
         OracleConfig {
             points: engine_matrix(&[1, 2, 4]),
-            budget: CecBudget::fuzzing(),
             fault: None,
         }
     }
@@ -65,9 +61,9 @@ pub fn check_circuit(golden: &Aig, cfg: &OracleConfig) -> Vec<Failure> {
         let verdict = match &cfg.fault {
             Some(plan) => {
                 let _inj = dacpara_fault::inject(plan);
-                run_matrix_point(golden, point, &cfg.budget)
+                run_matrix_point(golden, point)
             }
-            None => run_matrix_point(golden, point, &cfg.budget),
+            None => run_matrix_point(golden, point),
         };
         let expected_fault_error =
             cfg.fault.is_some() && matches!(verdict, MatrixVerdict::EngineError(_));
@@ -120,7 +116,6 @@ mod tests {
         let cfg = OracleConfig {
             points: engine_matrix(&[1, 2]),
             fault: Some(plan),
-            ..OracleConfig::default()
         };
         let failures = check_circuit(&golden, &cfg);
         assert!(

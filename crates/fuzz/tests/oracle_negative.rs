@@ -7,25 +7,25 @@
 //! everything is worse than no fuzzer — this file is the reason to trust a
 //! green campaign.
 
+use dacpara::testkit::FUZZ_CEC;
 use dacpara_aig::{same_interface, Aig, AigRead};
-use dacpara_equiv::{check_equivalence_budgeted, simulate_bools, CecBudget, CecResult};
+use dacpara_equiv::{check_equivalence, simulate_bools, CecResult};
 use dacpara_fuzz::gen::{generate, GenConfig};
 use dacpara_fuzz::mutate::mutate_until_inequivalent;
 use dacpara_fuzz::shrink::{shrink, ShrinkConfig};
 
 /// A function-changing mutation must be provably inequivalent under the
-/// same budgeted CEC the oracle uses, and the counterexample it returns
+/// same CEC policy the oracle uses, and the counterexample it returns
 /// must actually separate the pair.
 #[test]
 fn function_changing_mutation_is_convicted() {
-    let budget = CecBudget::fuzzing();
     for seed in [5u64, 23, 71] {
         let golden = generate(&GenConfig::small(), seed);
         let (mutant, cex) =
             mutate_until_inequivalent(&golden, seed ^ 0xBAD, 60).expect("mutation space dry");
         assert!(same_interface(&golden, &mutant));
         assert!(matches!(
-            check_equivalence_budgeted(&golden, &mutant, &budget),
+            check_equivalence(&golden, &mutant, &FUZZ_CEC),
             CecResult::Inequivalent(_)
         ));
         let oa = simulate_bools(&golden, &cex);
@@ -39,7 +39,6 @@ fn function_changing_mutation_is_convicted() {
 /// counterexample to "the engines preserved the function", only smaller.
 #[test]
 fn shrinker_preserves_inequivalence() {
-    let budget = CecBudget::fuzzing();
     let golden = generate(&GenConfig::small(), 41);
     let (mutant, _) = mutate_until_inequivalent(&golden, 0xFEED, 60).expect("mutation space dry");
 
@@ -49,7 +48,7 @@ fn shrinker_preserves_inequivalence() {
         // shrinker moves on to interface-preserving reductions.
         same_interface(&golden, candidate)
             && matches!(
-                check_equivalence_budgeted(&golden, candidate, &budget),
+                check_equivalence(&golden, candidate, &FUZZ_CEC),
                 CecResult::Inequivalent(_)
             )
     };

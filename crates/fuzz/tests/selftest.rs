@@ -62,7 +62,6 @@ fn fuzzer_convicts_the_planted_miscompile_and_shrinks_the_witness() {
         oracle: OracleConfig {
             points: engine_matrix(&[1, 2]),
             fault: Some(plan.clone()),
-            ..OracleConfig::default()
         },
         // Mutation adds nothing to this hunt and costs determinism.
         mutate_every: 0,
@@ -91,7 +90,6 @@ fn fuzzer_convicts_the_planted_miscompile_and_shrinks_the_witness() {
     let shrink_oracle = OracleConfig {
         points,
         fault: Some(plan.clone()),
-        ..OracleConfig::default()
     };
     let shrink_cfg = ShrinkConfig {
         max_rounds: 12,
@@ -150,7 +148,6 @@ fn engines_without_the_corrupted_commit_stay_green() {
     let cfg = OracleConfig {
         points: others,
         fault: Some(corrupt_plan()),
-        ..OracleConfig::default()
     };
     for iter in 0..10u64 {
         let seed = dacpara_fuzz::iteration_seed(0xDACF_0002, iter);

@@ -134,18 +134,6 @@ impl SpecStats {
         self.useful_ns.load(Ordering::Relaxed)
     }
 
-    /// Fraction of all operator time that was discarded (`0.0` when no time
-    /// has been recorded).
-    pub fn wasted_fraction(&self) -> f64 {
-        let wasted = self.wasted_ns() as f64;
-        let total = wasted + self.useful_ns() as f64;
-        if total == 0.0 {
-            0.0
-        } else {
-            wasted / total
-        }
-    }
-
     /// Plain-value snapshot for reporting.
     pub fn snapshot(&self) -> SpecSnapshot {
         SpecSnapshot {
@@ -177,7 +165,8 @@ pub struct SpecSnapshot {
 }
 
 impl SpecSnapshot {
-    /// Fraction of operator time discarded.
+    /// Fraction of all operator time that was discarded (`0.0` when no time
+    /// has been recorded).
     pub fn wasted_fraction(&self) -> f64 {
         let total = (self.wasted_ns + self.useful_ns) as f64;
         if total == 0.0 {
@@ -218,12 +207,11 @@ mod tests {
         assert_eq!(s.aborts(), 1);
         assert_eq!(s.commits() + s.aborts(), s.attempts());
         assert_eq!(s.conflicts(), 1);
-        assert!((s.wasted_fraction() - 0.75).abs() < 1e-9);
+        assert!((s.snapshot().wasted_fraction() - 0.75).abs() < 1e-9);
     }
 
     #[test]
     fn empty_stats_waste_nothing() {
-        assert_eq!(SpecStats::new().wasted_fraction(), 0.0);
-        assert_eq!(SpecSnapshot::default().wasted_fraction(), 0.0);
+        assert_eq!(SpecStats::new().snapshot().wasted_fraction(), 0.0);
     }
 }

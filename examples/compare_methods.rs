@@ -5,7 +5,7 @@
 use dacpara::{run_engine, Engine};
 use dacpara_aig::AigRead;
 use dacpara_circuits::{mtm, MtmParams};
-use dacpara_equiv::{random_sim_check, SimOutcome};
+use dacpara_equiv::{check_equivalence, CecConfig, CecResult};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let gates: usize = std::env::args()
@@ -29,13 +29,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "engine", "time(s)", "area red", "delay", "repl", "aborts", "waste%"
     );
 
+    // A quick simulation probe per engine; no SAT proof.
+    let sim_only = CecConfig {
+        sat_node_limit: 0,
+        seed: 99,
+        ..CecConfig::default()
+    };
     for engine in Engine::ALL {
         let cfg = engine.paper_config().with_threads(2);
         let mut aig = golden.clone();
         let stats = run_engine(&mut aig, engine, &cfg)?;
-        let equiv = match random_sim_check(&golden, &aig, 16, 99) {
-            SimOutcome::NoDifferenceFound => "pass",
-            SimOutcome::Counterexample(_) => "FAIL",
+        let equiv = match check_equivalence(&golden, &aig, &sim_only) {
+            CecResult::Inequivalent(_) => "FAIL",
+            CecResult::Equivalent | CecResult::Undecided => "pass",
         };
         println!(
             "{:<14} {:>8.3} {:>9} {:>7} {:>8} {:>8} {:>8.2}  {}",

@@ -4,8 +4,9 @@
 //! inputs, and duplicate output literals. Every circuit must survive both
 //! the ASCII and the binary encoding with identical structure and function.
 
+use dacpara::testkit::FUZZ_CEC;
 use dacpara_aig::{aiger, Aig, AigRead, Lit};
-use dacpara_equiv::{check_equivalence_budgeted, CecBudget, CecResult};
+use dacpara_equiv::{check_equivalence, CecResult};
 use dacpara_fuzz::gen::{generate, GenConfig};
 use dacpara_fuzz::mutate::mutate;
 use dacpara_suite::exhaustively_equivalent;
@@ -28,7 +29,7 @@ fn assert_roundtrip(aig: &Aig, binary: bool) {
         assert!(exhaustively_equivalent(aig, &back));
     } else {
         assert!(matches!(
-            check_equivalence_budgeted(aig, &back, &CecBudget::fuzzing()),
+            check_equivalence(aig, &back, &FUZZ_CEC),
             CecResult::Equivalent | CecResult::Undecided
         ));
     }

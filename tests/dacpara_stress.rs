@@ -8,7 +8,7 @@
 
 use dacpara::{run_engine, Engine, RewriteConfig};
 use dacpara_aig::{Aig, AigRead, Lit};
-use dacpara_equiv::{random_sim_check, SimOutcome};
+use dacpara_equiv::{check_equivalence, CecConfig, CecResult};
 
 /// A grid of wasteful mux-majorities over overlapping input triples, all at
 /// the same level, followed by a combining XOR layer.
@@ -58,9 +58,16 @@ fn same_level_contention_is_sound_across_thread_counts() {
                 "grid must be improvable by {engine} at {threads} threads: {}",
                 stats.summary()
             );
-            assert_eq!(
-                random_sim_check(&golden, &aig, 16, threads as u64),
-                SimOutcome::NoDifferenceFound,
+            let sim_only = CecConfig {
+                sat_node_limit: 0,
+                seed: threads as u64,
+                ..CecConfig::default()
+            };
+            assert!(
+                !matches!(
+                    check_equivalence(&golden, &aig, &sim_only),
+                    CecResult::Inequivalent(_)
+                ),
                 "{engine} at {threads} threads"
             );
         }
@@ -79,10 +86,15 @@ fn repeated_contended_passes_converge() {
     let passes = dacpara::optimize(&mut aig, Engine::DacPara, &cfg, 5).unwrap();
     assert!(passes.len() >= 2);
     assert_eq!(passes.last().unwrap().area_reduction(), 0, "converged");
-    assert_eq!(
-        random_sim_check(&golden, &aig, 16, 5),
-        SimOutcome::NoDifferenceFound
-    );
+    let sim_only = CecConfig {
+        sat_node_limit: 0,
+        seed: 5,
+        ..CecConfig::default()
+    };
+    assert!(!matches!(
+        check_equivalence(&golden, &aig, &sim_only),
+        CecResult::Inequivalent(_)
+    ));
 }
 
 #[test]
@@ -99,10 +111,17 @@ fn lockstep_and_dacpara_agree_functionally_under_contention() {
     run_engine(&mut b, Engine::Iccad18, &cfg).unwrap();
     // Both must still compute the original function (and therefore agree
     // with each other).
+    let sim_only = CecConfig {
+        sat_node_limit: 0,
+        seed: 9,
+        ..CecConfig::default()
+    };
     for (name, g) in [("dacpara", &a), ("iccad18", &b)] {
-        assert_eq!(
-            random_sim_check(&golden, g, 16, 9),
-            SimOutcome::NoDifferenceFound,
+        assert!(
+            !matches!(
+                check_equivalence(&golden, g, &sim_only),
+                CecResult::Inequivalent(_)
+            ),
             "{name}"
         );
     }

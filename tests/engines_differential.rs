@@ -9,13 +9,12 @@
 //! may cost. A lock conflict does not reorder anything: the conflicted
 //! activity retries in place, which the injected-conflict test pins.
 
-use dacpara::testkit::{baseline_slack, PARALLEL_ENGINES};
 use std::sync::{Mutex, MutexGuard};
 
+use dacpara::testkit::{assert_suite_equiv, baseline_slack, PARALLEL_ENGINES};
 use dacpara::{run_engine, Engine, RewriteConfig, RewriteStats};
-use dacpara_aig::{aiger, Aig, AigRead};
+use dacpara_aig::{aiger, AigRead};
 use dacpara_circuits::{full_suite, Benchmark, Scale};
-use dacpara_equiv::{check_equivalence, random_sim_check, CecConfig, CecResult, SimOutcome};
 
 /// Serializes the tests in this binary: a fault plan is process-global, so
 /// an armed test would otherwise inject conflicts into its neighbours' runs
@@ -23,24 +22,6 @@ use dacpara_equiv::{check_equivalence, random_sim_check, CecConfig, CecResult, S
 fn exclusive() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// CEC via SAT where affordable, exhaustive random simulation otherwise
-/// (same policy as `engines_equivalence.rs`).
-fn assert_equiv(golden: &Aig, rewritten: &Aig, label: &str) {
-    if golden.num_ands() + rewritten.num_ands() < 4_000 {
-        assert_eq!(
-            check_equivalence(golden, rewritten, &CecConfig::default()),
-            CecResult::Equivalent,
-            "{label}"
-        );
-    } else {
-        assert_eq!(
-            random_sim_check(golden, rewritten, 24, 0xEDA),
-            SimOutcome::NoDifferenceFound,
-            "{label}"
-        );
-    }
 }
 
 /// Runs the serial baseline for `cfg` and returns its final area.
@@ -89,7 +70,7 @@ fn parallel_engines_track_the_serial_baseline_across_threads() {
                 aig.check()
                     .unwrap_or_else(|e| panic!("{engine} corrupted {}: {e}", bench.name));
                 let label = format!("x{threads}");
-                assert_equiv(
+                assert_suite_equiv(
                     &bench.aig,
                     &aig,
                     &format!("{label}: {engine} on {}", bench.name),

@@ -1,26 +1,9 @@
 //! Integration: every rewriting engine preserves functional equivalence on
 //! every benchmark family, at test scale, across thread counts.
 
+use dacpara::testkit::assert_suite_equiv;
 use dacpara::{run_engine, Engine, RewriteConfig};
 use dacpara_circuits::{full_suite, Scale};
-use dacpara_equiv::{check_equivalence, random_sim_check, CecConfig, CecResult, SimOutcome};
-
-fn check(golden: &dacpara_aig::Aig, rewritten: &dacpara_aig::Aig, label: &str) {
-    use dacpara_aig::AigRead;
-    if golden.num_ands() + rewritten.num_ands() < 4_000 {
-        assert_eq!(
-            check_equivalence(golden, rewritten, &CecConfig::default()),
-            CecResult::Equivalent,
-            "{label}"
-        );
-    } else {
-        assert_eq!(
-            random_sim_check(golden, rewritten, 24, 0xEDA),
-            SimOutcome::NoDifferenceFound,
-            "{label}"
-        );
-    }
-}
 
 #[test]
 fn all_engines_on_the_test_suite() {
@@ -46,7 +29,7 @@ fn all_engines_on_the_test_suite() {
                 stats.delay_before,
                 stats.delay_after
             );
-            check(&bench.aig, &aig, &format!("{engine} on {}", bench.name));
+            assert_suite_equiv(&bench.aig, &aig, &format!("{engine} on {}", bench.name));
         }
     }
 }
@@ -64,7 +47,7 @@ fn dacpara_thread_sweep_is_sound() {
         let stats = run_engine(&mut aig, Engine::DacPara, &cfg).unwrap();
         aig.check().unwrap();
         assert!(stats.area_after <= stats.area_before, "threads = {threads}");
-        check(&bench.aig, &aig, &format!("dacpara x{threads}"));
+        assert_suite_equiv(&bench.aig, &aig, &format!("dacpara x{threads}"));
     }
 }
 
@@ -81,5 +64,5 @@ fn repeated_passes_reach_a_fixpoint_neighborhood() {
         areas.push(aig.num_ands());
     }
     assert!(areas[0] >= areas[1] && areas[1] >= areas[2], "{areas:?}");
-    check(&bench.aig, &aig, "three dacpara passes");
+    assert_suite_equiv(&bench.aig, &aig, "three dacpara passes");
 }

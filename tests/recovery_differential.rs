@@ -24,10 +24,10 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::thread;
 use std::time::Duration;
 
+use dacpara::testkit::assert_suite_equiv;
 use dacpara::{run_engine, Engine, RewriteConfig, RewriteStats};
 use dacpara_aig::{Aig, AigError, AigRead};
 use dacpara_circuits::{full_suite, Benchmark, Scale};
-use dacpara_equiv::{check_equivalence, random_sim_check, CecConfig, CecResult, SimOutcome};
 use dacpara_fault::{points, FaultPlan};
 
 /// The session's in-pass recovery budget for contained panics
@@ -93,31 +93,13 @@ fn run_with_watchdog(
     }
 }
 
-/// CEC via SAT where affordable, exhaustive random simulation otherwise
-/// (same policy as `engines_differential.rs`).
-fn assert_equiv(golden: &Aig, rewritten: &Aig, label: &str) {
-    if golden.num_ands() + rewritten.num_ands() < 4_000 {
-        assert_eq!(
-            check_equivalence(golden, rewritten, &CecConfig::default()),
-            CecResult::Equivalent,
-            "{label}"
-        );
-    } else {
-        assert_eq!(
-            random_sim_check(golden, rewritten, 24, 0xEDA),
-            SimOutcome::NoDifferenceFound,
-            "{label}"
-        );
-    }
-}
-
 /// Common post-run checks for a run that must have *recovered*, not failed:
 /// structural invariants hold, the result is equivalent to the input, and
 /// the recovery and speculation counters are internally consistent.
 fn assert_recovered_ok(bench: &Benchmark, aig: &Aig, stats: &RewriteStats, label: &str) -> u64 {
     aig.check()
         .unwrap_or_else(|e| panic!("{label}: recovered graph is corrupt: {e}"));
-    assert_equiv(&bench.aig, aig, label);
+    assert_suite_equiv(&bench.aig, aig, label);
     assert!(
         stats.salvaged_commits <= stats.replacements,
         "{label}: salvaged more commits than were made: {}",
