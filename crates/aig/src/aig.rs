@@ -496,8 +496,8 @@ impl AigRead for Aig {
         self.num_ands
     }
 
-    fn fanout_ids(&self, n: NodeId) -> Vec<NodeId> {
-        self.fanouts[n.index()].clone()
+    fn for_each_fanout(&self, n: NodeId, visit: &mut dyn FnMut(NodeId)) {
+        self.fanouts[n.index()].iter().for_each(|&f| visit(f));
     }
 }
 

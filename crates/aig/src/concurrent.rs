@@ -21,7 +21,9 @@
 //!   reference counts, canonicity — relies on the discipline.
 //! * **Slot recycling with generations** — like the serial [`Aig`], freed
 //!   slots are reused and their generation counter bumped, reproducing the
-//!   stored-cut invalidation of Fig. 3.
+//!   stored-cut invalidation of Fig. 3. Each worker frees into and
+//!   allocates from its own free list and keeps its own share of the AND
+//!   count, on cache lines of its own, and `next_fresh` has a line too.
 //!
 //! Replacements performed in parallel do not cascade structural merges (that
 //! would require locking an unbounded fanout frontier mid-mutation).
@@ -31,9 +33,9 @@
 //! restores full strash canonicity. The graph is functionally correct at every instant
 //! either way.
 
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU32, AtomicU8, AtomicUsize, Ordering};
 
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -45,6 +47,41 @@ const ORD_STORE: Ordering = Ordering::Release;
 /// Largest addressable capacity: literals pack `(index << 1) | complement`
 /// into a `u32`.
 const MAX_CAPACITY: usize = (u32::MAX >> 1) as usize;
+
+/// Aligns `T` to 128 bytes, so it shares no cache line with its
+/// neighbours (two 64-byte lines: adjacent-line prefetchers pull lines in
+/// pairs).
+#[repr(align(128))]
+struct CachePadded<T>(T);
+
+impl<T> Deref for CachePadded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+/// One worker's slot bookkeeping: the slots it freed, the fanouts its
+/// edge moves queued for canonicalization, and the ANDs it added minus
+/// those it deleted (the shares sum to [`AigRead::num_ands`]).
+struct WorkerLists {
+    free: Mutex<Vec<NodeId>>,
+    pending: Mutex<Vec<NodeId>>,
+    ands: AtomicIsize,
+}
+
+/// Hands each thread a home list on its first write, round robin: the
+/// workers of one team first write within the same pass, so they take
+/// consecutive homes unless another thread takes one in between, and two
+/// threads sharing a list only contend.
+static NEXT_HOME: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static HOME: usize = NEXT_HOME.fetch_add(1, Ordering::Relaxed);
+    /// This thread's cone-deletion stack, kept for its capacity.
+    static CONE_STACK: Cell<Vec<NodeId>> = const { Cell::new(Vec::new()) };
+}
 
 /// Atomic per-node storage.
 struct CNode {
@@ -223,7 +260,7 @@ impl FanoutLists {
 /// let b = aig.add_input();
 /// let ab = aig.add_and(a, b);
 /// aig.add_output(ab);
-/// let shared = ConcurrentAig::from_aig(&aig, 0).unwrap();
+/// let shared = ConcurrentAig::from_aig(&aig, 0, 1).unwrap();
 /// assert_eq!(shared.num_ands(), 1);
 /// let back = shared.to_aig();
 /// assert_eq!(back.num_ands(), 1);
@@ -233,17 +270,20 @@ pub struct ConcurrentAig {
     fanouts: FanoutLists,
     inputs: Vec<NodeId>,
     outputs: Mutex<Vec<Lit>>,
-    free: Mutex<Vec<NodeId>>,
-    pending: Mutex<Vec<NodeId>>,
-    num_ands: AtomicUsize,
-    next_fresh: AtomicUsize,
+    /// One free list, pending queue and AND-count share per worker. A
+    /// thread writes to its home list (`home`); two threads that share one
+    /// only contend.
+    workers: Box<[CachePadded<WorkerLists>]>,
+    next_fresh: CachePadded<AtomicUsize>,
 }
 
 impl ConcurrentAig {
     /// Builds a concurrent copy of `aig` with `spare` free slots beyond its
-    /// live nodes. Rewriting allocates a replacement's gates before it
-    /// frees the old cone, so the caller sizes `spare` to the most slots
-    /// that can be in flight at once (see `docs/ARCHITECTURE.md` §12).
+    /// live nodes, for `workers` threads writing at once (one free list and
+    /// pending queue each). Rewriting allocates a replacement's gates
+    /// before it frees the old cone, so the caller sizes `spare` to the
+    /// most slots that can be in flight at once (see
+    /// `docs/ARCHITECTURE.md` §12).
     ///
     /// Live nodes are renumbered compactly: constant, inputs, then ANDs in
     /// topological order.
@@ -252,18 +292,29 @@ impl ConcurrentAig {
     ///
     /// Returns [`AigError::CapacityOverflow`] when the capacity does not
     /// fit the node-id space.
-    pub fn from_aig(aig: &Aig, spare: usize) -> Result<ConcurrentAig, AigError> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers` is zero.
+    pub fn from_aig(aig: &Aig, spare: usize, workers: usize) -> Result<ConcurrentAig, AigError> {
+        assert!(workers > 0, "need at least one worker");
         let capacity = Self::capacity_for(aig, spare)?;
         let mut shared = ConcurrentAig {
             nodes: (0..capacity).map(|_| CNode::free()).collect(),
             fanouts: FanoutLists::new(capacity),
             inputs: Vec::new(),
             outputs: Mutex::new(Vec::new()),
-            free: Mutex::new(Vec::new()),
-            pending: Mutex::new(Vec::new()),
-            num_ands: AtomicUsize::new(0),
+            workers: (0..workers)
+                .map(|_| {
+                    CachePadded(WorkerLists {
+                        free: Mutex::new(Vec::new()),
+                        pending: Mutex::new(Vec::new()),
+                        ands: AtomicIsize::new(0),
+                    })
+                })
+                .collect(),
             // Slot 0 is the constant.
-            next_fresh: AtomicUsize::new(1),
+            next_fresh: CachePadded(AtomicUsize::new(1)),
         };
         shared.nodes[0]
             .kind
@@ -297,7 +348,7 @@ impl ConcurrentAig {
                     .refs
                     .fetch_add(1, Ordering::Relaxed);
             }
-            shared.num_ands.fetch_add(1, Ordering::Relaxed);
+            shared.workers[0].ands.fetch_add(1, Ordering::Relaxed);
             map[n.index()] = id.lit();
         }
         {
@@ -352,12 +403,35 @@ impl ConcurrentAig {
         aig
     }
 
-    /// Pops a freed slot, or takes a fresh one only when none is free.
+    /// The calling thread's list: its round-robin home modulo the lists.
+    fn home(&self) -> &WorkerLists {
+        &self.workers[HOME.with(|&h| h) % self.workers.len()]
+    }
+
+    /// Pops a freed slot from `home`'s list, else from the first list that
+    /// holds one, and takes a fresh slot only when every list is empty.
+    fn alloc_slot(&self, home: &WorkerLists) -> Result<NodeId, AigError> {
+        if let Some(id) = home.free.lock().pop() {
+            return Ok(id);
+        }
+        self.alloc_from(&self.workers)
+    }
+
+    /// Pops the last freed slot of the first non-empty list in `lists`,
+    /// holding each list's lock while it looks further, so a fresh slot is
+    /// taken at an instant when every list is empty (the arena bound,
+    /// `docs/ARCHITECTURE.md` §12). Lists are always locked in index order,
+    /// so two callers cannot deadlock.
+    ///
     /// A full arena means the caller's sizing bound was wrong, so it is an
     /// invariant violation rather than a condition to recover from.
-    fn alloc_slot(&self) -> Result<NodeId, AigError> {
-        if let Some(id) = self.free.lock().pop() {
-            return Ok(id);
+    fn alloc_from(&self, lists: &[CachePadded<WorkerLists>]) -> Result<NodeId, AigError> {
+        if let Some((first, rest)) = lists.split_first() {
+            let mut free = first.free.lock();
+            if let Some(id) = free.pop() {
+                return Ok(id);
+            }
+            return self.alloc_from(rest);
         }
         let slot = self.next_fresh.fetch_add(1, Ordering::Relaxed);
         if slot >= self.nodes.len() {
@@ -460,7 +534,8 @@ impl ConcurrentAig {
         if let Some(n) = self.find_and(a, b) {
             return Ok(n.lit());
         }
-        let id = self.alloc_slot()?;
+        let home = self.home();
+        let id = self.alloc_slot(home)?;
         let node = &self.nodes[id.index()];
         node.fanin0.store(a.raw(), Ordering::Relaxed);
         node.fanin1.store(b.raw(), Ordering::Relaxed);
@@ -476,7 +551,7 @@ impl ConcurrentAig {
                 .refs
                 .fetch_add(1, Ordering::AcqRel);
         }
-        self.num_ands.fetch_add(1, Ordering::AcqRel);
+        home.ands.fetch_add(1, Ordering::AcqRel);
         Ok(id.lit())
     }
 
@@ -569,7 +644,7 @@ impl ConcurrentAig {
     fn mark_pending(&self, n: NodeId) {
         let prev = self.nodes[n.index()].flags.fetch_or(1, Ordering::AcqRel);
         if prev & 1 == 0 {
-            self.pending.lock().push(n);
+            self.home().pending.lock().push(n);
         }
     }
 
@@ -583,7 +658,10 @@ impl ConcurrentAig {
     fn delete_cone_inner(&self, root: NodeId, mut boundary: Option<&mut Vec<NodeId>>) {
         debug_assert_eq!(self.nodes[root.index()].refs.load(ORD_LOAD), 0);
         debug_assert_eq!(self.kind(root), NodeKind::And);
-        let mut stack = vec![root];
+        let home = self.home();
+        let mut stack = CONE_STACK.take();
+        stack.clear();
+        stack.push(root);
         while let Some(n) = stack.pop() {
             let node = &self.nodes[n.index()];
             let f0 = Lit::from_raw(node.fanin0.load(ORD_LOAD));
@@ -607,9 +685,10 @@ impl ConcurrentAig {
             }
             node.kind.store(NodeKind::Free.to_u8(), ORD_STORE);
             node.gen.fetch_add(1, Ordering::AcqRel);
-            self.num_ands.fetch_sub(1, Ordering::AcqRel);
-            self.free.lock().push(n);
+            home.ands.fetch_sub(1, Ordering::AcqRel);
+            home.free.lock().push(n);
         }
+        CONE_STACK.set(stack);
     }
 
     /// Restores strash canonicity by folding/merging every queued node, with
@@ -622,12 +701,16 @@ impl ConcurrentAig {
     /// Entries may repeat, and some may be dead by the time this returns.
     pub fn canonicalize_traced(&self, touched: &mut Vec<NodeId>) -> usize {
         let before = self.num_ands();
+        let mut batch = Vec::new();
         loop {
-            let batch: Vec<NodeId> = std::mem::take(&mut *self.pending.lock());
+            batch.clear();
+            for lists in self.workers.iter() {
+                batch.append(&mut lists.pending.lock());
+            }
             if batch.is_empty() {
                 break;
             }
-            for f in batch {
+            for &f in &batch {
                 self.nodes[f.index()].flags.fetch_and(!1, Ordering::AcqRel);
                 if self.kind(f) != NodeKind::And {
                     continue;
@@ -785,11 +868,12 @@ impl AigRead for ConcurrentAig {
     }
 
     fn num_ands(&self) -> usize {
-        self.num_ands.load(ORD_LOAD)
+        let ands: isize = self.workers.iter().map(|w| w.ands.load(ORD_LOAD)).sum();
+        ands as usize
     }
 
-    fn fanout_ids(&self, n: NodeId) -> Vec<NodeId> {
-        self.fanouts.read(n).to_vec()
+    fn for_each_fanout(&self, n: NodeId, visit: &mut dyn FnMut(NodeId)) {
+        self.fanouts.read(n).iter().for_each(|&f| visit(f));
     }
 }
 
@@ -822,7 +906,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_structure() {
         let (aig, ..) = sample();
-        let shared = ConcurrentAig::from_aig(&aig, 8).unwrap();
+        let shared = ConcurrentAig::from_aig(&aig, 8, 1).unwrap();
         shared.check().unwrap();
         let back = shared.to_aig();
         back.check().unwrap();
@@ -834,7 +918,7 @@ mod tests {
     #[test]
     fn check_catches_fanout_list_and_output_count_drift() {
         let (aig, ..) = sample();
-        let shared = ConcurrentAig::from_aig(&aig, 8).unwrap();
+        let shared = ConcurrentAig::from_aig(&aig, 8, 1).unwrap();
         let input = shared.input_ids()[0];
         // A fanout entry without a matching reference.
         shared.fanouts.write(input).push(input);
@@ -867,7 +951,7 @@ mod tests {
         }
         aig.add_output(ab);
         aig.add_output(a);
-        let shared = ConcurrentAig::from_aig(&aig, 8).unwrap();
+        let shared = ConcurrentAig::from_aig(&aig, 8, 1).unwrap();
         let ins = shared.input_ids();
         let (sa, sb) = (ins[0], ins[1]);
         assert_eq!(shared.fanout_count(sa), 4);
@@ -883,7 +967,7 @@ mod tests {
     #[test]
     fn decentralized_lookup_matches_serial() {
         let (aig, ..) = sample();
-        let shared = ConcurrentAig::from_aig(&aig, 8).unwrap();
+        let shared = ConcurrentAig::from_aig(&aig, 8, 1).unwrap();
         for i in 0..shared.capacity() {
             let n = NodeId::new(i as u32);
             if shared.kind(n) == NodeKind::And {
@@ -897,7 +981,7 @@ mod tests {
     #[test]
     fn read_only_probes_match_locked_probes() {
         let (aig, ..) = sample();
-        let shared = ConcurrentAig::from_aig(&aig, 8).unwrap();
+        let shared = ConcurrentAig::from_aig(&aig, 8, 1).unwrap();
         let ands: Vec<NodeId> = (0..shared.capacity())
             .map(|i| NodeId::new(i as u32))
             .filter(|&n| shared.kind(n) == NodeKind::And)
@@ -906,7 +990,8 @@ mod tests {
             ands.iter()
                 .map(|&n| {
                     let [a, b] = shared.fanins(n);
-                    let fanouts = shared.fanout_ids(a.node());
+                    let mut fanouts = Vec::new();
+                    shared.for_each_fanout(a.node(), &mut |f| fanouts.push(f));
                     (shared.find_and(b, a), shared.find_and(!a, b), fanouts)
                 })
                 .collect()
@@ -929,7 +1014,7 @@ mod tests {
     #[should_panic(expected = "written during the read-only phase")]
     fn fanout_writer_panics_in_the_read_only_phase() {
         let (aig, ..) = sample();
-        let shared = ConcurrentAig::from_aig(&aig, 8).unwrap();
+        let shared = ConcurrentAig::from_aig(&aig, 8, 1).unwrap();
         let ins = shared.input_ids();
         // SAFETY: this thread is the only one using the graph, so the write
         // below races no reader; the assertion refuses it before it writes.
@@ -940,7 +1025,7 @@ mod tests {
     #[test]
     fn add_and_locked_reuses_and_creates() {
         let (aig, ..) = sample();
-        let shared = ConcurrentAig::from_aig(&aig, 8).unwrap();
+        let shared = ConcurrentAig::from_aig(&aig, 8, 1).unwrap();
         let ins = shared.input_ids();
         let (a, b) = (ins[0].lit(), ins[1].lit());
         let before = shared.num_ands();
@@ -964,7 +1049,7 @@ mod tests {
         let bc = aig.add_and(b, c);
         let top = aig.add_and(ac, bc);
         aig.add_output(top);
-        let shared = ConcurrentAig::from_aig(&aig, 8).unwrap();
+        let shared = ConcurrentAig::from_aig(&aig, 8, 1).unwrap();
 
         // Find the concurrent ids of ac/bc via lookup.
         let ins = shared.input_ids();
@@ -990,7 +1075,7 @@ mod tests {
         let b = aig.add_input();
         let ab = aig.add_and(a, b);
         aig.add_output(ab);
-        let shared = ConcurrentAig::from_aig(&aig, 8).unwrap();
+        let shared = ConcurrentAig::from_aig(&aig, 8, 1).unwrap();
         let ins = shared.input_ids();
         let sab = shared.find_and(ins[0].lit(), ins[1].lit()).unwrap();
         let gen0 = shared.generation(sab);
@@ -1009,6 +1094,33 @@ mod tests {
     }
 
     #[test]
+    fn a_fresh_slot_is_taken_only_when_every_list_is_empty() {
+        let (aig, ..) = sample();
+        let shared = ConcurrentAig::from_aig(&aig, 8, 2).unwrap();
+        let lists = [&*shared.workers[0], &*shared.workers[1]];
+        let fresh = || shared.next_fresh.load(Ordering::Relaxed);
+        let taken: Vec<NodeId> = (0..3)
+            .map(|_| shared.alloc_slot(lists[0]).unwrap())
+            .collect();
+        let high_water = fresh();
+        // Each worker frees into its own list; either worker reuses the
+        // other's slots once its own list runs dry.
+        for (home, other) in [(0, 1), (1, 0)] {
+            lists[other].free.lock().push(taken[0]);
+            assert_eq!(shared.alloc_slot(lists[home]).unwrap(), taken[0]);
+            lists[home].free.lock().push(taken[1]);
+            lists[other].free.lock().push(taken[2]);
+            assert_eq!(shared.alloc_slot(lists[home]).unwrap(), taken[1]);
+            assert_eq!(shared.alloc_slot(lists[home]).unwrap(), taken[2]);
+            assert_eq!(fresh(), high_water, "a freed slot was waiting");
+        }
+        // Only with both lists empty does the arena grow.
+        let grown = shared.alloc_slot(lists[1]).unwrap();
+        assert_eq!(grown.index(), high_water);
+        assert_eq!(fresh(), high_water + 1);
+    }
+
+    #[test]
     fn canonicalize_traced_reports_merge_sites() {
         let mut aig = Aig::new();
         let a = aig.add_input();
@@ -1018,7 +1130,7 @@ mod tests {
         let bc = aig.add_and(b, c);
         let top = aig.add_and(ac, bc);
         aig.add_output(top);
-        let shared = ConcurrentAig::from_aig(&aig, 8).unwrap();
+        let shared = ConcurrentAig::from_aig(&aig, 8, 1).unwrap();
         let ins = shared.input_ids();
         let (ca, cb, cc) = (ins[0].lit(), ins[1].lit(), ins[2].lit());
         let sac = shared.find_and(ca, cc).unwrap();
@@ -1045,7 +1157,7 @@ mod tests {
         let ab = aig.add_and(a, b);
         let _abc = aig.add_and(ab, c); // dangling: only ab is an output
         aig.add_output(ab);
-        let shared = ConcurrentAig::from_aig(&aig, 8).unwrap();
+        let shared = ConcurrentAig::from_aig(&aig, 8, 1).unwrap();
         let ins = shared.input_ids();
         let sab = shared.find_and(ins[0].lit(), ins[1].lit()).unwrap();
         let sabc = shared.find_and(sab.lit(), ins[2].lit()).unwrap();
@@ -1070,7 +1182,7 @@ mod tests {
         let b = aig.add_input();
         let ab = aig.add_and(a, b);
         aig.add_output(ab);
-        let shared = ConcurrentAig::from_aig(&aig, 2).unwrap();
+        let shared = ConcurrentAig::from_aig(&aig, 2, 1).unwrap();
         let ins = shared.input_ids();
         // Fill the two spare slots; the third fresh gate finds the arena
         // full, which is an error, not a panic or a wrapped index.

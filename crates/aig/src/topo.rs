@@ -85,13 +85,14 @@ pub fn transitive_fanin<V: AigRead + ?Sized>(view: &V, roots: &[NodeId]) -> Hash
 pub fn transitive_fanout_ids<V: AigRead + ?Sized>(view: &V, n: NodeId) -> Vec<NodeId> {
     let mut seen: HashSet<NodeId> = HashSet::new();
     let mut out = Vec::new();
-    let mut stack = view.fanout_ids(n);
+    let mut stack = Vec::new();
+    view.for_each_fanout(n, &mut |f| stack.push(f));
     while let Some(f) = stack.pop() {
         if !seen.insert(f) {
             continue;
         }
         out.push(f);
-        stack.extend(view.fanout_ids(f));
+        view.for_each_fanout(f, &mut |g| stack.push(g));
     }
     out
 }

@@ -63,8 +63,12 @@ pub trait AigRead: Sync {
         self.kind(n) == NodeKind::And
     }
 
-    /// Snapshot of the fanout node ids of `n`.
-    fn fanout_ids(&self, n: NodeId) -> Vec<NodeId>;
+    /// Calls `visit` once per fanout AND gate of `n` (once per fanin edge:
+    /// a gate that reads `n` twice is visited twice), without allocating.
+    ///
+    /// On the concurrent variant the list's read lock is held while
+    /// `visit` runs, so `visit` must not write the graph.
+    fn for_each_fanout(&self, n: NodeId, visit: &mut dyn FnMut(NodeId));
 
     /// Maximum level over the primary outputs ("delay" in the paper's
     /// tables). Implementations may recompute this from scratch.

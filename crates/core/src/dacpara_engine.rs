@@ -33,7 +33,7 @@ use parking_lot::Mutex;
 use crate::eval::{evaluate_node, Candidate};
 use crate::pass::Pass;
 use crate::session::RewriteSession;
-use crate::speculate::{lock_and_verify, reevaluate_and_commit, speculate, Attempt};
+use crate::speculate::{lock_and_verify, reevaluate_and_commit, speculate, Attempt, LockIds};
 
 /// One DACPara run over `work`, inside the session's resident run: the
 /// node dividing of Fig. 1 and the three barrier-separated stages per
@@ -76,6 +76,7 @@ pub(crate) fn round(sess: &RewriteSession, pass: &Pass, work: Vec<NodeId>) {
     let _phase = EndReadOnly(shared);
     run_spmd(cfg.threads, |w| {
         let owner = w.id as u32 + 1;
+        let mut ids = LockIds::default();
         let bail = || error.is_set();
         // Each stage opens with one barrier: it waits for the whole team to
         // leave the previous stage, and its step arms the pool. Once an
@@ -125,7 +126,7 @@ pub(crate) fn round(sess: &RewriteSession, pass: &Pass, work: Vec<NodeId>) {
                     if bail() || !shared.is_and(n) || shared.refs(n) == 0 {
                         return;
                     }
-                    pass.evaluations.fetch_add(1, Ordering::Relaxed);
+                    pass.evaluations.incr();
                     *prep[i].lock() = store
                         .try_cuts(shared, n)
                         .and_then(|cuts| evaluate_node(shared, n, &cuts, ctx));
@@ -151,7 +152,15 @@ pub(crate) fn round(sess: &RewriteSession, pass: &Pass, work: Vec<NodeId>) {
                     // A retried attempt counts no second revalidation.
                     let mut revalidation_counted = false;
                     speculate(pass, || {
-                        replace_operator(sess, pass, owner, n, &cand, &mut revalidation_counted)
+                        replace_operator(
+                            sess,
+                            pass,
+                            owner,
+                            n,
+                            &cand,
+                            &mut revalidation_counted,
+                            &mut ids,
+                        )
                     });
                 });
             }
@@ -181,10 +190,11 @@ fn replace_operator(
     n: NodeId,
     cand: &Candidate,
     revalidation_counted: &mut bool,
+    ids: &mut LockIds,
 ) -> Result<Attempt, AigError> {
     let (shared, store, ctx) = (&sess.shared, &sess.store, &sess.ctx);
     let stale = || {
-        pass.stale_skipped.fetch_add(1, Ordering::Relaxed);
+        pass.stale_skipped.incr();
         Ok(Attempt::Done)
     };
     if !shared.is_and(n) || shared.refs(n) == 0 {
@@ -197,7 +207,7 @@ fn replace_operator(
             return stale();
         }
         if !*revalidation_counted {
-            pass.revalidated.fetch_add(1, Ordering::Relaxed);
+            pass.revalidated.incr();
             *revalidation_counted = true;
         }
         // §4.4: re-enumerate on the latest AIG and match the stored cut
@@ -211,7 +221,7 @@ fn replace_operator(
             // conflict like any other lock conflict.
             return Ok(Attempt::Conflict);
         };
-        if !fresh.iter().any(|c| c.leaves() == &cand.leaves[..]) {
+        if !fresh.iter().any(|c| c.leaves() == cand.leaves()) {
             // A missed optimization opportunity (§5.2).
             return stale();
         }
@@ -220,7 +230,15 @@ fn replace_operator(
     // ---- Lock the node, the cut cone and the fanouts, and recompute the
     // cut function under the locks.
     let mut tt = [None];
-    let guard = match lock_and_verify(sess, pass, owner, n, &[&cand.leaves], &mut tt) {
+    let guard = match lock_and_verify(
+        sess,
+        pass,
+        owner,
+        n,
+        &[cand.leaves()],
+        &mut tt,
+        &mut ids.region,
+    ) {
         Ok(guard) => guard,
         Err(Attempt::Done) => return stale(),
         Err(conflict) => return Ok(conflict),
@@ -230,7 +248,7 @@ fn replace_operator(
     };
     // The stored candidate stays untouched: a conflict below leaves it for
     // a fresh revalidation on the retry.
-    let mut live = cand.clone();
+    let mut live = *cand;
     if tt != live.tt {
         // A leaf slot was recycled with different logic (Fig. 3): the
         // stored structure is only reusable if the NPN class matches.
@@ -242,7 +260,7 @@ fn replace_operator(
     }
 
     // ---- Re-evaluate on the latest AIG and apply if it still gains.
-    match reevaluate_and_commit(sess, pass, owner, &guard, n, &live)? {
+    match reevaluate_and_commit(sess, pass, owner, &guard, n, &live, &mut ids.shared)? {
         Some(attempt) => Ok(attempt),
         None => stale(),
     }

@@ -12,9 +12,9 @@ use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 
 use dacpara_aig::concurrent::ConcurrentAig;
-use dacpara_aig::mffc::{mffc_with_cut, ConeDeref};
+use dacpara_aig::mffc::ConeDeref;
 use dacpara_aig::{Aig, AigError, AigRead, Lit, NodeId};
-use dacpara_cut::Cut;
+use dacpara_cut::{Cut, MAX_LEAVES};
 use dacpara_npn::{canon, ClassId, ClassRegistry, NpnTransform, Tt4};
 use dacpara_nst::{NpnLibrary, StructIn, Structure, MAX_STRUCTURE_GATES};
 use dacpara_obs::LogHistogram;
@@ -100,14 +100,17 @@ impl std::fmt::Debug for EvalContext {
 }
 
 /// A chosen replacement: what DACPara stores in `prepInfo` between the
-/// evaluation and replacement stages (§4.1).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// evaluation and replacement stages (§4.1). Its at most four leaves and
+/// their generations are held inline, so a candidate is `Copy` and
+/// choosing, storing or revising one allocates nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Candidate {
-    /// The cut's leaves, sorted ascending.
-    pub leaves: Vec<NodeId>,
+    /// The cut's leaves, sorted ascending, then `CONST0` padding.
+    leaves: [NodeId; MAX_LEAVES],
     /// Generation stamps of the leaves at evaluation time — the staleness
-    /// detector behind the paper's Fig. 3 discussion.
-    pub leaf_gens: Vec<u32>,
+    /// detector behind the paper's Fig. 3 discussion — then zero padding.
+    leaf_gens: [u32; MAX_LEAVES],
+    len: u8,
     /// The cut function over the leaves.
     pub tt: Tt4,
     /// NPN class of the cut function.
@@ -121,12 +124,51 @@ pub struct Candidate {
 }
 
 impl Candidate {
+    /// The candidate for structure `struct_idx` of the NPN class `class` on
+    /// `cut` (whose function `transform` maps onto the class
+    /// representative), recording the leaves' current generations.
+    pub fn on_cut<V: AigRead + ?Sized>(
+        view: &V,
+        cut: &Cut,
+        class: ClassId,
+        transform: NpnTransform,
+        struct_idx: usize,
+        gain: i32,
+    ) -> Candidate {
+        let mut leaves = [NodeId::CONST0; MAX_LEAVES];
+        let mut leaf_gens = [0; MAX_LEAVES];
+        for (i, &l) in cut.leaves().iter().enumerate() {
+            leaves[i] = l;
+            leaf_gens[i] = view.generation(l);
+        }
+        Candidate {
+            leaves,
+            leaf_gens,
+            len: cut.len() as u8,
+            tt: cut.tt(),
+            class,
+            transform,
+            struct_idx,
+            gain,
+        }
+    }
+
+    /// The cut's leaves, sorted ascending.
+    pub fn leaves(&self) -> &[NodeId] {
+        &self.leaves[..usize::from(self.len)]
+    }
+
+    /// The leaves' generation stamps at evaluation, one per leaf.
+    pub fn leaf_gens(&self) -> &[u32] {
+        &self.leaf_gens[..usize::from(self.len)]
+    }
+
     /// Whether every leaf is still alive with the generation recorded at
     /// evaluation — the cut the candidate was chosen on is untouched.
     pub fn leaves_intact<V: AigRead + ?Sized>(&self, view: &V) -> bool {
-        self.leaves
+        self.leaves()
             .iter()
-            .zip(&self.leaf_gens)
+            .zip(self.leaf_gens())
             .all(|(&l, &g)| view.is_alive(l) && view.generation(l) == g)
     }
 }
@@ -248,12 +290,13 @@ impl ProbeMemo {
     }
 }
 
-/// Per-thread evaluation scratch: the probe memo, and the MFFC lists that
-/// every cut recomputes in place. Evaluating a node allocates nothing but
-/// the candidate it returns.
+/// Per-thread evaluation scratch: the probe memo, the MFFC lists that
+/// every cut recomputes in place, and the shared-node list of a
+/// re-evaluation. Evaluating or re-evaluating a node allocates nothing.
 struct EvalScratch {
     memo: ProbeMemo,
     cone: ConeDeref,
+    shared: Vec<(NodeId, u32)>,
 }
 
 thread_local! {
@@ -261,16 +304,17 @@ thread_local! {
         RefCell::new(EvalScratch {
             memo: ProbeMemo::new(),
             cone: ConeDeref::new(),
+            shared: Vec::new(),
         })
     };
 }
 
 /// Runs `f` on this thread's evaluation scratch, its memo emptied.
-fn with_scratch<R>(f: impl FnOnce(&mut ProbeMemo, &mut ConeDeref) -> R) -> R {
+fn with_scratch<R>(f: impl FnOnce(&mut EvalScratch) -> R) -> R {
     SCRATCH.with(|scratch| {
-        let EvalScratch { memo, cone } = &mut *scratch.borrow_mut();
-        memo.reset();
-        f(memo, cone)
+        let scratch = &mut *scratch.borrow_mut();
+        scratch.memo.reset();
+        f(scratch)
     })
 }
 
@@ -321,7 +365,7 @@ pub fn evaluate_node<V: AigRead + ?Sized>(
     cuts: &[Cut],
     ctx: &EvalContext,
 ) -> Option<Candidate> {
-    with_scratch(|memo, cone| {
+    with_scratch(|EvalScratch { memo, cone, .. }| {
         let mut best: Option<Candidate> = None;
         for cut in cuts {
             if cut.len() < 2 {
@@ -349,7 +393,9 @@ pub fn evaluate_cut<V: AigRead + ?Sized>(
     cut: &Cut,
     ctx: &EvalContext,
 ) -> Option<Candidate> {
-    with_scratch(|memo, cone| best_on_cut(view, n, cut, ctx, ctx.base_floor(), memo, cone))
+    with_scratch(|EvalScratch { memo, cone, .. }| {
+        best_on_cut(view, n, cut, ctx, ctx.base_floor(), memo, cone)
+    })
 }
 
 /// Structures scanned out of `available` for one class, under a
@@ -439,14 +485,8 @@ fn best_on_cut<V: AigRead + ?Sized>(
             best = Some((gain, m.added, m.level, si));
         }
     }
-    best.map(|(gain, _, _, struct_idx)| Candidate {
-        leaves: leaves.to_vec(),
-        leaf_gens: leaves.iter().map(|&l| view.generation(l)).collect(),
-        tt,
-        class,
-        transform,
-        struct_idx,
-        gain,
+    best.map(|(gain, _, _, struct_idx)| {
+        Candidate::on_cut(view, cut, class, transform, struct_idx, gain)
     })
 }
 
@@ -557,60 +597,64 @@ fn map_structure<V: AigRead + ?Sized>(
 /// Re-evaluation of a *specific* stored structure on the latest graph —
 /// the paper's §4.4 requirement that "each replacement must obtain a
 /// positive gain on the latest AIG". Also reports the existing nodes the
-/// build would share, which the replacement operator must lock.
-#[derive(Clone, Debug)]
-pub struct Reevaluation {
+/// build would share, which the replacement operator must lock. It
+/// borrows the thread's evaluation scratch (see [`reevaluate_structure`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Reevaluation<'a> {
     /// Nodes saved minus nodes added, on the current graph.
     pub gain: i32,
     /// Nodes that would be deleted (the cut-bounded MFFC, root first).
-    pub freed: Vec<NodeId>,
+    pub freed: &'a [NodeId],
     /// Existing nodes the structure build would reuse, each with its
     /// generation at re-evaluation.
-    pub shared_nodes: Vec<(NodeId, u32)>,
+    pub shared_nodes: &'a [(NodeId, u32)],
     /// Level of the new root.
     pub level: u32,
 }
 
 /// Re-evaluates `cand`'s stored structure against the current graph,
-/// mapping it to completion (the commit needs every shared node).
+/// mapping it to completion (the commit needs every shared node), and
+/// hands the result to `then`. The result lives in this thread's
+/// evaluation scratch, so it allocates nothing; `then` runs while the
+/// scratch is borrowed, so it must not evaluate (that would panic).
 /// The caller is responsible for `cand.tt`/`cand.transform` being valid for
 /// the current graph (see `validity::verify_cut`).
-pub fn reevaluate_structure<V: AigRead + ?Sized>(
+pub fn reevaluate_structure<V: AigRead + ?Sized, R>(
     view: &V,
     n: NodeId,
     cand: &Candidate,
     ctx: &EvalContext,
-) -> Reevaluation {
-    let freed = mffc_with_cut(view, n, &cand.leaves);
-    let saved = freed.saved() as i32;
+    then: impl FnOnce(Reevaluation<'_>) -> R,
+) -> R {
     let structure = &ctx.lib.structures(cand.class)[cand.struct_idx];
-    let wiring = Wiring::new(view, &cand.transform, &cand.leaves);
-    let mut shared_nodes = Vec::new();
-    let m = with_scratch(|memo, _| {
-        map_structure(
+    let wiring = Wiring::new(view, &cand.transform, cand.leaves());
+    with_scratch(|EvalScratch { memo, cone, shared }| {
+        cone.simulate(view, n, |x| cand.leaves().contains(&x));
+        shared.clear();
+        let m = map_structure(
             view,
             structure,
             &wiring,
-            &freed.freed,
+            &cone.freed,
             ctx.count_sharing,
             u32::MAX,
             memo,
-            Some(&mut shared_nodes),
+            Some(shared),
         )
+        .expect("an unbounded mapping always completes");
+        let identity = m.root.is_some_and(|r| r.node() == n);
+        let gain = if identity {
+            i32::MIN
+        } else {
+            cone.saved() as i32 - m.added as i32
+        };
+        then(Reevaluation {
+            gain,
+            freed: &cone.freed,
+            shared_nodes: shared,
+            level: m.level,
+        })
     })
-    .expect("an unbounded mapping always completes");
-    let identity = m.root.is_some_and(|r| r.node() == n);
-    let gain = if identity {
-        i32::MIN
-    } else {
-        saved - m.added as i32
-    };
-    Reevaluation {
-        gain,
-        freed: freed.freed,
-        shared_nodes,
-        level: m.level,
-    }
 }
 
 /// Something that can create AND gates — lets the structure builder run on
@@ -688,27 +732,27 @@ pub fn build_replacement<B: AndBuilder>(
 ) -> Result<Lit, AigError> {
     let structure = &lib.structures(cand.class)[cand.struct_idx];
     let (wiring, out_neg) = cand.transform.wire();
-    let mut vals: Vec<Lit> = Vec::with_capacity(structure.size());
+    let mut vals = [Lit::FALSE; MAX_STRUCTURE_GATES];
     let resolve = |input: StructIn, vals: &[Lit]| -> Lit {
         match input {
             StructIn::Const(b) => Lit::FALSE.xor(b),
             StructIn::Leaf { var, neg } => {
                 let (idx, w_neg) = wiring[var as usize];
-                Lit::new(cand.leaves[idx], w_neg ^ neg)
+                Lit::new(cand.leaves()[idx], w_neg ^ neg)
             }
             StructIn::Gate { idx, neg } => vals[idx as usize].xor(neg),
         }
     };
-    for gate in structure.gates() {
-        let a = resolve(gate[0], &vals);
-        let b = resolve(gate[1], &vals);
-        vals.push(builder.and(a, b)?);
+    for (i, gate) in structure.gates().iter().enumerate() {
+        let a = resolve(gate[0], &vals[..i]);
+        let b = resolve(gate[1], &vals[..i]);
+        vals[i] = builder.and(a, b)?;
     }
-    let root = resolve(structure.root(), &vals).xor(out_neg);
-    if lit_tt(builder.view(), root, &cand.leaves) != Some(cand.tt) {
+    let root = resolve(structure.root(), &vals[..structure.gates().len()]).xor(out_neg);
+    if lit_tt(builder.view(), root, cand.leaves()) != Some(cand.tt) {
         return Err(AigError::InvariantViolation(format!(
             "replacement root {root:?} does not compute the cut function over {:?}",
-            cand.leaves
+            cand.leaves()
         )));
     }
     Ok(root)
@@ -759,7 +803,7 @@ mod tests {
         let cuts = store.cuts(&aig, root);
         let cand = evaluate_node(&aig, root, &cuts, &ctx()).expect("a candidate");
         assert!(cand.gain > 0, "gain {}", cand.gain);
-        assert_eq!(cand.leaves.len(), 3);
+        assert_eq!(cand.leaves().len(), 3);
     }
 
     #[test]
@@ -789,9 +833,9 @@ mod tests {
     /// flipped, and every input flipped (majority is self-dual, so that
     /// complements it too).
     fn miswired(cand: &Candidate) -> [Candidate; 2] {
-        let mut out = cand.clone();
+        let mut out = *cand;
         out.transform.output_neg ^= true;
-        let mut inputs = cand.clone();
+        let mut inputs = *cand;
         inputs.transform.input_neg ^= 0b1111;
         [out, inputs]
     }
@@ -815,7 +859,7 @@ mod tests {
                 CecResult::Equivalent
             );
 
-            let shared = ConcurrentAig::from_aig(&aig, 64).unwrap();
+            let shared = ConcurrentAig::from_aig(&aig, 64, 1).unwrap();
             let err = build_replacement(&mut &shared, &bad, NpnLibrary::global());
             assert!(
                 matches!(err, Err(AigError::InvariantViolation(_))),

@@ -7,8 +7,6 @@
 //! is what the paper's Fig. 2 contrasts with DACPara's split operators, and
 //! it is recorded here in [`dacpara_galois::SpecStats`].
 
-use std::sync::atomic::Ordering;
-
 use dacpara_aig::{AigError, AigRead, NodeId};
 use dacpara_cut::Cut;
 use dacpara_galois::run_spmd;
@@ -16,7 +14,7 @@ use dacpara_galois::run_spmd;
 use crate::eval::evaluate_node;
 use crate::pass::Pass;
 use crate::session::RewriteSession;
-use crate::speculate::{lock_and_verify, reevaluate_and_commit, speculate, Attempt};
+use crate::speculate::{lock_and_verify, reevaluate_and_commit, speculate, Attempt, LockIds};
 
 /// One ICCAD'18 run over `order`, inside the session's resident run: a
 /// single scheduler drive of the combined operator. A conflict-aborted
@@ -26,12 +24,20 @@ pub(crate) fn round(sess: &RewriteSession, pass: &Pass, order: Vec<NodeId>) {
     pass.pool.begin(order.len());
     run_spmd(sess.cfg.threads, |w| {
         let owner = w.id as u32 + 1;
+        let mut ids = LockIds::default();
         pass.pool.drive(w.id, |i| {
             // A retried attempt's evaluation is wasted work, which the
             // `spec` ledger counts; `evaluations` counts the node once.
             let mut evaluation_counted = false;
             speculate(pass, || {
-                combined_operator(sess, pass, owner, order[i], &mut evaluation_counted)
+                combined_operator(
+                    sess,
+                    pass,
+                    owner,
+                    order[i],
+                    &mut evaluation_counted,
+                    &mut ids,
+                )
             });
         });
     });
@@ -48,6 +54,7 @@ fn combined_operator(
     owner: u32,
     n: NodeId,
     evaluation_counted: &mut bool,
+    ids: &mut LockIds,
 ) -> Result<Attempt, AigError> {
     let (shared, store, ctx) = (&sess.shared, &sess.store, &sess.ctx);
     if !shared.is_and(n) || shared.refs(n) == 0 {
@@ -74,7 +81,7 @@ fn combined_operator(
     let usable: Vec<&Cut> = cuts.iter().filter(|c| c.len() >= 2).collect();
     let leaf_sets: Vec<&[NodeId]> = usable.iter().map(|c| c.leaves()).collect();
     let mut tts = vec![None; usable.len()];
-    let guard = match lock_and_verify(sess, pass, owner, n, &leaf_sets, &mut tts) {
+    let guard = match lock_and_verify(sess, pass, owner, n, &leaf_sets, &mut tts, &mut ids.region) {
         Ok(guard) => guard,
         Err(outcome) => return Ok(outcome),
     };
@@ -90,7 +97,7 @@ fn combined_operator(
     // Stage B: evaluation while holding every lock.
     let eval_span = dacpara_obs::span("evaluate");
     if !*evaluation_counted {
-        pass.evaluations.fetch_add(1, Ordering::Relaxed);
+        pass.evaluations.incr();
         *evaluation_counted = true;
     }
     let cand = evaluate_node(shared, n, &valid_cuts, ctx);
@@ -102,7 +109,10 @@ fn combined_operator(
     // Stage C: re-evaluate, lock the shared (reused) nodes, then replace.
     // A conflict here loses everything — enumeration AND evaluation.
     let _obs = dacpara_obs::span("replace");
-    Ok(reevaluate_and_commit(sess, pass, owner, &guard, n, &cand)?.unwrap_or(Attempt::Done))
+    Ok(
+        reevaluate_and_commit(sess, pass, owner, &guard, n, &cand, &mut ids.shared)?
+            .unwrap_or(Attempt::Done),
+    )
 }
 
 #[cfg(test)]

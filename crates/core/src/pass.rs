@@ -16,7 +16,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use dacpara_aig::{Aig, AigError, AigRead};
-use dacpara_galois::{SpecStats, StealPool};
+use dacpara_galois::{CachePadded, SpecStats, StealPool};
+use dacpara_obs::ShardedCounter;
 
 use crate::eval::EvalContext;
 use crate::recovery::FirstError;
@@ -144,14 +145,18 @@ impl std::str::FromStr for Engine {
 /// engines' scheduler, the first-error slot, and the engines' counters.
 /// [`run_pass`] builds one per pass and reads [`RewriteStats`] off it, so
 /// its totals are the pass's totals.
+///
+/// What workers count per item — the speculation ledger and the per-item
+/// counters — is sharded by thread, and the error flag every item reads
+/// has a cache line of its own.
 pub(crate) struct Pass {
     pub(crate) spec: SpecStats,
     pub(crate) pool: StealPool,
-    pub(crate) error: FirstError,
-    pub(crate) replacements: AtomicU64,
-    pub(crate) evaluations: AtomicU64,
-    pub(crate) stale_skipped: AtomicU64,
-    pub(crate) revalidated: AtomicU64,
+    pub(crate) error: CachePadded<FirstError>,
+    pub(crate) replacements: ShardedCounter,
+    pub(crate) evaluations: ShardedCounter,
+    pub(crate) stale_skipped: ShardedCounter,
+    pub(crate) revalidated: ShardedCounter,
     pub(crate) clean_skipped: AtomicU64,
     pub(crate) worklists: AtomicUsize,
     pub(crate) recoveries: AtomicU64,
@@ -163,11 +168,11 @@ impl Pass {
         Pass {
             spec: SpecStats::new(),
             pool: StealPool::new(threads),
-            error: FirstError::default(),
-            replacements: AtomicU64::new(0),
-            evaluations: AtomicU64::new(0),
-            stale_skipped: AtomicU64::new(0),
-            revalidated: AtomicU64::new(0),
+            error: CachePadded::default(),
+            replacements: ShardedCounter::new(),
+            evaluations: ShardedCounter::new(),
+            stale_skipped: ShardedCounter::new(),
+            revalidated: ShardedCounter::new(),
             clean_skipped: AtomicU64::new(0),
             worklists: AtomicUsize::new(0),
             recoveries: AtomicU64::new(0),
@@ -205,10 +210,10 @@ pub(crate) fn run_pass<S, G: AigRead>(
         area_after: graph(state).num_ands(),
         delay_before,
         delay_after: graph(state).depth(),
-        replacements: load(&pass.replacements),
-        stale_skipped: load(&pass.stale_skipped),
-        revalidated: load(&pass.revalidated),
-        evaluations: load(&pass.evaluations),
+        replacements: pass.replacements.value(),
+        stale_skipped: pass.stale_skipped.value(),
+        revalidated: pass.revalidated.value(),
+        evaluations: pass.evaluations.value(),
         clean_skipped: load(&pass.clean_skipped),
         spec: pass.spec.snapshot(),
         sched: pass.pool.stats().snapshot(),

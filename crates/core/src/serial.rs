@@ -7,8 +7,6 @@
 //! the algorithm of Mishchenko et al. (DAC'06) that all the parallel
 //! engines in this crate are measured against.
 
-use std::sync::atomic::Ordering;
-
 use dacpara_aig::mffc::mffc_with_cut;
 use dacpara_aig::{Aig, AigError, AigRead};
 use dacpara_cut::CutStore;
@@ -53,7 +51,7 @@ pub(crate) fn run(
         let _obs = dacpara_obs::span("replace");
         // Invalidate enumeration results that the replacement makes
         // stale: the would-be-deleted cone and the transitive fanout.
-        let freed = mffc_with_cut(aig, n, &cand.leaves);
+        let freed = mffc_with_cut(aig, n, cand.leaves());
         for &f in &freed.freed {
             store.invalidate(f);
         }
@@ -67,8 +65,8 @@ pub(crate) fn run(
     }
     aig.cleanup();
     aig.recompute_levels();
-    pass.evaluations.fetch_add(evaluations, Ordering::Relaxed);
-    pass.replacements.fetch_add(replacements, Ordering::Relaxed);
+    pass.evaluations.add(evaluations);
+    pass.replacements.add(replacements);
     Ok(())
 }
 

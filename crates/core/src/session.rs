@@ -108,7 +108,7 @@ impl RewriteSession {
     /// `cfg` fails [`RewriteConfig::validate`].
     pub fn new(aig: &Aig, cfg: &RewriteConfig) -> Result<RewriteSession, AigError> {
         cfg.validate()?;
-        let shared = ConcurrentAig::from_aig(aig, spare_slots(cfg.threads))?;
+        let shared = ConcurrentAig::from_aig(aig, spare_slots(cfg.threads), cfg.threads)?;
         let store = CutStore::new(shared.capacity(), cfg.cut_config());
         let locks = LockTable::new(shared.capacity());
         Ok(RewriteSession {
@@ -254,7 +254,7 @@ impl RewriteSession {
         self.shared.recompute_levels();
         self.fresh = true;
         self.recoveries += 1;
-        let committed = pass.replacements.load(Ordering::Relaxed);
+        let committed = pass.replacements.value();
         let newly_committed = committed - pass.salvaged_commits.swap(committed, Ordering::Relaxed);
         pass.recoveries.fetch_add(1, Ordering::Relaxed);
         if dacpara_obs::is_enabled() {

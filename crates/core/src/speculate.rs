@@ -8,8 +8,12 @@
 //! a spin-then-yield backoff. The work-stealing scheduler never sees a
 //! conflict. Inside an attempt both operators lock through
 //! [`lock_and_verify`] and apply through [`reevaluate_and_commit`].
+//!
+//! A commit allocates nothing on the heap: covers are fixed arrays, the
+//! re-evaluation runs in the thread's evaluation scratch, fanouts are
+//! visited in place, and the lock-id lists live in the worker's
+//! [`LockIds`].
 
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -18,7 +22,7 @@ use dacpara_galois::LockSet;
 use dacpara_npn::Tt4;
 use dacpara_obs::LogHistogram;
 
-use crate::eval::{build_replacement, reevaluate_structure, Candidate};
+use crate::eval::{build_replacement, reevaluate_structure, Candidate, Reevaluation};
 use crate::pass::Pass;
 use crate::recovery::contain_panic;
 use crate::session::RewriteSession;
@@ -28,6 +32,15 @@ use crate::validity::{cut_cover, verify_cut};
 fn gain_histogram() -> &'static LogHistogram {
     static HANDLE: OnceLock<Arc<LogHistogram>> = OnceLock::new();
     HANDLE.get_or_init(|| dacpara_obs::histogram("rewrite.replacement_gain"))
+}
+
+/// A worker's lock-id buffers — the planned region and the nodes a build
+/// shares — kept from one attempt to the next, so locking allocates
+/// nothing once they have grown. Each worker of a round owns one.
+#[derive(Default)]
+pub(crate) struct LockIds {
+    pub(crate) region: Vec<u32>,
+    pub(crate) shared: Vec<u32>,
 }
 
 /// What one speculative attempt did.
@@ -104,7 +117,8 @@ pub(crate) fn speculate(pass: &Pass, mut attempt: impl FnMut() -> Result<Attempt
 /// cut's live function (or `None`) to `tts`. Fails with `Done` if no
 /// cut's cover can be collected (nothing is locked), and with `Conflict`
 /// if the region is taken or a live cut reaches outside it — a commit on
-/// that cone would delete nodes the attempt does not hold.
+/// that cone would delete nodes the attempt does not hold. The region is
+/// planned in `region` (a [`LockIds`] buffer), which the guard borrows.
 pub(crate) fn lock_and_verify<'s>(
     sess: &'s RewriteSession,
     pass: &Pass,
@@ -112,9 +126,10 @@ pub(crate) fn lock_and_verify<'s>(
     n: NodeId,
     leaf_sets: &[&[NodeId]],
     tts: &mut [Option<Tt4>],
+    region: &'s mut Vec<u32>,
 ) -> Result<LockSet<'s>, Attempt> {
     let shared = &sess.shared;
-    let mut region = Vec::new();
+    region.clear();
     for &leaves in leaf_sets {
         if let Some(cover) = cut_cover(shared, n, leaves) {
             region.extend(leaves.iter().chain(&cover).map(|x| x.raw()));
@@ -124,7 +139,7 @@ pub(crate) fn lock_and_verify<'s>(
         return Err(Attempt::Done);
     }
     region.push(n.raw());
-    region.extend(shared.fanout_ids(n).iter().map(|f| f.raw()));
+    shared.for_each_fanout(n, &mut |f| region.push(f.raw()));
     match sess.locks.try_acquire(owner, region, &pass.spec) {
         Some(guard) if verify_in_region(shared, guard.ids(), n, leaf_sets, tts) => Ok(guard),
         _ => Err(Attempt::Conflict),
@@ -161,7 +176,8 @@ fn verify_in_region<V: AigRead + ?Sized>(
 /// and commits it if the result passes [`crate::EvalContext::accepts`]
 /// (§4.4: "each replacement must obtain a positive gain on the latest
 /// AIG"); `Ok(None)` if it does not. A real change counts a replacement
-/// and records its gain in the `rewrite.replacement_gain` histogram.
+/// and records its gain in the `rewrite.replacement_gain` histogram. The
+/// shared nodes' ids are gathered in `shared_ids` (a [`LockIds`] buffer).
 pub(crate) fn reevaluate_and_commit(
     sess: &RewriteSession,
     pass: &Pass,
@@ -169,39 +185,55 @@ pub(crate) fn reevaluate_and_commit(
     held: &LockSet<'_>,
     n: NodeId,
     cand: &Candidate,
+    shared_ids: &mut Vec<u32>,
 ) -> Result<Option<Attempt>, AigError> {
     let (shared, ctx) = (&sess.shared, &sess.ctx);
-    let re = reevaluate_structure(shared, n, cand, ctx);
-    if !ctx.accepts(re.gain, re.level, shared.level(n)) {
-        return Ok(None);
-    }
-    // Lock the nodes the build will share, and check that each is still
-    // the node the re-evaluation counted on: one that died or changed
-    // generation in between would make the build allocate a gate the gain
-    // did not count, so that is a conflict.
-    let extra: Vec<u32> = re
-        .shared_nodes
-        .iter()
-        .map(|(s, _)| s.raw())
-        .filter(|id| held.ids().binary_search(id).is_err())
-        .collect();
-    let _extra_guard = if extra.is_empty() {
-        None
-    } else {
-        match sess.locks.try_acquire(owner, extra, &pass.spec) {
-            Some(g) => Some(g),
-            None => return Ok(Some(Attempt::Conflict)),
+    reevaluate_structure(shared, n, cand, ctx, |re| {
+        if !ctx.accepts(re.gain, re.level, shared.level(n)) {
+            return Ok(None);
         }
-    };
-    if re
-        .shared_nodes
-        .iter()
-        .any(|&(s, gen)| !shared.is_and(s) || shared.generation(s) != gen)
-    {
-        return Ok(Some(Attempt::Conflict));
-    }
+        // Lock the nodes the build will share, and check that each is
+        // still the node the re-evaluation counted on: one that died or
+        // changed generation in between would make the build allocate a
+        // gate the gain did not count, so that is a conflict.
+        shared_ids.clear();
+        shared_ids.extend(
+            re.shared_nodes
+                .iter()
+                .map(|(s, _)| s.raw())
+                .filter(|id| held.ids().binary_search(id).is_err()),
+        );
+        let _extra_guard = if shared_ids.is_empty() {
+            None
+        } else {
+            match sess.locks.try_acquire(owner, shared_ids, &pass.spec) {
+                Some(g) => Some(g),
+                None => return Ok(Some(Attempt::Conflict)),
+            }
+        };
+        if re
+            .shared_nodes
+            .iter()
+            .any(|&(s, gen)| !shared.is_and(s) || shared.generation(s) != gen)
+        {
+            return Ok(Some(Attempt::Conflict));
+        }
+        commit(sess, pass, n, cand, re)
+    })
+}
 
-    // Commit. A rebuild that resolves to `n` itself is a no-op, and must
+/// The apply step of [`reevaluate_and_commit`], under every lock: builds
+/// the structure, and on a real change invalidates the memo, rewires `n`
+/// and dirties the leaves' fanout cones.
+fn commit(
+    sess: &RewriteSession,
+    pass: &Pass,
+    n: NodeId,
+    cand: &Candidate,
+    re: Reevaluation<'_>,
+) -> Result<Option<Attempt>, AigError> {
+    let (shared, ctx) = (&sess.shared, &sess.ctx);
+    // A rebuild that resolves to `n` itself is a no-op, and must
     // not re-dirty the fanout cone, or a session would never converge.
     let root = build_replacement(&mut &*shared, cand, ctx.lib)?;
     if root.node() == n {
@@ -215,7 +247,7 @@ pub(crate) fn reevaluate_and_commit(
     // fanouts. Everything whose evaluation could have changed — the cone
     // interior, the new structure, shared nodes and all downstream users —
     // lies in the transitive fanout of the cut leaves.
-    for &f in &re.freed {
+    for &f in re.freed {
         sess.store.invalidate(f);
     }
     sess.store.invalidate_tfo(shared, n);
@@ -223,10 +255,10 @@ pub(crate) fn reevaluate_and_commit(
     // is never equivalent to `n`.
     let corrupt = dacpara_fault::point(dacpara_fault::points::REPLACE_CORRUPT);
     shared.replace_locked(n, if corrupt { !root } else { root });
-    for &l in &cand.leaves {
+    for &l in cand.leaves() {
         sess.store.mark_dirty_tfo(shared, l);
     }
-    pass.replacements.fetch_add(1, Ordering::Relaxed);
+    pass.replacements.incr();
     if dacpara_obs::is_enabled() {
         gain_histogram().record(re.gain.max(0) as u64);
     }
@@ -268,8 +300,11 @@ mod tests {
         let leaves = [a, b, c, d].map(|l| l.node());
         let sets: [&[NodeId]; 1] = [&leaves];
         let mut tts = [None];
-        let (Ok(planned), [Some(tt)]) = (lock_and_verify(&sess, &pass, 1, n, &sets, &mut tts), tts)
-        else {
+        let mut region = Vec::new();
+        let (Ok(planned), [Some(tt)]) = (
+            lock_and_verify(&sess, &pass, 1, n, &sets, &mut tts, &mut region),
+            tts,
+        ) else {
             panic!("the cut locks and verifies");
         };
 
@@ -288,7 +323,8 @@ mod tests {
         assert!(!verify_in_region(shared, planned.ids(), n, &sets, &mut tts));
         drop(planned);
         // Replanned on the moved cone, the same cut locks and verifies.
-        assert!(lock_and_verify(&sess, &pass, 1, n, &sets, &mut tts).is_ok());
+        let mut region = Vec::new();
+        assert!(lock_and_verify(&sess, &pass, 1, n, &sets, &mut tts, &mut region).is_ok());
         assert_eq!(tts, [Some(tt)]);
     }
 
@@ -301,7 +337,7 @@ mod tests {
         let cand = evaluate_node(&sess.shared, n, &cuts, &sess.ctx).unwrap();
         // DACPara locks its stored candidate's cut; ICCAD'18 every cut of
         // at least two leaves (`lockstep::combined_operator`).
-        let dacpara: Vec<&[NodeId]> = vec![&cand.leaves];
+        let dacpara: Vec<&[NodeId]> = vec![cand.leaves()];
         let iccad18: Vec<&[NodeId]> = cuts
             .iter()
             .filter(|c| c.len() >= 2)
@@ -313,7 +349,8 @@ mod tests {
         ];
         for (sets, region) in pinned {
             let mut tts = vec![None; sets.len()];
-            let Ok(guard) = lock_and_verify(&sess, &pass, 1, n, &sets, &mut tts) else {
+            let mut ids = Vec::new();
+            let Ok(guard) = lock_and_verify(&sess, &pass, 1, n, &sets, &mut tts, &mut ids) else {
                 panic!("node 50 locks at one thread");
             };
             assert_eq!(guard.ids(), region);

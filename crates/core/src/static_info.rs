@@ -15,8 +15,6 @@
 //! the algorithmic behaviour exactly (`DESIGN.md` §2). What the paper
 //! compares — *quality* under static information — is hardware-independent.
 
-use std::sync::atomic::Ordering;
-
 use dacpara_aig::{Aig, AigError, AigRead};
 use dacpara_cut::CutStore;
 use dacpara_galois::parallel_for;
@@ -83,7 +81,7 @@ pub(crate) fn run(
         let live = aig.is_and(n)
             && AigRead::refs(aig, n) > 0
             && cand.leaves_intact(aig)
-            && matches!(verify_cut(aig, n, &cand.leaves), Some((_, tt)) if tt == cand.tt);
+            && matches!(verify_cut(aig, n, cand.leaves()), Some((_, tt)) if tt == cand.tt);
         if !live {
             stale_skipped += 1;
             continue;
@@ -96,9 +94,8 @@ pub(crate) fn run(
     }
     aig.cleanup();
     aig.recompute_levels();
-    pass.stale_skipped
-        .fetch_add(stale_skipped, Ordering::Relaxed);
-    pass.replacements.fetch_add(replacements, Ordering::Relaxed);
+    pass.stale_skipped.add(stale_skipped);
+    pass.replacements.add(replacements);
     Ok(())
 }
 

@@ -11,6 +11,9 @@
 //! * [`cut_tt`] — the root's function over the leaves, recomputed from the
 //!   live graph rather than trusted from the store.
 //!
+//! Both work in fixed arrays: a cover holds at most [`MAX_COVER`] nodes, so
+//! checking a cut allocates nothing.
+//!
 //! One nuance worth knowing: the truth table carried by cut *enumeration*
 //! is composed bottom-up from child cuts, while [`cut_tt`] evaluates the
 //! cover directly. When the cut's leaves are logically correlated (one
@@ -21,32 +24,78 @@
 //! result through the NPN-class acceptance test rather than rejecting it
 //! outright, exactly as §4.4 prescribes.
 
+use std::ops::Deref;
+
 use dacpara_aig::{AigRead, NodeId, NodeKind};
 use dacpara_npn::Tt4;
 
 /// Upper bound on the cover size explored before concluding "not a cut".
 /// Genuine 4-input-cut covers are tiny; a huge exploration means the stored
 /// leaf set no longer bounds the cone.
-const MAX_COVER: usize = 128;
+pub const MAX_COVER: usize = 128;
+
+/// The cover of a cut, in topological order: at most [`MAX_COVER`] nodes,
+/// held inline. Derefs to the node slice.
+#[derive(Clone, Copy)]
+pub struct Cover {
+    nodes: [NodeId; MAX_COVER],
+    len: usize,
+}
+
+impl Cover {
+    const EMPTY: Cover = Cover {
+        nodes: [NodeId::CONST0; MAX_COVER],
+        len: 0,
+    };
+
+    fn push(&mut self, n: NodeId) {
+        self.nodes[self.len] = n;
+        self.len += 1;
+    }
+}
+
+impl Deref for Cover {
+    type Target = [NodeId];
+
+    fn deref(&self) -> &[NodeId] {
+        &self.nodes[..self.len]
+    }
+}
+
+impl<'a> IntoIterator for &'a Cover {
+    type Item = &'a NodeId;
+    type IntoIter = std::slice::Iter<'a, NodeId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl std::fmt::Debug for Cover {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 /// Computes the cover of the cut `(n, leaves)`: every node on a path from a
 /// leaf to `n`, including `n`, excluding the leaves, in topological order.
 ///
 /// Returns `None` when the leaf set is not (or no longer) a cut of `n` —
 /// some path from `n` reaches an input, constant or dead slot without
-/// passing a leaf — or when the exploration exceeds an internal bound.
-pub fn cut_cover<V: AigRead + ?Sized>(
-    view: &V,
-    n: NodeId,
-    leaves: &[NodeId],
-) -> Option<Vec<NodeId>> {
+/// passing a leaf — or when the exploration passes [`MAX_COVER`] nodes.
+pub fn cut_cover<V: AigRead + ?Sized>(view: &V, n: NodeId, leaves: &[NodeId]) -> Option<Cover> {
+    let mut order = Cover::EMPTY;
     if leaves.contains(&n) {
-        return Some(Vec::new()); // trivial cut: empty cover
+        return Some(order); // trivial cut: empty cover
     }
-    let mut order = Vec::new();
-    let mut seen: Vec<NodeId> = Vec::new();
-    let mut stack: Vec<(NodeId, bool)> = vec![(n, false)];
-    while let Some((x, done)) = stack.pop() {
+    // Every explored node pushes itself once more and its two fanins.
+    let mut stack = [(NodeId::CONST0, false); 3 * MAX_COVER + 1];
+    stack[0] = (n, false);
+    let mut depth = 1;
+    let mut seen = Cover::EMPTY;
+    while depth > 0 {
+        depth -= 1;
+        let (x, done) = stack[depth];
         if done {
             order.push(x);
             continue;
@@ -57,14 +106,13 @@ pub fn cut_cover<V: AigRead + ?Sized>(
         if view.kind(x) != NodeKind::And {
             return None; // escaped the cone: not a cut
         }
-        seen.push(x);
-        if seen.len() > MAX_COVER {
+        if seen.len == MAX_COVER {
             return None;
         }
-        stack.push((x, true));
+        seen.push(x);
         let [a, b] = view.fanins(x);
-        stack.push((a.node(), false));
-        stack.push((b.node(), false));
+        stack[depth..depth + 3].copy_from_slice(&[(x, true), (a.node(), false), (b.node(), false)]);
+        depth += 3;
     }
     Some(order)
 }
@@ -75,40 +123,41 @@ pub fn cut_cover<V: AigRead + ?Sized>(
 ///
 /// # Panics
 ///
-/// Panics in debug builds if the cover is inconsistent with the graph.
+/// Panics if the cover does not close the cone, or holds more than
+/// [`MAX_COVER`] nodes.
 pub fn cut_tt<V: AigRead + ?Sized>(
     view: &V,
     n: NodeId,
     leaves: &[NodeId],
     cover: &[NodeId],
 ) -> Tt4 {
-    let value_of = |x: NodeId, values: &[(NodeId, Tt4)]| -> Tt4 {
+    // `values[i]` is the function of `cover[i]`, once computed.
+    let value_of = |x: NodeId, values: &[Tt4]| -> Tt4 {
         if let Some(pos) = leaves.iter().position(|&l| l == x) {
             return Tt4::var(pos);
         }
         if x == NodeId::CONST0 {
             return Tt4::FALSE;
         }
-        values
+        let i = cover[..values.len()]
             .iter()
-            .rev()
-            .find(|(id, _)| *id == x)
-            .map(|(_, t)| *t)
-            .expect("cover must close the cone")
+            .rposition(|&c| c == x)
+            .expect("cover must close the cone");
+        values[i]
     };
     if let Some(pos) = leaves.iter().position(|&l| l == n) {
         return Tt4::var(pos);
     }
-    let mut values: Vec<(NodeId, Tt4)> = Vec::with_capacity(cover.len());
-    for &x in cover {
+    let mut values = [Tt4::FALSE; MAX_COVER];
+    for (i, &x) in cover.iter().enumerate() {
         let [a, b] = view.fanins(x);
-        let ta = value_of(a.node(), &values);
+        let ta = value_of(a.node(), &values[..i]);
         let ta = if a.is_complement() { !ta } else { ta };
-        let tb = value_of(b.node(), &values);
+        let tb = value_of(b.node(), &values[..i]);
         let tb = if b.is_complement() { !tb } else { tb };
-        values.push((x, ta & tb));
+        values[i] = ta & tb;
     }
-    value_of(n, &values)
+    value_of(n, &values[..cover.len()])
 }
 
 /// One-call verification: the cover if `leaves` still cut `n`, plus the
@@ -122,7 +171,7 @@ pub fn verify_cut<V: AigRead + ?Sized>(
     view: &V,
     n: NodeId,
     leaves: &[NodeId],
-) -> Option<(Vec<NodeId>, Tt4)> {
+) -> Option<(Cover, Tt4)> {
     if !leaves.iter().all(|&l| view.is_alive(l)) {
         return None;
     }

@@ -41,34 +41,24 @@ fn brute_force<V: AigRead + ?Sized>(
     };
     let mut best: Option<(i32, u32, u32, usize)> = None;
     for struct_idx in 0..budget {
-        let cand = Candidate {
-            leaves: cut.leaves().to_vec(),
-            leaf_gens: cut.leaves().iter().map(|&l| view.generation(l)).collect(),
-            tt,
-            class,
-            transform: canon(tt).1,
-            struct_idx,
-            gain: 0,
-        };
-        let re = reevaluate_structure(view, n, &cand, ctx);
-        if re.gain == i32::MIN {
+        let cand = Candidate::on_cut(view, cut, class, canon(tt).1, struct_idx, 0);
+        let (gain, saved, level) = reevaluate_structure(view, n, &cand, ctx, |re| {
+            (re.gain, re.freed.len(), re.level)
+        });
+        if gain == i32::MIN {
             continue; // the structure is the node itself
         }
-        let added = (re.freed.len() as i32 - re.gain) as u32;
-        let gain_ok = re.gain > 0 || (ctx.use_zeros && re.gain >= 0);
-        let level_ok = !ctx.preserve_level || re.level <= view.level(n);
+        let added = (saved as i32 - gain) as u32;
+        let gain_ok = gain > 0 || (ctx.use_zeros && gain >= 0);
+        let level_ok = !ctx.preserve_level || level <= view.level(n);
         if !(gain_ok && level_ok) {
             continue;
         }
         // Strictly better under (gain, -added, -level): ties keep the
         // earlier structure.
-        let key = (
-            re.gain,
-            std::cmp::Reverse(added),
-            std::cmp::Reverse(re.level),
-        );
+        let key = (gain, std::cmp::Reverse(added), std::cmp::Reverse(level));
         if best.is_none_or(|(g, a, l, _)| key > (g, std::cmp::Reverse(a), std::cmp::Reverse(l))) {
-            best = Some((re.gain, added, re.level, struct_idx));
+            best = Some((gain, added, level, struct_idx));
         }
     }
     best.map(|(gain, _, _, idx)| (idx, gain))
@@ -106,8 +96,8 @@ fn sweep<V: AigRead + ?Sized>(view: &V, cfg: &RewriteConfig, label: &str) -> usi
                 }
             }
         }
-        let got_node =
-            evaluate_node(view, n, &cuts, &ctx).map(|c| (c.leaves, c.struct_idx, c.gain));
+        let got_node = evaluate_node(view, n, &cuts, &ctx)
+            .map(|c| (c.leaves().to_vec(), c.struct_idx, c.gain));
         assert_eq!(got_node, want_node, "{label}: node {n:?}");
         found += usize::from(got_node.is_some());
     }
@@ -136,7 +126,7 @@ fn configs() -> Vec<(&'static str, RewriteConfig)> {
 }
 
 fn check_circuit(name: &str, aig: &Aig) {
-    let shared = ConcurrentAig::from_aig(aig, 0).unwrap();
+    let shared = ConcurrentAig::from_aig(aig, 0, 1).unwrap();
     for (cfg_name, cfg) in configs() {
         let serial = sweep(aig, &cfg, &format!("{name} / Aig / {cfg_name}"));
         let concurrent = sweep(

@@ -45,11 +45,31 @@ fn count_hits(k: u64) {
     }
 }
 
-type Slot = RwLock<Option<(u32, CutSet)>>;
+/// One node's memo entry: the set with the generation it was computed at.
+/// `filled` mirrors whether `set` holds one, so invalidating an empty slot
+/// reads a flag and writes nothing. Both writes of `filled` happen under
+/// `set`'s write lock; the `Release` store in [`CutStore::put`] pairs with
+/// the `Acquire` load in [`CutStore::invalidate`], so an invalidation
+/// ordered after a put sees the flag. A stale `true` only costs taking the
+/// lock and finding the slot empty.
+struct Slot {
+    set: RwLock<Option<(u32, CutSet)>>,
+    filled: AtomicBool,
+}
 
-/// Per-thread scratch of [`CutStore::try_cuts`]: the request stack and the
-/// buffer [`and_cuts`] merges into. Both keep their capacity across calls,
-/// so computing a set allocates only the exact-size block that is stored.
+impl Slot {
+    fn empty() -> Slot {
+        Slot {
+            set: RwLock::new(None),
+            filled: AtomicBool::new(false),
+        }
+    }
+}
+
+/// Per-thread scratch of [`CutStore::try_cuts`] and the fanout walks: the
+/// request (or walk) stack and the buffer [`and_cuts`] merges into. Both
+/// keep their capacity across calls, so computing a set allocates only
+/// the exact-size block that is stored, and a walk allocates nothing.
 struct Scratch {
     stack: Vec<(NodeId, bool)>,
     cuts: Vec<Cut>,
@@ -97,7 +117,7 @@ impl CutStore {
     /// Creates a store covering `capacity` node slots.
     pub fn new(capacity: usize, cfg: CutConfig) -> CutStore {
         CutStore {
-            slots: (0..capacity).map(|_| RwLock::new(None)).collect(),
+            slots: (0..capacity).map(|_| Slot::empty()).collect(),
             cfg,
             dirty: (0..capacity).map(|_| AtomicBool::new(false)).collect(),
         }
@@ -112,7 +132,7 @@ impl CutStore {
     /// operation — the concurrent engines size the store up front).
     pub fn grow(&mut self, capacity: usize) {
         while self.slots.len() < capacity {
-            self.slots.push(RwLock::new(None));
+            self.slots.push(Slot::empty());
             self.dirty.push(AtomicBool::new(false));
         }
     }
@@ -126,7 +146,7 @@ impl CutStore {
     /// current generation. A plain lookup: the memo counters describe
     /// [`CutStore::try_cuts`] only.
     pub fn get<V: AigRead + ?Sized>(&self, view: &V, n: NodeId) -> Option<CutSet> {
-        match &*self.slots[n.index()].read() {
+        match &*self.slots[n.index()].set.read() {
             Some((gen, cuts)) if *gen == view.generation(n) => Some(CutSet::clone(cuts)),
             _ => None,
         }
@@ -134,7 +154,10 @@ impl CutStore {
 
     /// Stores a cut set for `n` at its current generation.
     pub fn put<V: AigRead + ?Sized>(&self, view: &V, n: NodeId, cuts: CutSet) {
-        *self.slots[n.index()].write() = Some((view.generation(n), cuts));
+        let slot = &self.slots[n.index()];
+        let mut set = slot.set.write();
+        *set = Some((view.generation(n), cuts));
+        slot.filled.store(true, Ordering::Release);
     }
 
     /// Stores a freshly computed cut set, counting it as one memo miss.
@@ -247,28 +270,34 @@ impl CutStore {
     /// revisited).
     pub fn invalidate(&self, n: NodeId) -> bool {
         self.mark_dirty(n);
-        self.slots[n.index()].write().take().is_some()
+        let slot = &self.slots[n.index()];
+        if !slot.filled.load(Ordering::Acquire) {
+            return false;
+        }
+        let mut set = slot.set.write();
+        slot.filled.store(false, Ordering::Relaxed);
+        set.take().is_some()
     }
 
     /// Clears the cached sets of `n` and of its transitive fanouts,
     /// short-circuiting on nodes whose entry is already empty (a cleared
     /// node's fanouts were cleared by whoever cleared it).
     pub fn invalidate_tfo<V: AigRead + ?Sized>(&self, view: &V, n: NodeId) {
-        let mut stack = vec![(n, true)];
-        while let Some((x, force)) = stack.pop() {
-            let had = self.invalidate(x);
-            if had || force {
-                for f in view.fanout_ids(x) {
-                    stack.push((f, false));
+        with_walk_stack(|stack| {
+            stack.push((n, true));
+            while let Some((x, force)) = stack.pop() {
+                let had = self.invalidate(x);
+                if had || force {
+                    view.for_each_fanout(x, &mut |f| stack.push((f, false)));
                 }
             }
-        }
+        });
     }
 
     /// Number of node slots currently holding a cached set (regardless of
     /// generation freshness).
     pub fn cached_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.read().is_some()).count()
+        self.slots.iter().filter(|s| s.set.read().is_some()).count()
     }
 
     // ---- Dirty tracking -------------------------------------------------
@@ -277,7 +306,10 @@ impl CutStore {
     /// whose *gain* inputs — reference counts, sharing opportunities —
     /// changed while their cut structure did not).
     pub fn mark_dirty(&self, n: NodeId) {
-        self.dirty[n.index()].store(true, Ordering::Relaxed);
+        let flag = &self.dirty[n.index()];
+        if !flag.load(Ordering::Relaxed) {
+            flag.store(true, Ordering::Relaxed);
+        }
     }
 
     /// Marks `n` and its transitive fanouts dirty without clearing cached
@@ -286,15 +318,16 @@ impl CutStore {
     /// walk). Cached cuts stay valid — only the evaluation verdict is
     /// suspect — which is what keeps incremental passes memo-hot.
     pub fn mark_dirty_tfo<V: AigRead + ?Sized>(&self, view: &V, n: NodeId) {
-        let mut stack = vec![n];
-        while let Some(x) = stack.pop() {
-            if self.dirty[x.index()].swap(true, Ordering::Relaxed) {
-                continue; // already marked: its fanouts were covered
+        with_walk_stack(|stack| {
+            stack.push((n, false));
+            while let Some((x, _)) = stack.pop() {
+                let flag = &self.dirty[x.index()];
+                if flag.load(Ordering::Relaxed) || flag.swap(true, Ordering::Relaxed) {
+                    continue; // already marked: its fanouts were covered
+                }
+                view.for_each_fanout(x, &mut |f| stack.push((f, false)));
             }
-            for f in view.fanout_ids(x) {
-                stack.push(f);
-            }
-        }
+        });
     }
 
     /// Whether `n` is currently marked dirty.
@@ -321,6 +354,15 @@ impl CutStore {
         }
         out
     }
+}
+
+/// Runs `walk` on this thread's scratch stack, emptied.
+fn with_walk_stack(walk: impl FnOnce(&mut Vec<(NodeId, bool)>)) {
+    SCRATCH.with(|scratch| {
+        let stack = &mut scratch.borrow_mut().stack;
+        stack.clear();
+        walk(stack);
+    });
 }
 
 impl std::fmt::Debug for CutStore {

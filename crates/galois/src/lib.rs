@@ -30,7 +30,7 @@
 //! let spec = SpecStats::new();
 //! let items: Vec<u32> = (0..100).collect();
 //! parallel_for(4, &items, |w, &i| loop {
-//!     if let Some(_guard) = locks.try_acquire(w.id as u32 + 1, vec![i], &spec) {
+//!     if let Some(_guard) = locks.try_acquire(w.id as u32 + 1, &mut [i], &spec) {
 //!         cells[i as usize].fetch_add(1, Ordering::Relaxed);
 //!         break;
 //!     }
@@ -40,11 +40,13 @@
 //! ```
 
 mod locks;
+mod padded;
 mod sched;
 mod spmd;
 mod stats;
 
 pub use locks::{LockSet, LockTable};
+pub use padded::CachePadded;
 pub use sched::{SchedSnapshot, SchedStats, StealPool};
 pub use spmd::{parallel_for, run_spmd, Worker};
 pub use stats::{SpecSnapshot, SpecStats};

@@ -31,10 +31,12 @@ fn hold_time_histogram() -> &'static Arc<LogHistogram> {
 ///
 /// let table = LockTable::new(16);
 /// let spec = SpecStats::new();
-/// let set = table.try_acquire(1, vec![3, 7, 7, 5], &spec).expect("uncontended");
-/// assert!(table.try_acquire(2, vec![5], &spec).is_none()); // conflict
+/// let mut ids = [3, 7, 7, 5];
+/// let set = table.try_acquire(1, &mut ids, &spec).expect("uncontended");
+/// assert_eq!(set.ids(), [3, 5, 7]);
+/// assert!(table.try_acquire(2, &mut [5], &spec).is_none()); // conflict
 /// drop(set);
-/// assert!(table.try_acquire(2, vec![5], &spec).is_some());
+/// assert!(table.try_acquire(2, &mut [5], &spec).is_some());
 /// assert_eq!(spec.conflicts(), 1);
 /// ```
 pub struct LockTable {
@@ -61,8 +63,10 @@ impl LockTable {
 
     /// Attempts to acquire every element in `ids` for `owner` (non-zero).
     ///
-    /// The ids are sorted and deduplicated internally (sorted acquisition
-    /// order prevents deadlock between concurrent all-or-nothing attempts).
+    /// The ids are sorted and deduplicated in place (sorted acquisition
+    /// order prevents deadlock between concurrent all-or-nothing attempts),
+    /// and the guard borrows them, so a caller that keeps its id buffer
+    /// from one attempt to the next allocates nothing here.
     /// On any conflict every lock taken so far is released, the conflict is
     /// recorded in `spec`, and `None` is returned.
     ///
@@ -73,12 +77,12 @@ impl LockTable {
     /// # Panics
     ///
     /// Panics if `owner` is zero or an id is out of range.
-    pub fn try_acquire(
-        &self,
+    pub fn try_acquire<'a>(
+        &'a self,
         owner: u32,
-        mut ids: Vec<u32>,
+        ids: &'a mut [u32],
         spec: &SpecStats,
-    ) -> Option<LockSet<'_>> {
+    ) -> Option<LockSet<'a>> {
         assert_ne!(owner, 0, "owner ids are non-zero");
         if dacpara_fault::point(dacpara_fault::points::LOCK_ACQUIRE) {
             // An injected conflict is indistinguishable from a real one:
@@ -88,7 +92,7 @@ impl LockTable {
             return None;
         }
         ids.sort_unstable();
-        ids.dedup();
+        let ids = dedup_sorted(ids);
         for (i, &id) in ids.iter().enumerate() {
             let slot = &self.slots[id as usize];
             if slot
@@ -131,12 +135,25 @@ impl std::fmt::Debug for LockTable {
     }
 }
 
+/// Moves the distinct values of the sorted `ids` to its front and returns
+/// them.
+fn dedup_sorted(ids: &mut [u32]) -> &[u32] {
+    let mut len = 0;
+    for i in 0..ids.len() {
+        if len == 0 || ids[i] != ids[len - 1] {
+            ids[len] = ids[i];
+            len += 1;
+        }
+    }
+    &ids[..len]
+}
+
 /// RAII guard over an acquired lock set; releases on drop.
 #[must_use = "locks release immediately if the guard is dropped"]
 pub struct LockSet<'a> {
     table: &'a LockTable,
     owner: u32,
-    ids: Vec<u32>,
+    ids: &'a [u32],
     /// Acquisition timestamp, recorded only while observability is enabled;
     /// feeds the `galois.lock_hold_ns` histogram on release.
     acquired_ns: Option<u64>,
@@ -145,13 +162,13 @@ pub struct LockSet<'a> {
 impl LockSet<'_> {
     /// The sorted, deduplicated ids held by this guard.
     pub fn ids(&self) -> &[u32] {
-        &self.ids
+        self.ids
     }
 }
 
 impl Drop for LockSet<'_> {
     fn drop(&mut self) {
-        self.table.release(&self.ids, self.owner);
+        self.table.release(self.ids, self.owner);
         if let Some(start) = self.acquired_ns {
             let held = dacpara_obs::global().now_ns().saturating_sub(start);
             hold_time_histogram().record(held);
@@ -173,21 +190,23 @@ mod tests {
     fn all_or_nothing() {
         let t = LockTable::new(8);
         let spec = SpecStats::new();
-        let g1 = t.try_acquire(1, vec![2, 4], &spec).unwrap();
+        let mut held = [2, 4];
+        let g1 = t.try_acquire(1, &mut held, &spec).unwrap();
         // Overlap on 4: the whole set {1, 4, 6} must fail and leave 1 and 6
         // free.
-        assert!(t.try_acquire(2, vec![1, 4, 6], &spec).is_none());
+        assert!(t.try_acquire(2, &mut [1, 4, 6], &spec).is_none());
         assert!(!t.is_locked(1));
         assert!(!t.is_locked(6));
         drop(g1);
-        assert!(t.try_acquire(2, vec![1, 4, 6], &spec).is_some());
+        assert!(t.try_acquire(2, &mut [1, 4, 6], &spec).is_some());
     }
 
     #[test]
     fn duplicate_ids_are_tolerated() {
         let t = LockTable::new(4);
         let spec = SpecStats::new();
-        let g = t.try_acquire(3, vec![1, 1, 1], &spec).unwrap();
+        let mut ids = [1, 1, 1];
+        let g = t.try_acquire(3, &mut ids, &spec).unwrap();
         assert_eq!(g.ids(), &[1]);
     }
 
@@ -195,8 +214,9 @@ mod tests {
     fn same_owner_reacquisition_conflicts_and_is_counted() {
         let t = LockTable::new(8);
         let spec = SpecStats::new();
-        let _g = t.try_acquire(1, vec![3], &spec).unwrap();
-        assert!(t.try_acquire(1, vec![3], &spec).is_none());
+        let mut held = [3];
+        let _g = t.try_acquire(1, &mut held, &spec).unwrap();
+        assert!(t.try_acquire(1, &mut [3], &spec).is_none());
         assert_eq!(spec.conflicts(), 1);
         assert!(t.is_locked(3), "the failed attempt keeps the held lock");
     }
@@ -205,9 +225,10 @@ mod tests {
     fn conflicts_are_counted() {
         let t = LockTable::new(4);
         let spec = SpecStats::new();
-        let _g = t.try_acquire(1, vec![0], &spec).unwrap();
-        assert!(t.try_acquire(2, vec![0], &spec).is_none());
-        assert!(t.try_acquire(2, vec![0], &spec).is_none());
+        let mut held = [0];
+        let _g = t.try_acquire(1, &mut held, &spec).unwrap();
+        assert!(t.try_acquire(2, &mut [0], &spec).is_none());
+        assert!(t.try_acquire(2, &mut [0], &spec).is_none());
         assert_eq!(spec.conflicts(), 2);
     }
 
@@ -218,13 +239,13 @@ mod tests {
         let plan = dacpara_fault::FaultPlan::parse("lock.acquire=@1", 0).unwrap();
         {
             let _inj = dacpara_fault::inject(&plan);
-            assert!(t.try_acquire(1, vec![0, 2], &spec).is_none());
+            assert!(t.try_acquire(1, &mut [0, 2], &spec).is_none());
             assert!(!t.is_locked(0));
             assert!(!t.is_locked(2));
         }
         assert_eq!(spec.conflicts(), 1);
         // The very next (uninjected) attempt succeeds.
-        assert!(t.try_acquire(1, vec![0, 2], &spec).is_some());
+        assert!(t.try_acquire(1, &mut [0, 2], &spec).is_some());
     }
 
     #[test]
@@ -241,7 +262,7 @@ mod tests {
                     let owner = w + 1;
                     let mut done = 0;
                     while done < iterations {
-                        if let Some(_g) = t.try_acquire(owner, vec![0], spec) {
+                        if let Some(_g) = t.try_acquire(owner, &mut [0], spec) {
                             // Non-atomic-looking critical section.
                             let v = counter.load(Ordering::Relaxed);
                             counter.store(v + 1, Ordering::Relaxed);

@@ -32,6 +32,8 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use crate::CachePadded;
+
 fn steals_counter() -> &'static dacpara_obs::ShardedCounter {
     static HANDLE: OnceLock<Arc<dacpara_obs::ShardedCounter>> = OnceLock::new();
     HANDLE.get_or_init(|| dacpara_obs::counter("sched.steals"))
@@ -146,8 +148,9 @@ pub struct StealPool {
     /// steal stores the stolen half as the thief's own range. The words
     /// carry only indices — item data is published by the team's barriers
     /// — so their acquire/release orderings are conservative rather than
-    /// load-bearing.
-    ranges: Box<[AtomicU64]>,
+    /// load-bearing. Each word has its own cache line: the owner writes
+    /// it for every chunk it claims.
+    ranges: Box<[CachePadded<AtomicU64>]>,
     quantum: AtomicUsize,
     stats: SchedStats,
 }
@@ -161,7 +164,9 @@ impl StealPool {
     pub fn new(workers: usize) -> StealPool {
         assert!(workers > 0, "need at least one worker");
         StealPool {
-            ranges: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            ranges: (0..workers)
+                .map(|_| CachePadded::new(AtomicU64::new(0)))
+                .collect(),
             quantum: AtomicUsize::new(1),
             stats: SchedStats::default(),
         }

@@ -6,7 +6,6 @@
 //! discard the (cheap) replacement attempt. These counters make that
 //! difference measurable.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -36,15 +35,18 @@ fn obs() -> &'static ObsHandles {
     })
 }
 
-/// Atomic counters describing a speculative execution run.
+/// Atomic counters describing a speculative execution run. Each counter
+/// is sharded by thread ([`ShardedCounter`]): every activity records an
+/// attempt and a commit or abort, so unsharded words would be written by
+/// every worker for every item.
 #[derive(Debug, Default)]
 pub struct SpecStats {
-    attempts: AtomicU64,
-    conflicts: AtomicU64,
-    commits: AtomicU64,
-    aborts: AtomicU64,
-    wasted_ns: AtomicU64,
-    useful_ns: AtomicU64,
+    attempts: ShardedCounter,
+    conflicts: ShardedCounter,
+    commits: ShardedCounter,
+    aborts: ShardedCounter,
+    wasted_ns: ShardedCounter,
+    useful_ns: ShardedCounter,
 }
 
 impl SpecStats {
@@ -59,7 +61,7 @@ impl SpecStats {
     /// invariant at every quiescent point (checked by the rewrite property
     /// tests).
     pub fn record_attempt(&self) {
-        self.attempts.fetch_add(1, Ordering::Relaxed);
+        self.attempts.incr();
         if dacpara_obs::is_enabled() {
             obs().attempts.incr();
         }
@@ -73,7 +75,7 @@ impl SpecStats {
     /// leaf-level recordings; the drift test in
     /// `crates/core/tests/obs_spec_drift.rs` relies on this.
     pub fn record_conflict(&self) {
-        self.conflicts.fetch_add(1, Ordering::Relaxed);
+        self.conflicts.incr();
         if dacpara_obs::is_enabled() {
             obs().conflicts.incr();
             dacpara_obs::instant("spec.conflict", "spec");
@@ -82,9 +84,8 @@ impl SpecStats {
 
     /// Records a committed activity and the time it took.
     pub fn record_commit(&self, took: Duration) {
-        self.commits.fetch_add(1, Ordering::Relaxed);
-        self.useful_ns
-            .fetch_add(took.as_nanos() as u64, Ordering::Relaxed);
+        self.commits.incr();
+        self.useful_ns.add(took.as_nanos() as u64);
         if dacpara_obs::is_enabled() {
             obs().commits.incr();
             obs().commit_latency_ns.record(took.as_nanos() as u64);
@@ -94,9 +95,8 @@ impl SpecStats {
 
     /// Records an aborted activity whose computation of `took` was lost.
     pub fn record_abort(&self, took: Duration) {
-        self.aborts.fetch_add(1, Ordering::Relaxed);
-        self.wasted_ns
-            .fetch_add(took.as_nanos() as u64, Ordering::Relaxed);
+        self.aborts.incr();
+        self.wasted_ns.add(took.as_nanos() as u64);
         if dacpara_obs::is_enabled() {
             obs().aborts.incr();
             obs().abort_latency_ns.record(took.as_nanos() as u64);
@@ -106,32 +106,32 @@ impl SpecStats {
 
     /// Number of operator attempts started.
     pub fn attempts(&self) -> u64 {
-        self.attempts.load(Ordering::Relaxed)
+        self.attempts.value()
     }
 
     /// Number of lock conflicts observed.
     pub fn conflicts(&self) -> u64 {
-        self.conflicts.load(Ordering::Relaxed)
+        self.conflicts.value()
     }
 
     /// Number of committed activities.
     pub fn commits(&self) -> u64 {
-        self.commits.load(Ordering::Relaxed)
+        self.commits.value()
     }
 
     /// Number of aborted activities.
     pub fn aborts(&self) -> u64 {
-        self.aborts.load(Ordering::Relaxed)
+        self.aborts.value()
     }
 
     /// Total nanoseconds of computation discarded by aborts.
     pub fn wasted_ns(&self) -> u64 {
-        self.wasted_ns.load(Ordering::Relaxed)
+        self.wasted_ns.value()
     }
 
     /// Total nanoseconds of committed computation.
     pub fn useful_ns(&self) -> u64 {
-        self.useful_ns.load(Ordering::Relaxed)
+        self.useful_ns.value()
     }
 
     /// Plain-value snapshot for reporting.

@@ -53,7 +53,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     println!(
         "stored prepInfo for n2: leaves {:?}, gens {:?}, class {}, gain {}",
-        stored.leaves, stored.leaf_gens, stored.class, stored.gain
+        stored.leaves(),
+        stored.leaf_gens(),
+        stored.class,
+        stored.gain
     );
 
     // ---- Meanwhile, another thread rewrites the majority cone: the five
@@ -72,9 +75,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- "Stage 3": validate the stored cut on the latest AIG (§4.4).
     let fresh = stored
-        .leaves
+        .leaves()
         .iter()
-        .zip(&stored.leaf_gens)
+        .zip(stored.leaf_gens())
         .map(|(&l, &g)| {
             let alive = aig.is_alive(l);
             let same_gen = alive && aig.generation(l) == g;
@@ -96,7 +99,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("leaves untouched: Theorem 1 applies, the stored cut is still valid.");
     } else {
         println!("stored cut is STALE — running the re-validation protocol:");
-        match verify_cut(&aig, n2.node(), &stored.leaves) {
+        match verify_cut(&aig, n2.node(), stored.leaves()) {
             None => {
                 println!("  -> the leaf set no longer cuts n2: candidate dropped");
             }

@@ -31,7 +31,7 @@ fn speculative_ref_bumps_are_exclusive() {
     // Many workers "process" nodes by locking {node, fanins} and touching
     // shared per-node counters; the counters must come out exact.
     let aig = diamond_chain(64);
-    let shared = ConcurrentAig::from_aig(&aig, 0).unwrap();
+    let shared = ConcurrentAig::from_aig(&aig, 0, 1).unwrap();
     let nodes: Vec<_> = dacpara_aig::topo_ands(&shared);
     let touched: Vec<AtomicU64> = (0..shared.capacity()).map(|_| AtomicU64::new(0)).collect();
     let locks = LockTable::new(shared.capacity());
@@ -45,7 +45,7 @@ fn speculative_ref_bumps_are_exclusive() {
         let ids = vec![n.raw(), a.node().raw(), b.node().raw()];
         loop {
             let t = std::time::Instant::now();
-            if let Some(_g) = locks.try_acquire(owner, ids.clone(), &stats) {
+            if let Some(_g) = locks.try_acquire(owner, &mut ids.clone(), &stats) {
                 touched[n.index()].fetch_add(1, Ordering::Relaxed);
                 stats.record_commit(t.elapsed());
                 break;
@@ -71,7 +71,7 @@ fn concurrent_structural_additions_are_consistent() {
     aig.add_output(keep);
     // One spare slot per item: every item adds at most one gate.
     let items: Vec<usize> = (0..300).collect();
-    let shared = ConcurrentAig::from_aig(&aig, items.len()).unwrap();
+    let shared = ConcurrentAig::from_aig(&aig, items.len(), 4).unwrap();
     let locks = LockTable::new(shared.capacity());
     let spec = SpecStats::new();
     let ins = shared.input_ids();
@@ -84,7 +84,7 @@ fn concurrent_structural_additions_are_consistent() {
             return;
         }
         loop {
-            if let Some(_g) = locks.try_acquire(owner, vec![a.raw(), b.raw()], &spec) {
+            if let Some(_g) = locks.try_acquire(owner, &mut [a.raw(), b.raw()], &spec) {
                 let la = a.lit().xor(i % 3 == 0);
                 let lb = b.lit().xor(i % 5 == 0);
                 shared
@@ -115,7 +115,7 @@ fn concurrent_replacements_on_disjoint_cones() {
         aig.add_output(m);
         tops.push(m.node());
     }
-    let shared = ConcurrentAig::from_aig(&aig, 64).unwrap();
+    let shared = ConcurrentAig::from_aig(&aig, 64, 4).unwrap();
     let locks = LockTable::new(shared.capacity());
     let spec = SpecStats::new();
     let outputs = shared.output_lits();
@@ -128,7 +128,7 @@ fn concurrent_replacements_on_disjoint_cones() {
         let [f0, f1] = shared.fanins(top);
         let ids = vec![top.raw(), f0.node().raw(), f1.node().raw()];
         loop {
-            if let Some(_g) = locks.try_acquire(owner, ids.clone(), &spec) {
+            if let Some(_g) = locks.try_acquire(owner, &mut ids.clone(), &spec) {
                 // A trivial, function-changing-free replacement: re-point to
                 // the same literal is a no-op; instead just exercise
                 // delete/create by replacing with f0's regular node AND'ed

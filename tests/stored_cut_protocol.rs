@@ -40,14 +40,14 @@ fn fresh_leaves_keep_stored_results_valid() {
     let stored = evaluate_node(&aig, n2, &cuts, &ctx()).expect("candidate stored");
     // Nothing changed: every leaf generation matches, the cut re-verifies
     // to the same function, and re-evaluation reproduces the gain.
-    for (&l, &g) in stored.leaves.iter().zip(&stored.leaf_gens) {
+    for (&l, &g) in stored.leaves().iter().zip(stored.leaf_gens()) {
         assert!(aig.is_alive(l));
         assert_eq!(aig.generation(l), g);
     }
-    let (_, tt) = verify_cut(&aig, n2, &stored.leaves).expect("still a cut");
+    let (_, tt) = verify_cut(&aig, n2, stored.leaves()).expect("still a cut");
     assert_eq!(tt, stored.tt);
-    let re = reevaluate_structure(&aig, n2, &stored, &ctx());
-    assert_eq!(re.gain, stored.gain);
+    let gain = reevaluate_structure(&aig, n2, &stored, &ctx(), |re| re.gain);
+    assert_eq!(gain, stored.gain);
 }
 
 #[test]
