@@ -1,8 +1,37 @@
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::node::Node;
 use crate::topo::is_in_tfi;
 use crate::{AigRead, Lit, NodeId, NodeKind};
+
+/// The structural hash: each live AND's sorted fanin pair to the node.
+pub(crate) type Strash = HashMap<(Lit, Lit), NodeId, BuildHasherDefault<PairHasher>>;
+
+/// A multiplicative hash for the strash's literal pairs, in place of the
+/// default SipHash: a probe costs a few instructions. Nothing iterates the
+/// strash, so its order never reaches a result. The multiply mixes each
+/// word into the high bits, and `finish` folds them into the low bits the
+/// table indexes by. The keys are literals of ids the graph assigns
+/// itself; an input netlist picks which pairs exist, not their values.
+#[derive(Default)]
+pub(crate) struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(word)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
 
 /// A single-threaded And-Inverter Graph.
 ///
@@ -38,7 +67,7 @@ pub struct Aig {
     fanouts: Vec<Vec<NodeId>>,
     inputs: Vec<NodeId>,
     outputs: Vec<Lit>,
-    strash: HashMap<(Lit, Lit), NodeId>,
+    strash: Strash,
     free: Vec<NodeId>,
     num_ands: usize,
     /// Nodes whose fanins changed and that must be re-hashed (possibly
@@ -56,7 +85,7 @@ impl Aig {
             fanouts: Vec::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
-            strash: HashMap::new(),
+            strash: Strash::default(),
             free: Vec::new(),
             num_ands: 0,
             rehash: Vec::new(),
@@ -73,6 +102,7 @@ impl Aig {
         let mut aig = Aig::new();
         aig.nodes.reserve(n);
         aig.fanouts.reserve(n);
+        aig.strash.reserve(n);
         aig.queued.reserve(n);
         aig
     }
@@ -448,7 +478,7 @@ impl Aig {
         &self.nodes[n.index()]
     }
 
-    pub(crate) fn strash_map(&self) -> &HashMap<(Lit, Lit), NodeId> {
+    pub(crate) fn strash_map(&self) -> &Strash {
         &self.strash
     }
 }

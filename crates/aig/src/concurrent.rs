@@ -50,9 +50,11 @@ const MAX_CAPACITY: usize = (u32::MAX >> 1) as usize;
 
 /// Aligns `T` to 128 bytes, so it shares no cache line with its
 /// neighbours (two 64-byte lines: adjacent-line prefetchers pull lines in
-/// pairs).
+/// pairs). The graph pads each worker's lists with it, and the cut memo
+/// each worker's arena shard.
 #[repr(align(128))]
-struct CachePadded<T>(T);
+#[derive(Default)]
+pub struct CachePadded<T>(T);
 
 impl<T> Deref for CachePadded<T> {
     type Target = T;
@@ -694,12 +696,22 @@ impl ConcurrentAig {
     /// Restores strash canonicity by folding/merging every queued node, with
     /// full cascading. **Must be called from a single thread while no
     /// parallel operators are running** (the engines call it at barriers).
-    /// Returns the number of nodes eliminated, and records into `touched`
-    /// every node whose cached cut or cost picture may have changed: each
-    /// processed pending node, each merge target (its fanout set grew), and
-    /// the surviving boundary fanins of any cone deleted by a merge.
+    /// Returns the number of nodes eliminated, and records the nodes whose
+    /// cached cut or cost picture may have changed, in two kinds:
+    ///
+    /// * `refanined`: each processed pending node — its fanins were moved,
+    ///   so its cuts, and those of its transitive fanouts, may have changed;
+    /// * `gain_only`: each merge target (its fanout set grew) and each
+    ///   surviving boundary fanin of a cone deleted by a merge (its
+    ///   reference count fell). Their structure, and so their cuts and
+    ///   those of their fanouts, did not change.
+    ///
     /// Entries may repeat, and some may be dead by the time this returns.
-    pub fn canonicalize_traced(&self, touched: &mut Vec<NodeId>) -> usize {
+    pub fn canonicalize_traced(
+        &self,
+        refanined: &mut Vec<NodeId>,
+        gain_only: &mut Vec<NodeId>,
+    ) -> usize {
         let before = self.num_ands();
         let mut batch = Vec::new();
         loop {
@@ -715,7 +727,7 @@ impl ConcurrentAig {
                 if self.kind(f) != NodeKind::And {
                     continue;
                 }
-                touched.push(f);
+                refanined.push(f);
                 let a = Lit::from_raw(self.nodes[f.index()].fanin0.load(ORD_LOAD));
                 let b = Lit::from_raw(self.nodes[f.index()].fanin1.load(ORD_LOAD));
                 let target = if let Some(t) = Aig::fold_and(a, b) {
@@ -724,13 +736,13 @@ impl ConcurrentAig {
                     self.find_and_excluding(a, b, f).map(NodeId::lit)
                 };
                 if let Some(t) = target {
-                    touched.push(t.node());
+                    gain_only.push(t.node());
                     self.nodes[t.node().index()]
                         .refs
                         .fetch_add(1, Ordering::AcqRel);
                     self.move_fanout_edges(f, t);
                     debug_assert_eq!(self.nodes[f.index()].refs.load(ORD_LOAD), 0);
-                    self.delete_cone_inner(f, Some(&mut *touched));
+                    self.delete_cone_inner(f, Some(&mut *gain_only));
                     self.nodes[t.node().index()]
                         .refs
                         .fetch_sub(1, Ordering::AcqRel);
@@ -1059,10 +1071,10 @@ mod tests {
 
         // Replace bc by ac: the top AND folds to ac, PO must follow.
         shared.replace_locked(sbc, sac.lit());
-        let mut touched = Vec::new();
-        let merged = shared.canonicalize_traced(&mut touched);
+        let (mut refanined, mut gain_only) = (Vec::new(), Vec::new());
+        let merged = shared.canonicalize_traced(&mut refanined, &mut gain_only);
         assert!(merged >= 1);
-        assert!(!touched.is_empty(), "the replacement queued its fanout");
+        assert!(!refanined.is_empty(), "the replacement queued its fanout");
         shared.check().unwrap();
         assert_eq!(shared.num_ands(), 1);
         assert_eq!(shared.output_lits()[0], sac.lit());
@@ -1087,9 +1099,9 @@ mod tests {
         let fresh = shared.add_and_locked(!ins[0].lit(), ins[1].lit()).unwrap();
         assert_eq!(fresh.node(), sab);
         assert!(shared.generation(sab) > gen0);
-        let mut scratch = Vec::new();
-        shared.canonicalize_traced(&mut scratch);
-        shared.cleanup_traced(&mut scratch);
+        let (mut refanined, mut gain_only) = (Vec::new(), Vec::new());
+        shared.canonicalize_traced(&mut refanined, &mut gain_only);
+        shared.cleanup_traced(&mut gain_only);
         shared.check().unwrap();
     }
 
@@ -1138,14 +1150,15 @@ mod tests {
         let stop = shared.find_and(sac.lit(), sbc.lit()).unwrap();
 
         shared.replace_locked(sbc, sac.lit());
-        let mut touched = Vec::new();
-        let merged = shared.canonicalize_traced(&mut touched);
+        let (mut refanined, mut gain_only) = (Vec::new(), Vec::new());
+        let merged = shared.canonicalize_traced(&mut refanined, &mut gain_only);
         assert!(merged >= 1);
         shared.check().unwrap();
         // The queued fanout (top) was processed, and its merge target (ac)
-        // absorbed the fanout edges — both must be reported.
-        assert!(touched.contains(&stop));
-        assert!(touched.contains(&sac));
+        // absorbed the fanout edges — each must be reported as its kind.
+        assert!(refanined.contains(&stop));
+        assert!(gain_only.contains(&sac));
+        assert!(!refanined.contains(&sac));
     }
 
     #[test]

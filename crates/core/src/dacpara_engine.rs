@@ -10,9 +10,10 @@
 //! 2. **Parallel evaluation** (§4.3) — completely lock-free: each worker
 //!    evaluates nodes against thread-local MFFC scratch and the
 //!    decentralized structural hash, storing the best result in `prepInfo`
-//!    (here one slot per position of the level list, reused list to list).
-//!    Stages 1–2 run in the graph's *read-only phase*, so the structural
-//!    probes read fanout lists without taking their locks.
+//!    (here each worker's own list of winning positions, merged in
+//!    position order when stage 3 opens). Stages 1–2 run in the graph's
+//!    *read-only phase*, so the structural probes read fanout lists
+//!    without taking their locks.
 //! 3. **Parallel replacement** (§4.4) — based on *dynamic global
 //!    information*: each stored result is validated against the latest
 //!    graph (leaf liveness + generation stamps, re-enumeration with
@@ -28,7 +29,7 @@ use dacpara_aig::concurrent::ConcurrentAig;
 use dacpara_aig::{AigError, AigRead, NodeId};
 use dacpara_galois::run_spmd;
 use dacpara_npn::canon;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use crate::eval::{evaluate_node, Candidate};
 use crate::pass::Pass;
@@ -60,12 +61,14 @@ pub(crate) fn round(sess: &RewriteSession, pass: &Pass, work: Vec<NodeId>) {
     // lists would only burn barriers.
     worklists.retain(|l| !l.is_empty());
     pass.worklists.fetch_add(worklists.len(), Ordering::Relaxed);
-    // `prepInfo`: stage 2 stores list position `i`'s best candidate in
-    // `prep[i]` and stage 3 takes every position back out, so the slots are
-    // empty again when the next list starts.
-    let longest = worklists.iter().map(Vec::len).max().unwrap_or(0);
-    let prep: Vec<Mutex<Option<Candidate>>> = (0..longest).map(|_| Mutex::new(None)).collect();
-    let prep = &prep;
+    // `prepInfo`: in stage 2 each worker collects the list positions it
+    // found a candidate for, with the candidate, and hands them to its
+    // `found` list; the stage-3 barrier step merges every worker's list
+    // into `prep`, in position order, and stage 3 drives `prep` alone.
+    let found: Vec<Mutex<Vec<(usize, Candidate)>>> =
+        (0..cfg.threads).map(|_| Mutex::default()).collect();
+    let prep: RwLock<Vec<(usize, Candidate)>> = RwLock::default();
+    let (found, prep) = (&found, &prep);
 
     let (pool, error) = (&pass.pool, &pass.error);
     let worklists = &worklists;
@@ -77,6 +80,7 @@ pub(crate) fn round(sess: &RewriteSession, pass: &Pass, work: Vec<NodeId>) {
     run_spmd(cfg.threads, |w| {
         let owner = w.id as u32 + 1;
         let mut ids = LockIds::default();
+        let mut winners = Vec::new();
         let bail = || error.is_set();
         // Each stage opens with one barrier: it waits for the whole team to
         // leave the previous stage, and its step arms the pool. Once an
@@ -99,11 +103,12 @@ pub(crate) fn round(sess: &RewriteSession, pass: &Pass, work: Vec<NodeId>) {
                     sess.canonicalize_and_sweep(false);
                 }
                 // SAFETY: stages 1–2 write no graph state (enumeration
-                // writes the cut memo, evaluation `prep`). This step runs
-                // after every worker left the previous stage and after the
-                // sweep above, and releases the team only when it returns;
-                // the stage-3 barrier's step ends the phase before anyone
-                // writes again, and `_phase` ends it if the team unwinds.
+                // writes the cut memo, evaluation the `found` lists). This
+                // step runs after every worker left the previous stage and
+                // after the sweep above, and releases the team only when it
+                // returns; the stage-3 barrier's step ends the phase before
+                // anyone writes again, and `_phase` ends it if the team
+                // unwinds.
                 unsafe { shared.begin_read_only() };
                 arm(list.len());
             });
@@ -127,28 +132,38 @@ pub(crate) fn round(sess: &RewriteSession, pass: &Pass, work: Vec<NodeId>) {
                         return;
                     }
                     pass.evaluations.incr();
-                    *prep[i].lock() = store
+                    if let Some(cand) = store
                         .try_cuts(shared, n)
-                        .and_then(|cuts| evaluate_node(shared, n, &cuts, ctx));
+                        .and_then(|cuts| evaluate_node(shared, n, cuts, ctx))
+                    {
+                        winners.push((i, cand));
+                    }
                 });
+                found[w.id].lock().append(&mut winners);
             }
 
             // -------- Stage 3: parallel validated replacement.
             //
-            // Every position's candidate is taken, so `prep` is empty for
-            // the next list; a conflict-aborted commit retries in place.
-            // The step ends the read-only phase: commits write the graph.
+            // Only the positions holding a candidate are driven, in
+            // position order at one thread; a conflict-aborted commit
+            // retries in place. The step ends the read-only phase: commits
+            // write the graph.
             w.barrier(|| {
                 shared.end_read_only();
-                arm(list.len());
+                let mut prep = prep.write();
+                prep.clear();
+                for theirs in found {
+                    prep.append(&mut theirs.lock());
+                }
+                prep.sort_unstable_by_key(|&(i, _)| i);
+                arm(prep.len());
             });
             {
                 let _obs = dacpara_obs::span("replace");
-                pool.drive(w.id, |i| {
-                    let Some(cand) = prep[i].lock().take() else {
-                        return;
-                    };
-                    let n = list[i];
+                let prep = prep.read();
+                pool.drive(w.id, |j| {
+                    let (i, cand) = &prep[j];
+                    let n = list[*i];
                     // A retried attempt counts no second revalidation.
                     let mut revalidation_counted = false;
                     speculate(pass, || {
@@ -157,7 +172,7 @@ pub(crate) fn round(sess: &RewriteSession, pass: &Pass, work: Vec<NodeId>) {
                             pass,
                             owner,
                             n,
-                            &cand,
+                            cand,
                             &mut revalidation_counted,
                             &mut ids,
                         )

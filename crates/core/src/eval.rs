@@ -290,11 +290,20 @@ impl ProbeMemo {
     }
 }
 
-/// Per-thread evaluation scratch: the probe memo, the MFFC lists that
+/// What [`map_structure`] works in: the node's probe memo, and the value
+/// of each structure gate mapped so far. A mapping writes gate `i`'s value
+/// before any later gate reads it, so `vals` is never cleared — most
+/// mappings stop after a gate or two.
+struct MapScratch {
+    memo: ProbeMemo,
+    vals: [(MVal, u32); MAX_STRUCTURE_GATES],
+}
+
+/// Per-thread evaluation scratch: the mapping scratch, the MFFC lists that
 /// every cut recomputes in place, and the shared-node list of a
 /// re-evaluation. Evaluating or re-evaluating a node allocates nothing.
 struct EvalScratch {
-    memo: ProbeMemo,
+    map: MapScratch,
     cone: ConeDeref,
     shared: Vec<(NodeId, u32)>,
 }
@@ -302,7 +311,10 @@ struct EvalScratch {
 thread_local! {
     static SCRATCH: RefCell<EvalScratch> = const {
         RefCell::new(EvalScratch {
-            memo: ProbeMemo::new(),
+            map: MapScratch {
+                memo: ProbeMemo::new(),
+                vals: [(MVal::Real(Lit::FALSE), 0); MAX_STRUCTURE_GATES],
+            },
             cone: ConeDeref::new(),
             shared: Vec::new(),
         })
@@ -313,7 +325,7 @@ thread_local! {
 fn with_scratch<R>(f: impl FnOnce(&mut EvalScratch) -> R) -> R {
     SCRATCH.with(|scratch| {
         let scratch = &mut *scratch.borrow_mut();
-        scratch.memo.reset();
+        scratch.map.memo.reset();
         f(scratch)
     })
 }
@@ -365,14 +377,14 @@ pub fn evaluate_node<V: AigRead + ?Sized>(
     cuts: &[Cut],
     ctx: &EvalContext,
 ) -> Option<Candidate> {
-    with_scratch(|EvalScratch { memo, cone, .. }| {
+    with_scratch(|EvalScratch { map, cone, .. }| {
         let mut best: Option<Candidate> = None;
         for cut in cuts {
             if cut.len() < 2 {
                 continue;
             }
             let floor = best.as_ref().map_or(ctx.base_floor(), |b| b.gain);
-            if let Some(cand) = best_on_cut(view, n, cut, ctx, floor, memo, cone) {
+            if let Some(cand) = best_on_cut(view, n, cut, ctx, floor, map, cone) {
                 best = Some(cand);
             }
         }
@@ -393,8 +405,8 @@ pub fn evaluate_cut<V: AigRead + ?Sized>(
     cut: &Cut,
     ctx: &EvalContext,
 ) -> Option<Candidate> {
-    with_scratch(|EvalScratch { memo, cone, .. }| {
-        best_on_cut(view, n, cut, ctx, ctx.base_floor(), memo, cone)
+    with_scratch(|EvalScratch { map, cone, .. }| {
+        best_on_cut(view, n, cut, ctx, ctx.base_floor(), map, cone)
     })
 }
 
@@ -409,16 +421,16 @@ fn structure_budget(max_structures: usize, available: usize) -> usize {
 }
 
 /// [`evaluate_cut`] restricted to structures whose gain is strictly greater
-/// than `floor` (at least [`EvalContext::base_floor`]); `memo` holds the
-/// probes of earlier cuts of the same node, and `cone` is scratch for the
-/// cut's MFFC.
+/// than `floor` (at least [`EvalContext::base_floor`]); `map`'s memo holds
+/// the probes of earlier cuts of the same node, and `cone` is scratch for
+/// the cut's MFFC.
 fn best_on_cut<V: AigRead + ?Sized>(
     view: &V,
     n: NodeId,
     cut: &Cut,
     ctx: &EvalContext,
     floor: i32,
-    memo: &mut ProbeMemo,
+    map: &mut MapScratch,
     cone: &mut ConeDeref,
 ) -> Option<Candidate> {
     debug_assert!(cut.len() >= 2);
@@ -458,7 +470,7 @@ fn best_on_cut<V: AigRead + ?Sized>(
             &cone.freed,
             ctx.count_sharing,
             max_added,
-            memo,
+            map,
             None,
         ) else {
             continue;
@@ -508,11 +520,11 @@ fn map_structure<V: AigRead + ?Sized>(
     freed: &[NodeId],
     count_sharing: bool,
     max_added: u32,
-    memo: &mut ProbeMemo,
+    map: &mut MapScratch,
     mut shared: Option<&mut Vec<(NodeId, u32)>>,
 ) -> Option<Mapping> {
+    let MapScratch { memo, vals } = map;
     let mut added = 0u32;
-    let mut vals = [(MVal::Real(Lit::FALSE), 0u32); MAX_STRUCTURE_GATES];
     let resolve = |input: StructIn, vals: &[(MVal, u32)]| -> (MVal, u32) {
         match input {
             StructIn::Const(b) => (MVal::Real(Lit::FALSE.xor(b)), 0),
@@ -528,8 +540,8 @@ fn map_structure<V: AigRead + ?Sized>(
     };
 
     for (gi, gate) in structure.gates().iter().enumerate() {
-        let (va, la) = resolve(gate[0], &vals);
-        let (vb, lb) = resolve(gate[1], &vals);
+        let (va, la) = resolve(gate[0], vals);
+        let (vb, lb) = resolve(gate[1], vals);
         let value = match (va, vb) {
             // Constant operands fold regardless of the other side.
             (MVal::Real(x), _) | (_, MVal::Real(x)) if x == Lit::FALSE => {
@@ -586,7 +598,7 @@ fn map_structure<V: AigRead + ?Sized>(
         vals[gi] = value;
     }
 
-    let (root, level) = resolve(structure.root(), &vals);
+    let (root, level) = resolve(structure.root(), vals);
     let root = match root.xor(wiring.out_neg) {
         MVal::Real(l) => Some(l),
         MVal::Virt(..) => None,
@@ -628,7 +640,7 @@ pub fn reevaluate_structure<V: AigRead + ?Sized, R>(
 ) -> R {
     let structure = &ctx.lib.structures(cand.class)[cand.struct_idx];
     let wiring = Wiring::new(view, &cand.transform, cand.leaves());
-    with_scratch(|EvalScratch { memo, cone, shared }| {
+    with_scratch(|EvalScratch { map, cone, shared }| {
         cone.simulate(view, n, |x| cand.leaves().contains(&x));
         shared.clear();
         let m = map_structure(
@@ -638,7 +650,7 @@ pub fn reevaluate_structure<V: AigRead + ?Sized, R>(
             &cone.freed,
             ctx.count_sharing,
             u32::MAX,
-            memo,
+            map,
             Some(shared),
         )
         .expect("an unbounded mapping always completes");
@@ -801,7 +813,7 @@ mod tests {
         let (aig, root) = wasteful_majority();
         let store = CutStore::new(aig.slot_count(), CutConfig::unlimited());
         let cuts = store.cuts(&aig, root);
-        let cand = evaluate_node(&aig, root, &cuts, &ctx()).expect("a candidate");
+        let cand = evaluate_node(&aig, root, cuts, &ctx()).expect("a candidate");
         assert!(cand.gain > 0, "gain {}", cand.gain);
         assert_eq!(cand.leaves().len(), 3);
     }
@@ -812,7 +824,7 @@ mod tests {
         let golden = aig.clone();
         let store = CutStore::new(aig.slot_count(), CutConfig::unlimited());
         let cuts = store.cuts(&aig, root);
-        let cand = evaluate_node(&aig, root, &cuts, &ctx()).unwrap();
+        let cand = evaluate_node(&aig, root, cuts, &ctx()).unwrap();
         let before = dacpara_aig::AigRead::num_ands(&aig);
         let new_root = build_replacement(&mut aig, &cand, NpnLibrary::global()).unwrap();
         aig.replace(root, new_root);
@@ -845,7 +857,7 @@ mod tests {
         let (aig, root) = wasteful_majority();
         let store = CutStore::new(aig.slot_count(), CutConfig::unlimited());
         let cuts = store.cuts(&aig, root);
-        let cand = evaluate_node(&aig, root, &cuts, &ctx()).unwrap();
+        let cand = evaluate_node(&aig, root, cuts, &ctx()).unwrap();
         for bad in miswired(&cand) {
             let mut serial = aig.clone();
             let err = build_replacement(&mut serial, &bad, NpnLibrary::global());
@@ -883,7 +895,7 @@ mod tests {
         aig.add_output(ab);
         let store = CutStore::new(aig.slot_count(), CutConfig::unlimited());
         let cuts = store.cuts(&aig, ab.node());
-        assert_eq!(evaluate_node(&aig, ab.node(), &cuts, &ctx()), None);
+        assert_eq!(evaluate_node(&aig, ab.node(), cuts, &ctx()), None);
     }
 
     #[test]
@@ -893,7 +905,7 @@ mod tests {
         let cuts = store.cuts(&aig, root);
         let mut blocked = ctx();
         blocked.allowed = vec![false; blocked.registry.len()];
-        assert_eq!(evaluate_node(&aig, root, &cuts, &blocked), None);
+        assert_eq!(evaluate_node(&aig, root, cuts, &blocked), None);
     }
 
     #[test]
@@ -905,7 +917,7 @@ mod tests {
         strict.preserve_level = true;
         // With level preservation the engine may still find the 4-gate
         // majority (depth 2 <= mux depth 3); the candidate must respect it.
-        if let Some(c) = evaluate_node(&aig, root, &cuts, &strict) {
+        if let Some(c) = evaluate_node(&aig, root, cuts, &strict) {
             assert!(c.gain > 0);
         }
     }
@@ -935,10 +947,10 @@ mod tests {
 
         let store = CutStore::new(aig.slot_count(), CutConfig::unlimited());
         let cuts = store.cuts(&aig, m.node());
-        let dynamic = evaluate_node(&aig, m.node(), &cuts, &ctx());
+        let dynamic = evaluate_node(&aig, m.node(), cuts, &ctx());
         let mut static_ctx = ctx();
         static_ctx.count_sharing = false;
-        let static_ = evaluate_node(&aig, m.node(), &cuts, &static_ctx);
+        let static_ = evaluate_node(&aig, m.node(), cuts, &static_ctx);
 
         // With sharing, the inner OR and AND of the factored majority are
         // free; without it, the structure costs as much as the cone saves.
@@ -985,8 +997,8 @@ mod tests {
         let cuts = store.cuts(&aig, m.node());
         let mut static_ctx = ctx();
         static_ctx.count_sharing = false;
-        let dynamic = evaluate_node(&aig, m.node(), &cuts, &ctx());
-        let static_ = evaluate_node(&aig, m.node(), &cuts, &static_ctx);
+        let dynamic = evaluate_node(&aig, m.node(), cuts, &ctx());
+        let static_ = evaluate_node(&aig, m.node(), cuts, &static_ctx);
         assert!(dynamic.is_some(), "sharing-aware evaluation finds the gain");
         assert!(
             static_.is_none(),

@@ -10,6 +10,7 @@
 use dacpara_aig::{AigError, AigRead, NodeId};
 use dacpara_cut::Cut;
 use dacpara_galois::run_spmd;
+use dacpara_npn::Tt4;
 
 use crate::eval::evaluate_node;
 use crate::pass::Pass;
@@ -25,6 +26,7 @@ pub(crate) fn round(sess: &RewriteSession, pass: &Pass, order: Vec<NodeId>) {
     run_spmd(sess.cfg.threads, |w| {
         let owner = w.id as u32 + 1;
         let mut ids = LockIds::default();
+        let mut cuts = CutScratch::default();
         pass.pool.drive(w.id, |i| {
             // A retried attempt's evaluation is wasted work, which the
             // `spec` ledger counts; `evaluations` counts the node once.
@@ -37,10 +39,24 @@ pub(crate) fn round(sess: &RewriteSession, pass: &Pass, order: Vec<NodeId>) {
                     order[i],
                     &mut evaluation_counted,
                     &mut ids,
+                    &mut cuts,
                 )
             });
         });
     });
+}
+
+/// A worker's per-attempt cut lists, kept from one attempt to the next
+/// (next to its [`LockIds`]), so an attempt allocates nothing once they
+/// have grown. The leaf sets borrow the session's cut memo.
+#[derive(Default)]
+struct CutScratch<'s> {
+    /// The leaves of every cut of at least two leaves, in memo order.
+    leaf_sets: Vec<&'s [NodeId]>,
+    /// Each such cut's function on the live graph, `None` if stale.
+    tts: Vec<Option<Tt4>>,
+    /// The cuts whose function the live graph confirms.
+    valid: Vec<Cut>,
 }
 
 /// One attempt of the single ICCAD'18-style operator: enumerate, lock
@@ -48,13 +64,14 @@ pub(crate) fn round(sess: &RewriteSession, pass: &Pass, order: Vec<NodeId>) {
 /// A conflict carries nothing over — the retry recomputes enumeration and
 /// evaluation from scratch, exactly the waste the paper's Fig. 2 charges
 /// this scheme.
-fn combined_operator(
-    sess: &RewriteSession,
+fn combined_operator<'s>(
+    sess: &'s RewriteSession,
     pass: &Pass,
     owner: u32,
     n: NodeId,
     evaluation_counted: &mut bool,
     ids: &mut LockIds,
+    scratch: &mut CutScratch<'s>,
 ) -> Result<Attempt, AigError> {
     let (shared, store, ctx) = (&sess.shared, &sess.store, &sess.ctx);
     if !shared.is_and(n) || shared.refs(n) == 0 {
@@ -78,21 +95,29 @@ fn combined_operator(
     // cannot be collected (stale, or larger than the exploration bound
     // around high-fanout reconvergence) are simply dropped from
     // consideration — retrying could loop forever on a stable graph.
-    let usable: Vec<&Cut> = cuts.iter().filter(|c| c.len() >= 2).collect();
-    let leaf_sets: Vec<&[NodeId]> = usable.iter().map(|c| c.leaves()).collect();
-    let mut tts = vec![None; usable.len()];
-    let guard = match lock_and_verify(sess, pass, owner, n, &leaf_sets, &mut tts, &mut ids.region) {
+    let usable = || cuts.iter().filter(|c| c.len() >= 2);
+    let CutScratch {
+        leaf_sets,
+        tts,
+        valid,
+    } = scratch;
+    leaf_sets.clear();
+    leaf_sets.extend(usable().map(Cut::leaves));
+    tts.clear();
+    tts.resize(leaf_sets.len(), None);
+    let guard = match lock_and_verify(sess, pass, owner, n, leaf_sets, tts, &mut ids.region) {
         Ok(guard) => guard,
         Err(outcome) => return Ok(outcome),
     };
     // Keep only cuts whose function is confirmed on the live graph (stale
     // enumerations are dropped, not misapplied).
-    let valid_cuts: Vec<Cut> = usable
-        .iter()
-        .zip(&tts)
-        .filter(|(c, tt)| **tt == Some(c.tt()))
-        .map(|(c, _)| **c)
-        .collect();
+    valid.clear();
+    valid.extend(
+        usable()
+            .zip(tts.iter())
+            .filter(|(c, tt)| **tt == Some(c.tt()))
+            .map(|(c, _)| *c),
+    );
 
     // Stage B: evaluation while holding every lock.
     let eval_span = dacpara_obs::span("evaluate");
@@ -100,7 +125,7 @@ fn combined_operator(
         pass.evaluations.incr();
         *evaluation_counted = true;
     }
-    let cand = evaluate_node(shared, n, &valid_cuts, ctx);
+    let cand = evaluate_node(shared, n, valid, ctx);
     drop(eval_span);
     let Some(cand) = cand else {
         return Ok(Attempt::Done);

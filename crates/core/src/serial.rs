@@ -43,7 +43,7 @@ pub(crate) fn run(
         let cand = {
             let _obs = dacpara_obs::span("evaluate");
             evaluations += 1;
-            evaluate_node(aig, n, &cuts, ctx)
+            evaluate_node(aig, n, cuts, ctx)
         };
         let Some(cand) = cand else {
             continue;
@@ -62,6 +62,9 @@ pub(crate) fn run(
             replacements += 1;
         }
         store.grow(aig.slot_count());
+        // The invalidations above retired entries; free them once they
+        // outweigh the live ones.
+        store.compact();
     }
     aig.cleanup();
     aig.recompute_levels();

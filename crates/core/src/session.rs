@@ -159,6 +159,9 @@ impl RewriteSession {
         // A pass whose runs all found an empty worklist committed nothing
         // and drained the dirty set, so it counts as converged too.
         self.converged = stats.replacements == 0 && self.store.dirty_count() == 0;
+        // No worker borrows a cut set any more: the memo may free the
+        // entries the pass retired.
+        self.store.compact();
         self.passes_run += 1;
         Ok(stats)
     }
@@ -296,25 +299,31 @@ impl RewriteSession {
     /// resident engines: restore strash canonicity, delete dangling cones,
     /// and translate everything either step touched into memo invalidation
     /// + dirty marks so the next pass revisits the affected region.
+    ///
+    /// Only refanined nodes lose memo entries. Merge targets and the
+    /// surviving boundary fanins of deleted cones keep their structure, so
+    /// their cones keep their cuts; only their reference counts and fanout
+    /// sets — the MFFC and sharing picture — shifted, and a dirty mark is
+    /// all they need.
     pub(crate) fn canonicalize_and_sweep(&self, cleanup: bool) {
         let _obs = dacpara_obs::span("sweep");
-        let mut touched = Vec::new();
-        self.shared.canonicalize_traced(&mut touched);
+        let (mut refanined, mut gain_only) = (Vec::new(), Vec::new());
+        self.shared
+            .canonicalize_traced(&mut refanined, &mut gain_only);
         if cleanup {
-            // Boundary fanins of deleted cones: structure unchanged, but
-            // their reference counts (MFFC picture) shifted.
-            let mut boundary = Vec::new();
-            self.shared.cleanup_traced(&mut boundary);
-            for b in boundary {
-                if self.shared.is_alive(b) {
-                    self.store.mark_dirty_tfo(&self.shared, b);
-                }
+            self.shared.cleanup_traced(&mut gain_only);
+        }
+        for x in gain_only {
+            if self.shared.is_alive(x) {
+                self.store.mark_dirty_tfo(&self.shared, x);
+            } else {
+                self.store.invalidate(x);
             }
         }
-        for x in touched {
+        for x in refanined {
             if self.shared.is_alive(x) {
-                // Merged/refanned nodes: entries downstream may be
-                // generation-fresh yet content-stale, so clear them.
+                // Entries downstream may be generation-fresh yet
+                // content-stale, so clear them.
                 self.store.invalidate_tfo(&self.shared, x);
             } else {
                 self.store.invalidate(x);
@@ -428,6 +437,80 @@ mod tests {
         assert_eq!(fix.evaluations, 0, "converged pass must skip evaluation");
         assert_eq!(fix.replacements, 0);
         assert_eq!(fix.area_reduction(), 0);
+    }
+
+    #[test]
+    fn the_sweep_clears_only_refanined_cones() {
+        use dacpara_aig::Lit;
+
+        let mut aig = Aig::new();
+        let [a, b, c, d, e] = [(); 5].map(|_| aig.add_input());
+        let ac = aig.add_and(a, c);
+        let bc = aig.add_and(b, c);
+        let top = aig.add_and(ac, bc);
+        let w = aig.add_and(top, d);
+        let x = aig.add_and(w, e);
+        let u = aig.add_and(ac, e);
+        let y = aig.add_and(u, d);
+        aig.add_output(x);
+        aig.add_output(y);
+        let sess = RewriteSession::new(&aig, &cfg().with_threads(1)).unwrap();
+        let (shared, store) = (&sess.shared, &sess.store);
+        let ins = shared.input_ids();
+        let [a, b, c, d, e] = [0, 1, 2, 3, 4].map(|i| ins[i].lit());
+        let find = |p: Lit, q: Lit| shared.find_and(p, q).unwrap();
+        let (ac, bc) = (find(a, c), find(b, c));
+        let top = find(ac.lit(), bc.lit());
+        let (w, u) = (find(top.lit(), d), find(ac.lit(), e));
+        let (x, y) = (find(w.lit(), e), find(u.lit(), d));
+
+        // A commit replaces bc by ac: top becomes ac & ac, and the sweep
+        // folds it into ac, moving w onto ac. Every live cone is memo-hot
+        // before the sweep.
+        shared.replace_locked(bc, ac.lit());
+        for n in [ac, top, w, x, u, y] {
+            store.try_cuts(shared, n).unwrap();
+        }
+        let _ = store.drain_dirty();
+        sess.canonicalize_and_sweep(false);
+        assert!(!shared.is_alive(top), "top folds into its merge target ac");
+
+        // The merge target's cone keeps its cuts; the refanined w's cone
+        // (x's cuts still name top) loses them.
+        for n in [ac, u, y] {
+            assert!(store.get(shared, n).is_some(), "{n:?} lost its cuts");
+        }
+        for n in [w, x] {
+            assert!(store.get(shared, n).is_none(), "{n:?} kept stale cuts");
+        }
+        for n in [ac, u, y, w, x] {
+            assert!(store.is_dirty(n), "{n:?} is not dirty");
+        }
+    }
+
+    #[test]
+    fn memo_memory_stays_bounded_over_many_passes() {
+        let aig = dacpara_circuits::mtm(&dacpara_circuits::MtmParams {
+            inputs: 32,
+            gates: 2000,
+            outputs: 12,
+            seed: 3,
+        });
+        let mut sess = RewriteSession::new(&aig, &cfg()).unwrap();
+        for pass in 0..20 {
+            // Every pass clears the whole memo and revisits every node, so
+            // it recomputes every set and retires the previous pass's.
+            for i in sess.shared.input_ids() {
+                sess.store.invalidate_tfo(&sess.shared, i);
+            }
+            sess.fresh = true;
+            sess.run(Engine::DacPara).unwrap();
+            let bytes = sess.store.memo_bytes();
+            assert!(
+                bytes.held <= 2 * bytes.live + bytes.slack,
+                "pass {pass}: {bytes:?}"
+            );
+        }
     }
 
     #[test]

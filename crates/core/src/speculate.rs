@@ -334,7 +334,7 @@ mod tests {
         let pass = Pass::new(1);
         let n = NodeId::new(50);
         let cuts = sess.store.try_cuts(&sess.shared, n).unwrap();
-        let cand = evaluate_node(&sess.shared, n, &cuts, &sess.ctx).unwrap();
+        let cand = evaluate_node(&sess.shared, n, cuts, &sess.ctx).unwrap();
         // DACPara locks its stored candidate's cut; ICCAD'18 every cut of
         // at least two leaves (`lockstep::combined_operator`).
         let dacpara: Vec<&[NodeId]> = vec![cand.leaves()];

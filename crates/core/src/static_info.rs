@@ -61,7 +61,7 @@ pub(crate) fn run(
                 store.cuts(aig, n)
             };
             let _obs = dacpara_obs::span("evaluate");
-            *prep[n.index()].lock() = evaluate_node(aig, n, &cuts, ctx);
+            *prep[n.index()].lock() = evaluate_node(aig, n, cuts, ctx);
         });
     }
 

@@ -96,8 +96,8 @@ fn sweep<V: AigRead + ?Sized>(view: &V, cfg: &RewriteConfig, label: &str) -> usi
                 }
             }
         }
-        let got_node = evaluate_node(view, n, &cuts, &ctx)
-            .map(|c| (c.leaves().to_vec(), c.struct_idx, c.gain));
+        let got_node =
+            evaluate_node(view, n, cuts, &ctx).map(|c| (c.leaves().to_vec(), c.struct_idx, c.gain));
         assert_eq!(got_node, want_node, "{label}: node {n:?}");
         found += usize::from(got_node.is_some());
     }
@@ -177,7 +177,7 @@ fn reused_scratch_keeps_no_state_between_nodes() {
     let ctx = EvalContext::new(&cfg);
     let evaluate = |aig: &Aig, n: NodeId| {
         let store = CutStore::new(aig.slot_count(), cfg.cut_config());
-        evaluate_node(aig, n, &store.cuts(aig, n), &ctx)
+        evaluate_node(aig, n, store.cuts(aig, n), &ctx)
     };
     let on_a_fresh_thread =
         |aig: &Aig, n: NodeId| std::thread::scope(|s| s.spawn(|| evaluate(aig, n)).join().unwrap());

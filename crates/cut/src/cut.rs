@@ -25,12 +25,7 @@ pub const MAX_LEAVES: usize = 4;
 pub struct Cut {
     len: u8,
     leaves: [NodeId; MAX_LEAVES],
-    sign: u64,
     tt: Tt4,
-}
-
-fn signature(leaves: &[NodeId]) -> u64 {
-    leaves.iter().fold(0u64, |s, l| s | 1 << (l.raw() % 64))
 }
 
 impl Cut {
@@ -39,7 +34,6 @@ impl Cut {
         Cut {
             len: 1,
             leaves: [n, NodeId::CONST0, NodeId::CONST0, NodeId::CONST0],
-            sign: signature(&[n]),
             tt: Tt4::var(0),
         }
     }
@@ -49,7 +43,6 @@ impl Cut {
         Cut {
             len: 0,
             leaves: [NodeId::CONST0; MAX_LEAVES],
-            sign: 0,
             tt: Tt4::FALSE,
         }
     }
@@ -71,7 +64,6 @@ impl Cut {
         Cut {
             len: leaves.len() as u8,
             leaves: arr,
-            sign: signature(leaves),
             tt,
         }
     }
@@ -113,23 +105,28 @@ impl Cut {
         self.tt = tt;
     }
 
-    /// The 64-bit membership signature used to prescreen dominance tests.
+    /// The 64-bit membership signature used to prescreen dominance tests
+    /// and merges: bit `leaf % 64` for each leaf. It is computed from the
+    /// leaves rather than stored, which keeps a cut, and so the cut memo,
+    /// at 20 bytes a cut.
     #[inline]
     pub fn sign(&self) -> u64 {
-        self.sign
+        // Branch-free over the four leaf slots; the padding slots past
+        // `len` contribute nothing.
+        let mut sign = 0;
+        for (i, l) in self.leaves.iter().enumerate() {
+            let present = u64::from(i < usize::from(self.len));
+            sign |= present << (l.raw() % 64);
+        }
+        sign
     }
 
     /// Whether every leaf of `self` is a leaf of `other`.
     pub fn dominates(&self, other: &Cut) -> bool {
-        if self.len > other.len || self.sign & !other.sign != 0 {
+        if self.len > other.len || self.sign() & !other.sign() != 0 {
             return false;
         }
         self.leaves().iter().all(|l| other.leaves().contains(l))
-    }
-
-    /// Whether the two cuts have the same leaf set.
-    pub fn same_leaves(&self, other: &Cut) -> bool {
-        self.len == other.len && self.leaves() == other.leaves()
     }
 
     /// Merges the leaf sets of two cuts; `None` if the union exceeds four.
@@ -230,6 +227,13 @@ mod tests {
         assert_eq!(&leaves[..k], &[n(1), n(2), n(3), n(4)]);
         let c = Cut::new(&[n(5), n(6)], Tt4::var(0));
         assert!(a.merge_leaves(&c).is_none());
+    }
+
+    #[test]
+    fn a_cut_is_20_bytes() {
+        // The cut memo stores every set it computes in a session run
+        // (`CutStore`), so a cut's size is the memo's peak memory.
+        assert_eq!(std::mem::size_of::<Cut>(), 20);
     }
 
     #[test]

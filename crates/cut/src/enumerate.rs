@@ -3,7 +3,7 @@
 use dacpara_aig::{AigRead, NodeId, NodeKind};
 use dacpara_npn::Tt4;
 
-use crate::{Cut, CutSet, MAX_LEAVES};
+use crate::{Cut, MAX_LEAVES};
 
 /// Parameters of cut enumeration.
 #[derive(Copy, Clone, Debug)]
@@ -31,11 +31,12 @@ impl Default for CutConfig {
     }
 }
 
-/// Computes the cut set of a leaf-like node (input or constant).
-pub fn leaf_cuts<V: AigRead + ?Sized>(view: &V, n: NodeId) -> CutSet {
+/// Computes the cut set of a leaf-like node (input or constant): its one
+/// cut.
+pub fn leaf_cuts<V: AigRead + ?Sized>(view: &V, n: NodeId) -> [Cut; 1] {
     match view.kind(n) {
-        NodeKind::Const0 => CutSet::from([Cut::constant()]),
-        NodeKind::Input => CutSet::from([Cut::trivial(n)]),
+        NodeKind::Const0 => [Cut::constant()],
+        NodeKind::Input => [Cut::trivial(n)],
         k => unreachable!("leaf_cuts on {k:?} node"),
     }
 }
@@ -45,8 +46,8 @@ pub fn leaf_cuts<V: AigRead + ?Sized>(view: &V, n: NodeId) -> CutSet {
 /// prepending the trivial cut.
 ///
 /// `out` is scratch that a caller reuses across nodes: its capacity grows
-/// to the largest merge seen and stays, so the set to keep is copied out at
-/// its exact size (`CutSet::from(&out[..])`).
+/// to the largest merge seen and stays, so the set to keep is copied out
+/// (`CutStore` copies it into its arena).
 ///
 /// The truth tables track fanin complementation, so every returned cut's
 /// table is the function of `n` over the cut leaves.
@@ -72,11 +73,12 @@ pub fn and_cuts<V: AigRead + ?Sized>(
     out.clear();
     out.push(Cut::trivial(n));
     for ca in cuts_a {
+        let sign_a = ca.sign();
         for cb in cuts_b {
             // Every leaf sets one signature bit (leaves equal modulo 64
             // share it), so a union with more than four bits set has more
             // than four leaves: the merge would fail.
-            if (ca.sign() | cb.sign()).count_ones() as usize > MAX_LEAVES {
+            if (sign_a | cb.sign()).count_ones() as usize > MAX_LEAVES {
                 continue;
             }
             let Some((leaves, k)) = ca.merge_leaves(cb) else {
@@ -113,12 +115,16 @@ pub fn and_cuts<V: AigRead + ?Sized>(
 /// rejection never leaves a removal behind.
 fn push_filtered(out: &mut Vec<Cut>, cut: Cut) -> bool {
     // Slot 0 is the trivial cut, which never participates in dominance.
+    // Each signature is computed once per comparison; `dominates` runs
+    // only where the signatures allow it.
+    let sign = cut.sign();
     let mut i = 1;
     while i < out.len() {
-        if out[i].dominates(&cut) {
+        let other = out[i].sign();
+        if other & !sign == 0 && out[i].dominates(&cut) {
             return false;
         }
-        if cut.dominates(&out[i]) {
+        if sign & !other == 0 && cut.dominates(&out[i]) {
             out.swap_remove(i);
         } else {
             i += 1;
@@ -133,17 +139,17 @@ mod tests {
     use super::*;
     use dacpara_aig::Aig;
 
-    /// [`and_cuts`] into fresh scratch, kept at its exact size.
+    /// [`and_cuts`] into a fresh vector.
     fn and_cuts_exact<V: AigRead + ?Sized>(
         view: &V,
         n: NodeId,
         cuts_a: &[Cut],
         cuts_b: &[Cut],
         cfg: &CutConfig,
-    ) -> CutSet {
+    ) -> Vec<Cut> {
         let mut out = Vec::new();
         and_cuts(view, n, cuts_a, cuts_b, cfg, &mut out);
-        CutSet::from(out)
+        out
     }
 
     /// Recompute the function of `root` over up-to-4 inputs by exhaustive
@@ -185,10 +191,10 @@ mod tests {
         let cfg = CutConfig::unlimited();
 
         // Enumerate bottom-up over all ANDs.
-        let mut sets: Vec<Option<CutSet>> = vec![None; aig.slot_count()];
-        sets[0] = Some(leaf_cuts(&aig, NodeId::CONST0));
+        let mut sets: Vec<Option<Vec<Cut>>> = vec![None; aig.slot_count()];
+        sets[0] = Some(leaf_cuts(&aig, NodeId::CONST0).to_vec());
         for &i in aig.inputs() {
-            sets[i.index()] = Some(leaf_cuts(&aig, i));
+            sets[i.index()] = Some(leaf_cuts(&aig, i).to_vec());
         }
         for n in dacpara_aig::topo_ands(&aig) {
             let [fa, fb] = aig.fanins(n);
@@ -345,10 +351,10 @@ mod tests {
         }
         aig.add_output(acc);
         let cfg = CutConfig::limited(3);
-        let mut sets: Vec<Option<CutSet>> = vec![None; aig.slot_count()];
-        sets[0] = Some(leaf_cuts(&aig, NodeId::CONST0));
+        let mut sets: Vec<Option<Vec<Cut>>> = vec![None; aig.slot_count()];
+        sets[0] = Some(leaf_cuts(&aig, NodeId::CONST0).to_vec());
         for &i in aig.inputs() {
-            sets[i.index()] = Some(leaf_cuts(&aig, i));
+            sets[i.index()] = Some(leaf_cuts(&aig, i).to_vec());
         }
         for n in dacpara_aig::topo_ands(&aig) {
             let [fa, fb] = aig.fanins(n);

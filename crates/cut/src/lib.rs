@@ -14,7 +14,10 @@
 //!
 //! [`CutStore`] adds the concurrent memoization and the recursive
 //! transitive-fanout invalidation that DACPara's replacement stage relies
-//! on.
+//! on. Its sets live in per-thread arena chunks, written once and then
+//! only read: a lookup borrows a set as `&[Cut]` for as long as the store
+//! is borrowed, with no lock and no reference count, and the store frees
+//! memory only through `&mut self` ([`CutStore::compact`], or drop).
 //!
 //! # Example
 //!
@@ -44,10 +47,4 @@ mod store;
 
 pub use cut::{Cut, MAX_LEAVES};
 pub use enumerate::{and_cuts, leaf_cuts, CutConfig};
-pub use store::CutStore;
-
-/// A node's set of cuts; index 0 is always the trivial cut for AND nodes.
-///
-/// One heap block holds the reference counts and exactly the cuts — no
-/// spare capacity — and the memo and its readers share it.
-pub type CutSet = std::sync::Arc<[Cut]>;
+pub use store::{CutStore, MemoBytes};

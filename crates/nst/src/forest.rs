@@ -150,11 +150,6 @@ impl Forest {
         self.nodes[l.node() as usize].fanin
     }
 
-    /// Whether the literal points at a gate (not a leaf or constant).
-    pub fn is_gate(&self, l: FLit) -> bool {
-        l.node() >= 5
-    }
-
     /// AND with folding and hash-consing.
     pub fn add_and(&mut self, a: FLit, b: FLit) -> FLit {
         let (a, b) = if a <= b { (a, b) } else { (b, a) };

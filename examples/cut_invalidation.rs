@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("n2 has {} cuts; e.g. leaves of the deepest:", cuts.len());
     let deep = cuts.iter().max_by_key(|c| c.len()).expect("cuts exist");
     println!("  {:?} (tt = {})", deep.leaves(), deep.tt());
-    let Some(stored) = evaluate_node(&aig, n2.node(), &cuts, &ctx) else {
+    let Some(stored) = evaluate_node(&aig, n2.node(), cuts, &ctx) else {
         println!("(no stored candidate for n2 — nothing to invalidate)");
         return Ok(());
     };
@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Meanwhile, another thread rewrites the majority cone: the five
     // mux gates collapse to the 4-gate majority, deleting `or`/`an`/...
     let root_cuts = store.cuts(&aig, root.node());
-    let cand = evaluate_node(&aig, root.node(), &root_cuts, &ctx)
+    let cand = evaluate_node(&aig, root.node(), root_cuts, &ctx)
         .expect("the wasteful majority must be improvable");
     let new_root = dacpara::build_replacement(&mut aig, &cand, NpnLibrary::global())?;
     aig.replace(root.node(), new_root);

@@ -140,7 +140,7 @@ fn concurrent_replacements_on_disjoint_cones() {
         }
     });
     let mut scratch = Vec::new();
-    shared.canonicalize_traced(&mut scratch);
+    shared.canonicalize_traced(&mut scratch, &mut Vec::new());
     shared.cleanup_traced(&mut scratch);
     let back = shared.to_aig();
     back.check().unwrap();

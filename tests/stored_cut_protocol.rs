@@ -37,7 +37,7 @@ fn fresh_leaves_keep_stored_results_valid() {
     let (aig, n2, _) = scene();
     let store = CutStore::new(aig.slot_count() * 2, CutConfig::unlimited());
     let cuts = store.cuts(&aig, n2);
-    let stored = evaluate_node(&aig, n2, &cuts, &ctx()).expect("candidate stored");
+    let stored = evaluate_node(&aig, n2, cuts, &ctx()).expect("candidate stored");
     // Nothing changed: every leaf generation matches, the cut re-verifies
     // to the same function, and re-evaluation reproduces the gain.
     for (&l, &g) in stored.leaves().iter().zip(stored.leaf_gens()) {
@@ -77,7 +77,7 @@ fn rewriting_the_cone_invalidates_deep_stored_cuts() {
 
     // Rewrite the cone below: the 5-gate mux-majority becomes 4 gates.
     let root_cuts = store.cuts(&aig, root);
-    let cand = evaluate_node(&aig, root, &root_cuts, &ctx()).expect("cone is improvable");
+    let cand = evaluate_node(&aig, root, root_cuts, &ctx()).expect("cone is improvable");
     assert!(cand.gain > 0);
     let new_root = build_replacement(&mut aig, &cand, NpnLibrary::global()).unwrap();
     aig.replace(root, new_root);
