@@ -26,10 +26,11 @@
 //!   hits/misses, conflict/abort latency, lock hold times, MFFC sizes,
 //!   replacement gains) as one JSON object per line.
 //!
-//! Either flag enables recording for the whole run; without them the
-//! instrumentation costs one relaxed atomic load per site. All diagnostics
-//! go to stderr; stdout stays machine-parseable (reserved for `--out -`
-//! style piping in the future).
+//! Either flag enables recording for the whole run, and both files are
+//! written even when the engine fails (the exit status is still 1); without
+//! them the instrumentation costs one relaxed atomic load per site. All
+//! diagnostics go to stderr; stdout stays machine-parseable (reserved for
+//! `--out -` style piping in the future).
 //!
 //! Fault tolerance (see `docs/ARCHITECTURE.md` §12):
 //!
@@ -248,18 +249,18 @@ fn main() -> ExitCode {
         dacpara_obs::enable();
     }
     eprintln!("input:  {}", dacpara_aig::export::stats(&aig));
-    match optimize(&mut aig, args.engine, &args.cfg, args.passes) {
+    let optimized = optimize(&mut aig, args.engine, &args.cfg, args.passes);
+    match &optimized {
         Ok(passes) => {
             for (i, stats) in passes.iter().enumerate() {
                 eprintln!("pass {}: {}", i + 1, stats.summary());
             }
+            eprintln!("output: {}", dacpara_aig::export::stats(&aig));
         }
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => eprintln!("error: {e}"),
     }
-    eprintln!("output: {}", dacpara_aig::export::stats(&aig));
+    // A failed run still writes what it recorded: its trace and counters
+    // show what happened before the error.
     if observing {
         dacpara_obs::disable();
         if let Some(path) = &args.trace {
@@ -276,6 +277,9 @@ fn main() -> ExitCode {
             }
             eprintln!("metrics: {}", path.display());
         }
+    }
+    if optimized.is_err() {
+        return ExitCode::FAILURE;
     }
     if let Some(golden) = golden {
         match check_equivalence(&golden, &aig, &CecConfig::default()) {

@@ -45,6 +45,11 @@ fn fmt_s(x: f64) -> String {
     format!("{x:.3}")
 }
 
+/// `a / b` with both clamped to at least 1, for the normalized-mean rows.
+fn ratio(a: usize, b: usize) -> f64 {
+    a.max(1) as f64 / b.max(1) as f64
+}
+
 /// Table 1: benchmark details (name, PIs, POs, area, delay).
 pub fn table1(harness: &Harness) -> Exhibit {
     let mut t = Table::new(
@@ -105,20 +110,25 @@ pub fn table2(harness: &Harness) -> Exhibit {
         t.push_row(vec![
             b.name.clone(),
             fmt_s(abc.time_s),
-            abc.area_reduction.to_string(),
-            abc.delay.to_string(),
+            abc.stats.area_reduction().to_string(),
+            abc.stats.delay_after.to_string(),
             fmt_s(iccad.time_s),
-            iccad.area_reduction.to_string(),
-            iccad.delay.to_string(),
+            iccad.stats.area_reduction().to_string(),
+            iccad.stats.delay_after.to_string(),
             fmt_s(dac.time_s),
-            dac.area_reduction.to_string(),
-            dac.delay.to_string(),
+            dac.stats.area_reduction().to_string(),
+            dac.stats.delay_after.to_string(),
         ]);
         for (i, other) in [&abc, &iccad].into_iter().enumerate() {
             ratios_time[i].push(other.time_s / dac.time_s.max(1e-9));
-            ratios_area[i]
-                .push(other.area_reduction.max(1) as f64 / dac.area_reduction.max(1) as f64);
-            ratios_delay[i].push(other.delay.max(1) as f64 / dac.delay.max(1) as f64);
+            ratios_area[i].push(ratio(
+                other.stats.area_reduction(),
+                dac.stats.area_reduction(),
+            ));
+            ratios_delay[i].push(ratio(
+                other.stats.delay_after as usize,
+                dac.stats.delay_after as usize,
+            ));
         }
         runs.extend([abc, iccad, dac]);
     }
@@ -195,8 +205,8 @@ pub fn table3(harness: &Harness) -> Exhibit {
         for (i, (_, engine, cfg)) in columns.iter().enumerate() {
             let r = harness.run_one(b, *engine, cfg);
             row.push(fmt_s(r.time_s));
-            row.push(r.area_reduction.to_string());
-            row.push(r.delay.to_string());
+            row.push(r.stats.area_reduction().to_string());
+            row.push(r.stats.delay_after.to_string());
             per_col[i].push(r.clone());
             runs.push(r);
         }
@@ -214,12 +224,12 @@ pub fn table3(harness: &Harness) -> Exhibit {
         let ra: Vec<f64> = col
             .iter()
             .zip(base)
-            .map(|(a, b)| a.area_reduction.max(1) as f64 / b.area_reduction.max(1) as f64)
+            .map(|(a, b)| ratio(a.stats.area_reduction(), b.stats.area_reduction()))
             .collect();
         let rd: Vec<f64> = col
             .iter()
             .zip(base)
-            .map(|(a, b)| a.delay.max(1) as f64 / b.delay.max(1) as f64)
+            .map(|(a, b)| ratio(a.stats.delay_after as usize, b.stats.delay_after as usize))
             .collect();
         norm.push(format!("{:.4}", geomean(&rt)));
         norm.push(format!("{:.4}", geomean(&ra)));
@@ -269,11 +279,11 @@ pub fn fig2(harness: &Harness) -> Exhibit {
                 t.push_row(vec![
                     b.name.clone(),
                     th.to_string(),
-                    r.engine.clone(),
-                    (r.replacements + r.stale_skipped).to_string(),
-                    r.aborts.to_string(),
-                    r.conflicts.to_string(),
-                    format!("{:.2}", r.wasted_fraction * 100.0),
+                    r.stats.engine.clone(),
+                    (r.stats.replacements + r.stats.stale_skipped).to_string(),
+                    r.stats.spec.aborts.to_string(),
+                    r.stats.spec.conflicts.to_string(),
+                    format!("{:.2}", r.stats.spec.wasted_fraction() * 100.0),
                     fmt_s(r.time_s),
                 ]);
                 runs.push(r);
@@ -312,10 +322,10 @@ pub fn fig3(harness: &Harness) -> Exhibit {
         let r = harness.run_one(b, Engine::DacPara, &cfg);
         t.push_row(vec![
             b.name.clone(),
-            r.replacements.to_string(),
-            r.revalidated.to_string(),
-            r.stale_skipped.to_string(),
-            r.area_reduction.to_string(),
+            r.stats.replacements.to_string(),
+            r.stats.revalidated.to_string(),
+            r.stats.stale_skipped.to_string(),
+            r.stats.area_reduction().to_string(),
             r.equivalent.map(|b| b.to_string()).unwrap_or_default(),
         ]);
         runs.push(r);
@@ -349,11 +359,11 @@ pub fn speedup(harness: &Harness) -> Exhibit {
             let r = harness.run_one(bench, engine, &cfg);
             let base_t = *base.get_or_insert(r.time_s);
             t.push_row(vec![
-                r.engine.clone(),
+                r.stats.engine.clone(),
                 th.to_string(),
                 fmt_s(r.time_s),
                 format!("{:.2}x", base_t / r.time_s.max(1e-9)),
-                r.area_reduction.to_string(),
+                r.stats.area_reduction().to_string(),
             ]);
             runs.push(r);
             th *= 2;
@@ -394,13 +404,13 @@ pub fn engines(harness: &Harness) -> Exhibit {
             let r = harness.run_one(b, engine, &cfg);
             t.push_row(vec![
                 b.name.clone(),
-                r.engine.clone(),
+                r.stats.engine.clone(),
                 fmt_s(r.time_s),
-                r.area_reduction.to_string(),
-                r.delay.to_string(),
-                r.replacements.to_string(),
-                r.aborts.to_string(),
-                format!("{:.2}", r.wasted_fraction * 100.0),
+                r.stats.area_reduction().to_string(),
+                r.stats.delay_after.to_string(),
+                r.stats.replacements.to_string(),
+                r.stats.spec.aborts.to_string(),
+                format!("{:.2}", r.stats.spec.wasted_fraction() * 100.0),
             ]);
             runs.push(r);
         }
@@ -495,10 +505,10 @@ pub fn ablations(harness: &Harness) -> Exhibit {
             name.to_string(),
             b.name.clone(),
             fmt_s(r.time_s),
-            r.area_reduction.to_string(),
-            r.delay.to_string(),
-            r.stale_skipped.to_string(),
-            r.revalidated.to_string(),
+            r.stats.area_reduction().to_string(),
+            r.stats.delay_after.to_string(),
+            r.stats.stale_skipped.to_string(),
+            r.stats.revalidated.to_string(),
         ]);
         runs.push(r);
     }

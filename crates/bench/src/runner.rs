@@ -2,7 +2,7 @@
 
 use std::time::Instant;
 
-use dacpara::{run_engine, Engine, RewriteConfig};
+use dacpara::{run_engine, Engine, RewriteConfig, RewriteStats};
 use dacpara_aig::Aig;
 use dacpara_circuits::{Benchmark, Scale};
 use dacpara_equiv::{check_equivalence, CecConfig, CecResult};
@@ -13,53 +13,33 @@ use dacpara_obs::json::{Json, ToJson};
 pub struct BenchRun {
     /// Benchmark name.
     pub benchmark: String,
-    /// Engine name.
-    pub engine: String,
     /// Mean wall-clock seconds over the repeats.
     pub time_s: f64,
-    /// AND count before rewriting.
-    pub area_before: usize,
-    /// AND count after rewriting.
-    pub area_after: usize,
-    /// Removed AND count (the paper's "Area Reduction").
-    pub area_reduction: usize,
-    /// Depth after rewriting (the paper's "Delay").
-    pub delay: u32,
-    /// Depth before rewriting.
-    pub delay_before: u32,
-    /// Committed replacements.
-    pub replacements: u64,
-    /// Stale results skipped (missed opportunities).
-    pub stale_skipped: u64,
-    /// Stored cuts revalidated by re-enumeration.
-    pub revalidated: u64,
-    /// Lock conflicts observed.
-    pub conflicts: u64,
-    /// Aborted speculative activities.
-    pub aborts: u64,
-    /// Fraction of operator time wasted by aborts.
-    pub wasted_fraction: f64,
+    /// The last repeat's pass statistics (engine name, area, delay and
+    /// every count).
+    pub stats: RewriteStats,
     /// Equivalence check verdict (`None` = skipped).
     pub equivalent: Option<bool>,
 }
 
 impl ToJson for BenchRun {
     fn to_json(&self) -> Json {
+        let s = &self.stats;
         Json::obj([
             ("benchmark", self.benchmark.to_json()),
-            ("engine", self.engine.to_json()),
+            ("engine", s.engine.to_json()),
             ("time_s", self.time_s.to_json()),
-            ("area_before", self.area_before.to_json()),
-            ("area_after", self.area_after.to_json()),
-            ("area_reduction", self.area_reduction.to_json()),
-            ("delay", self.delay.to_json()),
-            ("delay_before", self.delay_before.to_json()),
-            ("replacements", self.replacements.to_json()),
-            ("stale_skipped", self.stale_skipped.to_json()),
-            ("revalidated", self.revalidated.to_json()),
-            ("conflicts", self.conflicts.to_json()),
-            ("aborts", self.aborts.to_json()),
-            ("wasted_fraction", self.wasted_fraction.to_json()),
+            ("area_before", s.area_before.to_json()),
+            ("area_after", s.area_after.to_json()),
+            ("area_reduction", s.area_reduction().to_json()),
+            ("delay", s.delay_after.to_json()),
+            ("delay_before", s.delay_before.to_json()),
+            ("replacements", s.replacements.to_json()),
+            ("stale_skipped", s.stale_skipped.to_json()),
+            ("revalidated", s.revalidated.to_json()),
+            ("conflicts", s.spec.conflicts.to_json()),
+            ("aborts", s.spec.aborts.to_json()),
+            ("wasted_fraction", s.spec.wasted_fraction().to_json()),
             ("equivalent", self.equivalent.to_json()),
         ])
     }
@@ -139,19 +119,8 @@ impl Harness {
 
         BenchRun {
             benchmark: bench.name.clone(),
-            engine: engine.name().to_string(),
             time_s: total / self.repeats as f64,
-            area_before: stats.area_before,
-            area_after: stats.area_after,
-            area_reduction: stats.area_reduction(),
-            delay: stats.delay_after,
-            delay_before: stats.delay_before,
-            replacements: stats.replacements,
-            stale_skipped: stats.stale_skipped,
-            revalidated: stats.revalidated,
-            conflicts: stats.spec.conflicts,
-            aborts: stats.spec.aborts,
-            wasted_fraction: stats.spec.wasted_fraction(),
+            stats,
             equivalent,
         }
     }
@@ -173,8 +142,8 @@ mod tests {
         let suite = mtm_suite(Scale::Test);
         let cfg = RewriteConfig::rewrite_op().with_threads(2);
         let run = harness.run_one(&suite[0], Engine::DacPara, &cfg);
-        assert_eq!(run.engine, "dacpara");
+        assert_eq!(run.stats.engine, "dacpara");
         assert_eq!(run.equivalent, Some(true));
-        assert!(run.area_after <= run.area_before);
+        assert!(run.stats.area_after <= run.stats.area_before);
     }
 }

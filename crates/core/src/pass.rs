@@ -3,8 +3,9 @@
 //! [`run_pass`] is the one frame every pass runs in, whatever the engine:
 //! it validates the configuration, opens the engine's pass span, measures
 //! area and depth before and after, calls one *run* of the engine
-//! [`RewriteConfig::runs`] times, and builds the [`RewriteStats`] from the
-//! pass's one [`Pass`] ledger. An engine supplies only its single run:
+//! [`RewriteConfig::runs`] times, builds the [`RewriteStats`] from the
+//! pass's one [`Pass`] ledger, and publishes them to the obs counters. An
+//! engine supplies only its single run:
 //!
 //! * serial (`serial::run`): one topological sweep, cleanup, level refresh;
 //! * static (`static_info::run`): one phase A plus phase B;
@@ -144,7 +145,8 @@ impl std::str::FromStr for Engine {
 /// [`dacpara_galois::LockTable::try_acquire`] records), the Galois
 /// engines' scheduler, the first-error slot, and the engines' counters.
 /// [`run_pass`] builds one per pass and reads [`RewriteStats`] off it, so
-/// its totals are the pass's totals.
+/// its totals are the pass's totals, and the obs counters are published
+/// from those stats, never bumped beside the ledger.
 ///
 /// What workers count per item — the speculation ledger and the per-item
 /// counters — is sharded by thread, and the error flag every item reads
@@ -187,7 +189,8 @@ impl Pass {
 /// # Errors
 ///
 /// Returns the [`crate::ConfigError`] (mapped through [`AigError`]) if `cfg`
-/// fails [`RewriteConfig::validate`], and the first error of a run.
+/// fails [`RewriteConfig::validate`], and the first error of a run; the
+/// counts the pass made up to that error are still published.
 pub(crate) fn run_pass<S, G: AigRead>(
     state: &mut S,
     graph: fn(&S) -> &G,
@@ -200,9 +203,7 @@ pub(crate) fn run_pass<S, G: AigRead>(
     let _pass_span = dacpara_obs::span!(engine.span_name(), threads = cfg.threads);
     let (area_before, delay_before) = (graph(state).num_ands(), graph(state).depth());
     let pass = Pass::new(cfg.threads);
-    for _ in 0..cfg.runs {
-        run(state, &pass)?;
-    }
+    let ran = (0..cfg.runs).try_for_each(|_| run(state, &pass));
     let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
     let stats = RewriteStats {
         engine: engine.name().into(),
@@ -216,17 +217,47 @@ pub(crate) fn run_pass<S, G: AigRead>(
         evaluations: pass.evaluations.value(),
         clean_skipped: load(&pass.clean_skipped),
         spec: pass.spec.snapshot(),
-        sched: pass.pool.stats().snapshot(),
+        steals: pass.pool.steals(),
         worklists: pass.worklists.load(Ordering::Relaxed),
         recoveries: load(&pass.recoveries),
         salvaged_commits: load(&pass.salvaged_commits),
         errors_observed: pass.error.superseded(),
         time: start.elapsed(),
     };
-    if dacpara_obs::is_enabled() {
-        dacpara_obs::counter("rewrite.evaluations").add(stats.evaluations);
+    publish(&stats);
+    ran.map(|()| stats)
+}
+
+/// Adds every count of a pass to its obs counter — whether the pass
+/// succeeded or not, so a failing run's recoveries are exported too. The
+/// [`Pass`] ledger is the one place a pass counts; this is the one place
+/// its counts reach obs.
+fn publish(stats: &RewriteStats) {
+    if !dacpara_obs::is_enabled() {
+        return;
     }
-    Ok(stats)
+    let spec = &stats.spec;
+    let counts = [
+        ("rewrite.evaluations", stats.evaluations),
+        ("rewrite.replacements", stats.replacements),
+        ("rewrite.stale_skipped", stats.stale_skipped),
+        ("rewrite.revalidated", stats.revalidated),
+        ("rewrite.worklists", stats.worklists as u64),
+        ("galois.attempts", spec.attempts),
+        ("galois.conflicts", spec.conflicts),
+        ("galois.commits", spec.commits),
+        ("galois.aborts", spec.aborts),
+        ("galois.wasted_ns", spec.wasted_ns),
+        ("galois.useful_ns", spec.useful_ns),
+        ("sched.steals", stats.steals),
+        ("session.clean_skipped", stats.clean_skipped),
+        ("session.recoveries", stats.recoveries),
+        ("session.salvaged_commits", stats.salvaged_commits),
+        ("pass.errors_observed", stats.errors_observed),
+    ];
+    for (name, count) in counts {
+        dacpara_obs::counter(name).add(count);
+    }
 }
 
 /// Runs one engine pass over the graph, in place. Every engine takes

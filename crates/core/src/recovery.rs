@@ -5,10 +5,10 @@
 //! deterministically (the previous `Mutex<Option<_>>` pattern was
 //! last-writer-wins, so which error a failing pass returned depended on
 //! thread timing), and every superseded report is counted — into
-//! [`crate::RewriteStats::errors_observed`] and the `pass.errors_observed`
-//! obs counter — so a fault burst is visible even though only one error
-//! drives recovery. [`panic_message`] renders a `catch_unwind` payload for
-//! [`dacpara_aig::AigError::WorkerPanicked`].
+//! [`crate::RewriteStats::errors_observed`], which the pass publishes as
+//! the `pass.errors_observed` obs counter — so a fault burst is visible
+//! even though only one error drives recovery. [`panic_message`] renders
+//! a `catch_unwind` payload for [`dacpara_aig::AigError::WorkerPanicked`].
 //!
 //! The recovery *policy* (salvage, validation, the budget) lives on
 //! [`crate::RewriteSession`]; see `session.rs` and ARCHITECTURE §12.
@@ -17,9 +17,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use dacpara_aig::AigError;
 use parking_lot::Mutex;
-
-/// Obs counter bumped once per superseded worker error.
-pub(crate) const ERRORS_OBSERVED: &str = "pass.errors_observed";
 
 /// A first-writer-wins error slot shared by the SPMD workers of one pass.
 ///
@@ -34,9 +31,7 @@ pub(crate) struct FirstError {
 }
 
 impl FirstError {
-    /// Stores `e` if the slot is empty; otherwise counts it as superseded
-    /// (and bumps the `pass.errors_observed` obs counter at this leaf, so
-    /// the stat and the export cannot drift).
+    /// Stores `e` if the slot is empty; otherwise counts it as superseded.
     pub(crate) fn record(&self, e: AigError) {
         let mut slot = self.slot.lock();
         if slot.is_none() {
@@ -44,9 +39,6 @@ impl FirstError {
             self.set.store(true, Ordering::Release);
         } else {
             self.superseded.fetch_add(1, Ordering::Relaxed);
-            if dacpara_obs::is_enabled() {
-                dacpara_obs::counter(ERRORS_OBSERVED).incr();
-            }
         }
     }
 

@@ -241,9 +241,9 @@ impl RewriteSession {
     /// rewiring, and the sweep returns a panicked commit's dangling gates
     /// to the free list, so the arena's sizing bound still holds.
     ///
-    /// Every replacement the pass committed since its last salvage point
-    /// is salvaged; the ledger's [`RewriteStats::salvaged_commits`] total
-    /// is that point, since each salvage adds the commits up to it.
+    /// Every replacement the pass committed before the fault is salvaged,
+    /// so the ledger's [`RewriteStats::salvaged_commits`] is the pass's
+    /// commit count at its latest salvage.
     fn recover(&mut self, err: AigError, pass: &Pass) -> Result<(), AigError> {
         if !matches!(err, AigError::WorkerPanicked { .. }) || self.recoveries >= MAX_RECOVERIES {
             return Err(err);
@@ -257,21 +257,16 @@ impl RewriteSession {
         self.shared.recompute_levels();
         self.fresh = true;
         self.recoveries += 1;
-        let committed = pass.replacements.value();
-        let newly_committed = committed - pass.salvaged_commits.swap(committed, Ordering::Relaxed);
+        pass.salvaged_commits
+            .store(pass.replacements.value(), Ordering::Relaxed);
         pass.recoveries.fetch_add(1, Ordering::Relaxed);
-        if dacpara_obs::is_enabled() {
-            dacpara_obs::counter("session.recoveries").incr();
-            dacpara_obs::counter("session.salvaged_commits").add(newly_committed);
-        }
         Ok(())
     }
 
     /// The worklist for the next resident pass: every live AND node on a
     /// fresh graph, otherwise the dirty nodes (drained) in topological
     /// order. Also returns the number of live AND nodes skipped as clean,
-    /// which feeds [`RewriteStats::clean_skipped`] and the
-    /// `session.clean_skipped` obs counter.
+    /// which feeds [`RewriteStats::clean_skipped`].
     pub(crate) fn take_worklist(&mut self) -> (Vec<NodeId>, u64) {
         if self.fresh {
             self.fresh = false;
@@ -289,9 +284,6 @@ impl RewriteSession {
         let total = all.len() as u64;
         let work: Vec<NodeId> = all.into_iter().filter(|n| is_dirty[n.index()]).collect();
         let skipped = total - work.len() as u64;
-        if dacpara_obs::is_enabled() {
-            dacpara_obs::counter("session.clean_skipped").add(skipped);
-        }
         (work, skipped)
     }
 

@@ -1,9 +1,10 @@
 //! Per-pass statistics reported by every rewriting engine, built once per
-//! pass by the pass frame (`pass::run_pass`).
+//! pass by the pass frame (`pass::run_pass`), which also publishes them to
+//! the obs counters.
 
 use std::time::Duration;
 
-use dacpara_galois::{SchedSnapshot, SpecSnapshot};
+use dacpara_galois::SpecSnapshot;
 
 /// Everything a rewriting pass reports — the raw material for the paper's
 /// Tables 2/3 and Fig. 2.
@@ -39,9 +40,9 @@ pub struct RewriteStats {
     pub clean_skipped: u64,
     /// Speculative-execution counters (conflicts/aborts/wasted work).
     pub spec: SpecSnapshot,
-    /// Work-stealing scheduler counters (steals) of the Galois engines
-    /// (`dacpara`, `iccad18`); all-zero on the others.
-    pub sched: SchedSnapshot,
+    /// Ranges the work-stealing scheduler stole between workers; zero on
+    /// the engines that do not schedule through it.
+    pub steals: u64,
     /// Number of non-empty DACPara level worklists processed, summed over
     /// runs; zero on the other engines.
     pub worklists: usize,
@@ -77,7 +78,7 @@ impl RewriteStats {
     /// One summary line for logs.
     pub fn summary(&self) -> String {
         let mut line = format!(
-            "{}: {:.3}s area {} -> {} (-{}, {:.2}%) delay {} -> {} repl {} eval {} clean-skip {} [{}] [{}]",
+            "{}: {:.3}s area {} -> {} (-{}, {:.2}%) delay {} -> {} repl {} eval {} clean-skip {} [{}] [steals={}]",
             self.engine,
             self.time.as_secs_f64(),
             self.area_before,
@@ -90,7 +91,7 @@ impl RewriteStats {
             self.evaluations,
             self.clean_skipped,
             self.spec,
-            self.sched,
+            self.steals,
         );
         if self.recoveries > 0 || self.errors_observed > 0 {
             line.push_str(&format!(

@@ -1,9 +1,10 @@
-//! Drift guard: the speculation totals reported by `RewriteStats` must
-//! agree exactly with what the obs layer recorded, because both are fed
-//! from the same leaf-level `SpecStats::record_*` calls (never an
-//! aggregate). If an engine ever double-counts, or an obs hook moves off
-//! the leaf path, this test fails. Both Galois engines run through the same
-//! checks.
+//! Drift guard: the counts `RewriteStats` reports must agree exactly with
+//! what the obs layer exported. The pass ledger is the one sink for the
+//! counts, and the pass frame publishes the obs counters from it once per
+//! pass — on success and on failure alike; the per-event trace instants
+//! and latency histograms are still recorded at the leaf
+//! (`SpecStats::record_*`), so they cross-check the ledger independently.
+//! Both Galois engines run through the same checks.
 //!
 //! Lives in its own integration-test file (= its own process) because it
 //! drives the process-global registry; keep it to a single `#[test]`.
@@ -11,6 +12,7 @@
 use std::collections::HashSet;
 
 use dacpara::{run_engine, Engine, RewriteConfig};
+use dacpara_aig::AigError;
 use dacpara_circuits::{mtm, MtmParams};
 use dacpara_fault::FaultPlan;
 
@@ -46,12 +48,13 @@ fn check_engine(engine: Engine) {
     dacpara_obs::reset();
     dacpara_obs::enable();
 
-    let mut aig = mtm(&MtmParams {
+    let params = MtmParams {
         inputs: 40,
         gates: 4_000,
         outputs: 16,
         seed: 7,
-    });
+    };
+    let mut aig = mtm(&params);
     let cfg = RewriteConfig::rewrite_op().with_threads(4);
     let stats = run_engine(&mut aig, engine, &cfg).expect("engine run");
     dacpara_obs::disable();
@@ -71,9 +74,9 @@ fn check_engine(engine: Engine) {
     assert_eq!(stats.spec.commits, counter("galois.commits"));
     assert_eq!(stats.spec.aborts, counter("galois.aborts"));
 
-    // 1b. The work-stealing scheduler counters follow the same leaf-only
-    // discipline (the default config runs the steal scheduler).
-    assert_eq!(stats.sched.steals, counter("sched.steals"));
+    // 1b. The work-stealing scheduler's steals are published the same way
+    // (the default config runs the steal scheduler).
+    assert_eq!(stats.steals, counter("sched.steals"));
 
     // 1c. Both engines publish their evaluation count.
     assert_eq!(
@@ -132,17 +135,12 @@ fn check_engine(engine: Engine) {
     }
 
     // 5. Recovery counters, faulted: re-run the same circuit with one
-    // injected operator panic (→ panic recovery). It feeds the same
-    // session-level leaves as the stats fields, so the counter deltas must
-    // equal the new run's stats exactly.
+    // injected operator panic (→ panic recovery). The counters are
+    // published from the new run's stats, so their deltas must equal them
+    // exactly.
     let base: Vec<u64> = recovery_counters.iter().map(|&n| counter(n)).collect();
     dacpara_obs::enable();
-    let mut faulted = mtm(&MtmParams {
-        inputs: 40,
-        gates: 4_000,
-        outputs: 16,
-        seed: 7,
-    });
+    let mut faulted = mtm(&params);
     let faulted_cfg = RewriteConfig::rewrite_op().with_threads(4);
     let plan = FaultPlan::parse("operator.panic=@3*1", 0x0B5).expect("valid spec");
     let faulted_stats = {
@@ -170,5 +168,26 @@ fn check_engine(engine: Engine) {
         faulted_stats.errors_observed,
         delta(2),
         "pass.errors_observed drift"
+    );
+
+    // 6. A failing pass publishes too: with every operator panicking, the
+    // session spends its whole recovery budget (eight) and the engine
+    // returns the panic, but the recoveries made before it are exported.
+    let base = counter("session.recoveries");
+    dacpara_obs::enable();
+    let every_operator = FaultPlan::parse("operator.panic=1/1", 0).expect("valid spec");
+    let failed = {
+        let _inj = dacpara_fault::inject(&every_operator);
+        run_engine(&mut mtm(&params), engine, &faulted_cfg)
+    };
+    dacpara_obs::disable();
+    assert!(
+        matches!(failed, Err(AigError::WorkerPanicked { .. })),
+        "{engine}: every operator panics, yet the pass returned {failed:?}"
+    );
+    assert_eq!(
+        counter("session.recoveries") - base,
+        8,
+        "{engine}: a failing pass did not publish its recoveries"
     );
 }

@@ -241,19 +241,7 @@ impl FaultPlan {
 
 impl std::fmt::Display for FaultPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for (i, (name, mode, limit)) in self.specs.iter().enumerate() {
-            if i > 0 {
-                f.write_str(",")?;
-            }
-            match mode {
-                Mode::Rate(n) => write!(f, "{name}=1/{n}")?,
-                Mode::At(k) => write!(f, "{name}=@{k}")?,
-            }
-            if *limit != u64::MAX {
-                write!(f, "*{limit}")?;
-            }
-        }
-        write!(f, " (seed {})", self.seed)
+        write!(f, "{} (seed {})", self.spec_string(), self.seed)
     }
 }
 

@@ -8,14 +8,17 @@
 //!   activity acquires every element it will touch; a conflict *aborts* the
 //!   activity, discarding all of its computation ([`LockTable`]),
 //! * **conflict accounting** — the cost model behind the paper's Fig. 2 is
-//!   exactly "how much computation do aborts discard" ([`SpecStats`]),
+//!   exactly "how much computation do aborts discard" ([`SpecStats`]). The
+//!   ledger holds the counts; its owner publishes them to the obs counters
+//!   once its run is over, and only the per-event trace instants and the
+//!   latency histograms are recorded at the leaf,
 //! * **worklist execution** — a team of workers draining shared worklists
 //!   ([`run_spmd`], [`parallel_for`]),
 //! * **work stealing** — one packed index range per worker, claimed from
 //!   the front and split by CAS when a teammate steals, so a slow block
 //!   spreads over the team instead of holding one worker at the end of a
-//!   round ([`StealPool`], [`SchedStats`]). A conflicted activity retries
-//!   in place; the scheduler never sees it.
+//!   round ([`StealPool`], which counts its steals). A conflicted activity
+//!   retries in place; the scheduler never sees it.
 //!
 //! # Example
 //!
@@ -47,6 +50,6 @@ mod stats;
 
 pub use locks::{LockSet, LockTable};
 pub use padded::CachePadded;
-pub use sched::{SchedSnapshot, SchedStats, StealPool};
+pub use sched::StealPool;
 pub use spmd::{parallel_for, run_spmd, Worker};
 pub use stats::{SpecSnapshot, SpecStats};

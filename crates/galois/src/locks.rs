@@ -37,7 +37,7 @@ fn hold_time_histogram() -> &'static Arc<LogHistogram> {
 /// assert!(table.try_acquire(2, &mut [5], &spec).is_none()); // conflict
 /// drop(set);
 /// assert!(table.try_acquire(2, &mut [5], &spec).is_some());
-/// assert_eq!(spec.conflicts(), 1);
+/// assert_eq!(spec.snapshot().conflicts, 1);
 /// ```
 pub struct LockTable {
     slots: Box<[AtomicU32]>,
@@ -217,7 +217,7 @@ mod tests {
         let mut held = [3];
         let _g = t.try_acquire(1, &mut held, &spec).unwrap();
         assert!(t.try_acquire(1, &mut [3], &spec).is_none());
-        assert_eq!(spec.conflicts(), 1);
+        assert_eq!(spec.snapshot().conflicts, 1);
         assert!(t.is_locked(3), "the failed attempt keeps the held lock");
     }
 
@@ -229,7 +229,7 @@ mod tests {
         let _g = t.try_acquire(1, &mut held, &spec).unwrap();
         assert!(t.try_acquire(2, &mut [0], &spec).is_none());
         assert!(t.try_acquire(2, &mut [0], &spec).is_none());
-        assert_eq!(spec.conflicts(), 2);
+        assert_eq!(spec.snapshot().conflicts, 2);
     }
 
     #[test]
@@ -243,7 +243,7 @@ mod tests {
             assert!(!t.is_locked(0));
             assert!(!t.is_locked(2));
         }
-        assert_eq!(spec.conflicts(), 1);
+        assert_eq!(spec.snapshot().conflicts, 1);
         // The very next (uninjected) attempt succeeds.
         assert!(t.try_acquire(1, &mut [0, 2], &spec).is_some());
     }

@@ -30,63 +30,8 @@
 //! block.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
 
 use crate::CachePadded;
-
-fn steals_counter() -> &'static dacpara_obs::ShardedCounter {
-    static HANDLE: OnceLock<Arc<dacpara_obs::ShardedCounter>> = OnceLock::new();
-    HANDLE.get_or_init(|| dacpara_obs::counter("sched.steals"))
-}
-
-/// Counters describing one scheduler's activity. Like
-/// [`crate::SpecStats`], the global observability counter (`sched.steals`)
-/// is fed only by the leaf-level `record_*` call, never by aggregation, so
-/// the obs total always equals the sum of recordings.
-#[derive(Debug, Default)]
-pub struct SchedStats {
-    steals: AtomicU64,
-}
-
-impl SchedStats {
-    /// Creates zeroed counters.
-    pub fn new() -> SchedStats {
-        SchedStats::default()
-    }
-
-    /// Records one successful steal of a range from another worker.
-    pub fn record_steal(&self) {
-        self.steals.fetch_add(1, Ordering::Relaxed);
-        if dacpara_obs::is_enabled() {
-            steals_counter().incr();
-        }
-    }
-
-    /// Ranges stolen from other workers.
-    pub fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
-    }
-
-    /// Plain-value snapshot for reporting.
-    pub fn snapshot(&self) -> SchedSnapshot {
-        SchedSnapshot {
-            steals: self.steals(),
-        }
-    }
-}
-
-/// A point-in-time copy of [`SchedStats`].
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct SchedSnapshot {
-    /// Ranges stolen from other workers.
-    pub steals: u64,
-}
-
-impl std::fmt::Display for SchedSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "steals={}", self.steals)
-    }
-}
 
 /// Packs the index range `start..end` into one word. Worklists are bounded
 /// by the `u32` node-id space; [`StealPool::begin`] keeps them below `2^31`
@@ -152,7 +97,7 @@ pub struct StealPool {
     /// it for every chunk it claims.
     ranges: Box<[CachePadded<AtomicU64>]>,
     quantum: AtomicUsize,
-    stats: SchedStats,
+    steals: AtomicU64,
 }
 
 impl StealPool {
@@ -168,13 +113,13 @@ impl StealPool {
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
             quantum: AtomicUsize::new(1),
-            stats: SchedStats::default(),
+            steals: AtomicU64::new(0),
         }
     }
 
-    /// The scheduler counters accumulated across every round so far.
-    pub fn stats(&self) -> &SchedStats {
-        &self.stats
+    /// Ranges stolen from other workers, over every round so far.
+    pub fn steals(&self) -> u64 {
+        self.steals.load(Ordering::Relaxed)
     }
 
     /// Re-arms the pool for a round over `0..len` and seeds every worker's
@@ -228,7 +173,7 @@ impl StealPool {
             let Some(stolen) = self.try_steal(id, &mut victim) else {
                 return;
             };
-            self.stats.record_steal();
+            self.steals.fetch_add(1, Ordering::Relaxed);
             me.store(stolen, Ordering::Release);
         }
     }
@@ -308,7 +253,7 @@ mod tests {
             (0..100).collect::<Vec<_>>(),
             "front claims run in order"
         );
-        assert_eq!(pool.stats().steals(), 0);
+        assert_eq!(pool.steals(), 0);
     }
 
     #[test]

@@ -11,27 +11,19 @@ use std::time::Duration;
 
 use dacpara_obs::{LogHistogram, ShardedCounter};
 
-/// Cached handles to the global observability instruments, so the record
-/// paths never take the registry lock. The `Arc`s survive
-/// `dacpara_obs::reset()` (reset zeroes values in place).
-struct ObsHandles {
-    attempts: Arc<ShardedCounter>,
-    conflicts: Arc<ShardedCounter>,
-    commits: Arc<ShardedCounter>,
-    aborts: Arc<ShardedCounter>,
-    commit_latency_ns: Arc<LogHistogram>,
-    abort_latency_ns: Arc<LogHistogram>,
+/// Cached handles to the latency histograms, so the record paths never
+/// take the registry lock. The `Arc`s survive `dacpara_obs::reset()`
+/// (reset zeroes values in place).
+struct Latencies {
+    commit_ns: Arc<LogHistogram>,
+    abort_ns: Arc<LogHistogram>,
 }
 
-fn obs() -> &'static ObsHandles {
-    static HANDLES: OnceLock<ObsHandles> = OnceLock::new();
-    HANDLES.get_or_init(|| ObsHandles {
-        attempts: dacpara_obs::counter("galois.attempts"),
-        conflicts: dacpara_obs::counter("galois.conflicts"),
-        commits: dacpara_obs::counter("galois.commits"),
-        aborts: dacpara_obs::counter("galois.aborts"),
-        commit_latency_ns: dacpara_obs::histogram("galois.commit_latency_ns"),
-        abort_latency_ns: dacpara_obs::histogram("galois.abort_latency_ns"),
+fn latencies() -> &'static Latencies {
+    static HANDLES: OnceLock<Latencies> = OnceLock::new();
+    HANDLES.get_or_init(|| Latencies {
+        commit_ns: dacpara_obs::histogram("galois.commit_latency_ns"),
+        abort_ns: dacpara_obs::histogram("galois.abort_latency_ns"),
     })
 }
 
@@ -39,6 +31,11 @@ fn obs() -> &'static ObsHandles {
 /// is sharded by thread ([`ShardedCounter`]): every activity records an
 /// attempt and a commit or abort, so unsharded words would be written by
 /// every worker for every item.
+///
+/// This ledger is the one place the counts live: its owner publishes a
+/// [`SpecSnapshot`] to the obs counters once its run is over (the rewriter
+/// does so once per pass), so only the per-event trace instants and the
+/// latency histograms are recorded here, at the leaf.
 #[derive(Debug, Default)]
 pub struct SpecStats {
     attempts: ShardedCounter,
@@ -62,22 +59,12 @@ impl SpecStats {
     /// tests).
     pub fn record_attempt(&self) {
         self.attempts.incr();
-        if dacpara_obs::is_enabled() {
-            obs().attempts.incr();
-        }
     }
 
     /// Records a lock-acquisition conflict.
-    ///
-    /// The observability events below are emitted *only* here (and in the
-    /// other `record_*` methods) — counters are never aggregated from other
-    /// ledgers — so the global obs counters always equal the sum of
-    /// leaf-level recordings; the drift test in
-    /// `crates/core/tests/obs_spec_drift.rs` relies on this.
     pub fn record_conflict(&self) {
         self.conflicts.incr();
         if dacpara_obs::is_enabled() {
-            obs().conflicts.incr();
             dacpara_obs::instant("spec.conflict", "spec");
         }
     }
@@ -87,8 +74,7 @@ impl SpecStats {
         self.commits.incr();
         self.useful_ns.add(took.as_nanos() as u64);
         if dacpara_obs::is_enabled() {
-            obs().commits.incr();
-            obs().commit_latency_ns.record(took.as_nanos() as u64);
+            latencies().commit_ns.record(took.as_nanos() as u64);
             dacpara_obs::instant("spec.commit", "spec");
         }
     }
@@ -98,51 +84,20 @@ impl SpecStats {
         self.aborts.incr();
         self.wasted_ns.add(took.as_nanos() as u64);
         if dacpara_obs::is_enabled() {
-            obs().aborts.incr();
-            obs().abort_latency_ns.record(took.as_nanos() as u64);
+            latencies().abort_ns.record(took.as_nanos() as u64);
             dacpara_obs::instant("spec.abort", "spec");
         }
     }
 
-    /// Number of operator attempts started.
-    pub fn attempts(&self) -> u64 {
-        self.attempts.value()
-    }
-
-    /// Number of lock conflicts observed.
-    pub fn conflicts(&self) -> u64 {
-        self.conflicts.value()
-    }
-
-    /// Number of committed activities.
-    pub fn commits(&self) -> u64 {
-        self.commits.value()
-    }
-
-    /// Number of aborted activities.
-    pub fn aborts(&self) -> u64 {
-        self.aborts.value()
-    }
-
-    /// Total nanoseconds of computation discarded by aborts.
-    pub fn wasted_ns(&self) -> u64 {
-        self.wasted_ns.value()
-    }
-
-    /// Total nanoseconds of committed computation.
-    pub fn useful_ns(&self) -> u64 {
-        self.useful_ns.value()
-    }
-
-    /// Plain-value snapshot for reporting.
+    /// Plain-value snapshot of every count.
     pub fn snapshot(&self) -> SpecSnapshot {
         SpecSnapshot {
-            attempts: self.attempts(),
-            conflicts: self.conflicts(),
-            commits: self.commits(),
-            aborts: self.aborts(),
-            wasted_ns: self.wasted_ns(),
-            useful_ns: self.useful_ns(),
+            attempts: self.attempts.value(),
+            conflicts: self.conflicts.value(),
+            commits: self.commits.value(),
+            aborts: self.aborts.value(),
+            wasted_ns: self.wasted_ns.value(),
+            useful_ns: self.useful_ns.value(),
         }
     }
 }
@@ -202,12 +157,13 @@ mod tests {
         s.record_attempt();
         s.record_abort(Duration::from_nanos(300));
         s.record_conflict();
-        assert_eq!(s.attempts(), 2);
-        assert_eq!(s.commits(), 1);
-        assert_eq!(s.aborts(), 1);
-        assert_eq!(s.commits() + s.aborts(), s.attempts());
-        assert_eq!(s.conflicts(), 1);
-        assert!((s.snapshot().wasted_fraction() - 0.75).abs() < 1e-9);
+        let snap = s.snapshot();
+        assert_eq!(snap.attempts, 2);
+        assert_eq!(snap.commits, 1);
+        assert_eq!(snap.aborts, 1);
+        assert_eq!(snap.commits + snap.aborts, snap.attempts);
+        assert_eq!(snap.conflicts, 1);
+        assert!((snap.wasted_fraction() - 0.75).abs() < 1e-9);
     }
 
     #[test]

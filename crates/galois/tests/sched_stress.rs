@@ -117,7 +117,7 @@ fn skewed_rounds_steal_the_slow_block_and_run_every_item_once() {
                     }
                 });
             });
-            let steals = pool.stats().steals();
+            let steals = pool.steals();
             (runs, steals)
         });
         for (i, r) in runs.iter().enumerate() {
@@ -144,7 +144,7 @@ fn a_worker_that_never_drives_strands_nothing() {
                 hits_ref[i].fetch_add(1, Ordering::Relaxed);
             });
         });
-        let steals = pool.stats().steals();
+        let steals = pool.steals();
         (hits, steals)
     });
     for (i, h) in hits.iter().enumerate() {

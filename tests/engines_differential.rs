@@ -92,7 +92,7 @@ fn counts(s: &RewriteStats) -> impl PartialEq + std::fmt::Debug {
             s.revalidated,
             s.evaluations,
         ),
-        (s.clean_skipped, s.sched, s.worklists),
+        (s.clean_skipped, s.steals, s.worklists),
         (s.recoveries, s.salvaged_commits, s.errors_observed),
     )
 }

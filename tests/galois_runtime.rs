@@ -56,9 +56,10 @@ fn speculative_ref_bumps_are_exclusive() {
     });
     let total: u64 = touched.iter().map(|t| t.load(Ordering::Relaxed)).sum();
     assert_eq!(total, (nodes.len() * 8) as u64);
-    assert_eq!(stats.commits(), total);
+    let spec = stats.snapshot();
+    assert_eq!(spec.commits, total);
     // Every failed acquisition is one conflict in the caller's ledger.
-    assert_eq!(stats.conflicts(), stats.aborts());
+    assert_eq!(spec.conflicts, spec.aborts);
 }
 
 #[test]
